@@ -15,6 +15,7 @@ smaller than the noise bands and is healthy by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +62,9 @@ def extract_features(curve: PowerCurve | np.ndarray) -> CurveFeatures:
     tail = s[-max(1, int(TAIL_FRACTION * n)):]
 
     plateau_mean = float(plateau.mean())
-    slope = float(np.polyfit(np.arange(plateau.size), plateau, 1)[0])
+    # closed-form least-squares slope over centred sample positions
+    x = np.arange(plateau.size) - 0.5 * (plateau.size - 1)
+    slope = float(np.dot(x, plateau - plateau_mean) / np.dot(x, x))
     return CurveFeatures(
         peak_amplitude=float(peak_region.max()),
         peak_position=float(np.argmax(peak_region)) / n,
@@ -105,7 +108,30 @@ class ClassifierReference:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ClassifierReference":
-        return cls(**d)
+        """Inverse of ``to_dict``; ValueError on a missing, unknown or bad entry."""
+        if not isinstance(d, dict):
+            raise ValueError("classifier reference must be a JSON object")
+        try:
+            ref = cls(**d)
+        except TypeError as exc:   # a key missing or unknown
+            raise ValueError(f"classifier reference: {exc}") from None
+        for table in (ref.mean, ref.std):
+            if not (isinstance(table, dict) and set(table) == set(FEATURE_NAMES)
+                    and all(_finite(v) for v in table.values())):
+                raise ValueError(
+                    "classifier reference mean and std must map each of "
+                    f"{', '.join(FEATURE_NAMES)} to a finite number"
+                )
+        scalars = (ref.n_reference, ref.corridor, ref.spike_factor, ref.rel_floor,
+                   ref.transient_floor)
+        if not all(_finite(v) for v in scalars):
+            raise ValueError("classifier reference tuning values must be finite numbers")
+        return ref
+
+
+def _finite(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def build_reference(corpus: list[LabeledCurve], **tuning) -> ClassifierReference:

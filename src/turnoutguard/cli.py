@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 from . import classifier, comparator, curvegen, dataio, forecaster, investigator
+from .comparator import ThresholdsFormatError
 from .curvegen import AttackKind, AttackScenario, GeneratorConfig
 from .dataio import CorpusFormatError
 from .forecaster import ModelFormatError, TrainConfig
@@ -432,7 +433,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CorpusFormatError, ModelFormatError) as exc:
+    except (CorpusFormatError, ModelFormatError, ThresholdsFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except OSError as exc:

@@ -7,40 +7,36 @@ when both fall within thresholds calibrated on held-out test residuals.
 Distances are computed in raw watts, so the thresholds stay meaningful for
 field curves that never pass through the model's normalizer.
 
-The warping kernel is compiled (Cython) when available; a pure-Python
-fallback is selected at import time otherwise.  ``TURNOUTGUARD_PURE_DTW=1``
-forces the fallback.
+The warping distance runs on one exact numpy kernel: an anti-diagonal
+wavefront that does the same arithmetic as the textbook row-by-row loop, so
+its results equal the loop's bit for bit.  Nothing is compiled.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .classifier import ClassifierReference
 from .curvegen import PowerCurve
 from .dataio import SupervisedPair
 from .forecaster import ForecastModel, forward_samples
 
-if os.environ.get("TURNOUTGUARD_PURE_DTW"):
-    from ._dtw_py import dtw_cost as _dtw_cost
-    DTW_BACKEND = "pure-python (forced)"
-else:
-    try:
-        from ._dtw_cy import dtw_cost as _dtw_cost
-        DTW_BACKEND = "compiled"
-    except ImportError:
-        from ._dtw_py import dtw_cost as _dtw_cost
-        DTW_BACKEND = "pure-python"
+#: the warping kernel, recorded in run provenance
+DTW_BACKEND = "numpy-wavefront"
 
 THRESHOLDS_FORMAT_VERSION = 1
 
 
 class CalibrationWarning(UserWarning):
     pass
+
+
+class ThresholdsFormatError(ValueError):
+    """Thresholds file is corrupt, incomplete, or of an unsupported version."""
 
 
 @dataclass(frozen=True)
@@ -86,9 +82,12 @@ def euclidean(a, b) -> float:
 def dtw(a, b, band: int | None = None) -> float:
     """Warping distance: cheapest alignment path cost with |a_i - b_j| cells.
 
-    Lengths may differ.  ``band`` restricts warping to a diagonal corridor
-    (widened automatically to cover any length difference); None searches
-    the full matrix.  Time O(len(a)*len(b)), memory O(min(len(a), len(b))).
+    Admissible moves are (i-1, j), (i, j-1) and (i-1, j-1).  Lengths may
+    differ.  ``band`` restricts the path to |i - j| <= band (widened
+    automatically to cover any length difference); None searches the full
+    matrix.  The result equals the row-by-row dynamic program bit for bit.
+    Time O(len(a)*len(b)) in about 8 numpy calls per anti-diagonal, memory
+    O(min(len(a), len(b))).
     """
     xa, xb = _samples(a), _samples(b)
     if xa.size == 0 or xb.size == 0:
@@ -96,14 +95,59 @@ def dtw(a, b, band: int | None = None) -> float:
     if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(xb))):
         raise ValueError("non-finite value in series")
     if xb.size > xa.size:
-        xa, xb = xb, xa   # cost and moves are symmetric; keep rows the long one
+        xa, xb = xb, xa   # cost and moves are symmetric; keep xb the short one
     if band is None:
         eff_band = -1
     else:
         if band < 0:
             raise ValueError("band must be >= 0")
         eff_band = max(int(band), xa.size - xb.size)
-    return float(_dtw_cost(np.ascontiguousarray(xa), np.ascontiguousarray(xb), eff_band))
+    return float(_dtw_cost(xa, xb, eff_band))
+
+
+def _dtw_cost(long: np.ndarray, short: np.ndarray, band: int) -> float:
+    """Accumulated cost D[n, m] by anti-diagonals k = i + j of the cost matrix.
+
+    Rows i index ``short`` (m), columns j index ``long`` (n >= m); ``band``
+    >= 0 keeps |i - j| = |2i - k| <= band, -1 keeps every cell.  Three
+    buffers of m + 2 slots hold diagonals k-2, k-1 and k, indexed by i.  The
+    cells of diagonal k read i-1 and i of diagonal k-1 and i-1 of diagonal
+    k-2, and its range [lo, hi] moves by at most one slot per diagonal, so
+    inf written at lo-1 and hi+1 stands for every cell outside the range
+    (the path boundary, the band, or slots left from diagonal k-3).  Each
+    cell is d + min(three neighbours) as in the row loop; min is exact and
+    IEEE addition and |x - y| are symmetric, so the results are identical.
+    """
+    n, m = long.size, short.size
+    long_rev = np.ascontiguousarray(long[::-1])   # long[k-i-1] == long_rev[n-k+i]
+    short = np.ascontiguousarray(short)
+    inf = np.inf
+    prev2 = np.full(m + 2, inf)   # diagonal 0: D[0, 0] = 0, the path's start
+    prev2[0] = 0.0
+    prev1 = np.full(m + 2, inf)   # diagonal 1: D[0, 1] = D[1, 0] = inf
+    cur = np.empty(m + 2)
+    d = np.empty(m)
+    ks = np.arange(2, n + m + 1)
+    los = np.maximum(1, ks - n)
+    his = np.minimum(m, ks - 1)
+    if band >= 0:
+        los = np.maximum(los, (ks - band + 1) // 2)
+        his = np.minimum(his, (ks + band) // 2)
+    # the loop runs n + m - 1 times; local names save an attribute lookup per call
+    subtract, absolute, minimum, add = np.subtract, np.absolute, np.minimum, np.add
+    for k, lo, hi in zip(ks.tolist(), los.tolist(), his.tolist()):
+        if lo <= hi:
+            cells = d[:hi - lo + 1]
+            out = cur[lo:hi + 1]
+            subtract(short[lo - 1:hi], long_rev[n - k + lo:n - k + hi + 1], out=cells)
+            absolute(cells, out=cells)
+            minimum(prev1[lo - 1:hi], prev1[lo:hi + 1], out=out)
+            minimum(out, prev2[lo - 1:hi], out=out)
+            add(cells, out, out=out)
+        cur[lo - 1] = inf
+        cur[hi + 1] = inf
+        prev2, prev1, cur = prev1, cur, prev2
+    return float(prev1[m])
 
 
 def distance_pair(a, b, band: int | None = None) -> DistancePair:
@@ -190,20 +234,40 @@ def save_thresholds(path, thresholds: Thresholds, classifier_reference: dict | N
 
 
 def load_thresholds(path) -> tuple[Thresholds, dict | None]:
+    """Thresholds and the classifier baseline dict (None if absent).
+
+    Raises ThresholdsFormatError on every schema violation, including one in
+    the classifier baseline, so a corrupt file never reaches the pipeline.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"not a valid thresholds file: {exc.msg}") from exc
+        raise ThresholdsFormatError(f"not a valid thresholds file: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise ThresholdsFormatError("not a thresholds file (expected a JSON object)")
     version = doc.get("format_version")
     if version != THRESHOLDS_FORMAT_VERSION:
-        raise ValueError(
+        raise ThresholdsFormatError(
             f"unsupported thresholds format version {version} "
             f"(expected {THRESHOLDS_FORMAT_VERSION})"
         )
-    th = Thresholds(
-        tau_euclidean=float(doc["tau_euclidean"]),
-        tau_dtw=float(doc["tau_dtw"]),
-        calibration=doc.get("calibration", {}),
-    )
-    return th, doc.get("classifier_reference")
+    reference = doc.get("classifier_reference")
+    try:
+        th = Thresholds(
+            tau_euclidean=float(doc["tau_euclidean"]),
+            tau_dtw=float(doc["tau_dtw"]),
+            calibration=doc.get("calibration", {}),
+        )
+        if not isinstance(th.calibration, dict):
+            raise ValueError("calibration must be a JSON object")
+        band = th.calibration.get("band")
+        if band is not None and (type(band) is not int or band < 0):
+            raise ValueError(f"calibration band must be null or an integer >= 0, got {band!r}")
+        if reference is not None:
+            ClassifierReference.from_dict(reference)
+    except KeyError as exc:
+        raise ThresholdsFormatError(f"malformed thresholds file: missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ThresholdsFormatError(f"malformed thresholds file: {exc}") from exc
+    return th, reference

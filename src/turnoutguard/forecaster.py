@@ -142,9 +142,9 @@ class ForecastModel:
 # numerics
 # ---------------------------------------------------------------------------
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        return np.divide(1.0, 1.0 + np.exp(-x), out=out)
 
 
 def mse(predicted, target) -> float:
@@ -173,9 +173,12 @@ def _forward_seq(params: dict, x: np.ndarray, need_cache: bool = False):
     caches = []
     for t in range(steps):
         a = a_x[:, t, :] + h @ params["w_h"]
-        i = _sigmoid(a[:, :hidden])
-        f = _sigmoid(a[:, hidden:2 * hidden])
-        o = _sigmoid(a[:, 2 * hidden:3 * hidden])
+        # one call for the input, forget and output gates (elementwise, so
+        # bit-identical to three), written gate-major so that each gate is a
+        # contiguous (batch, hidden) block for the elementwise work after it
+        ifo = np.empty((3, batch, hidden), dtype=x.dtype)
+        _sigmoid(a[:, :3 * hidden].reshape(batch, 3, hidden), out=ifo.transpose(1, 0, 2))
+        i, f, o = ifo
         g = np.tanh(a[:, 3 * hidden:])
         c_prev = c
         c = f * c_prev + i * g

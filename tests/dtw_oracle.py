@@ -1,8 +1,7 @@
-"""Pure-Python warping-distance kernel.
+"""Reference warping-distance loop: the textbook two-row dynamic program.
 
-Fallback used when the compiled extension is unavailable (or forced via
-``TURNOUTGUARD_PURE_DTW=1``).  Same two-row dynamic program, same results,
-orders of magnitude slower on long curves; see benchmarks/bench_dtw.py.
+Tests compare ``turnoutguard.comparator.dtw`` against it for exact
+equality; it is kept in plain Python so that its arithmetic is plain to see.
 """
 
 import math

@@ -67,6 +67,21 @@ def test_features_are_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("length", [20, 101, 200])
+def test_plateau_slope_equals_polyfit(length):
+    _, corpus = make_corpus(
+        [(CurveKind.EARLY_LIFE_NORMAL, 0, 20, 0.0, 0.0),
+         (CurveKind.PROGRESSIVE_PRE_FAULT, 20, 40, 0.0, 1.0),
+         (CurveKind.AGING, 40, 60, 0.0, 1.0)],
+        60, seed=length, length=length,
+    )
+    lo, hi = int(0.2 * length), int(0.8 * length)
+    for lc in corpus:
+        plateau = lc.curve.samples[lo:hi]
+        want = np.polyfit(np.arange(plateau.size), plateau, 1)[0]
+        assert abs(extract_features(lc.curve).plateau_slope - want) <= 1e-12
+
+
 @pytest.fixture(scope="module")
 def reference():
     _, corpus = make_corpus(
@@ -86,6 +101,21 @@ def test_reference_requires_healthy_curves():
 def test_reference_round_trip(reference):
     back = ClassifierReference.from_dict(reference.to_dict())
     assert back == reference
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.pop("std"),
+    lambda d: d.update(extra=1.0),
+    lambda d: d["mean"].pop("plateau_mean"),
+    lambda d: d["std"].update(peak_amplitude="wide"),
+    lambda d: d.update(corridor=float("nan")),
+    lambda d: d.update(mean=[1.0]),
+])
+def test_reference_from_dict_rejects_a_bad_entry(reference, edit):
+    d = reference.to_dict()
+    edit(d)
+    with pytest.raises(ValueError, match="classifier reference"):
+        ClassifierReference.from_dict(d)
 
 
 @pytest.mark.parametrize(

@@ -131,6 +131,30 @@ def test_missing_thresholds_means_calibrate_first(workdir, capsys):
     assert "calibrate first" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda doc: {k: v for k, v in doc.items() if k != "tau_dtw"},
+    lambda doc: [doc],
+    lambda doc: {**doc, "classifier_reference": {**doc["classifier_reference"], "extra": 1.0}},
+    lambda doc: {**doc, "tau_euclidean": "wide"},
+    lambda doc: {**doc, "calibration": ["band"]},
+    lambda doc: {**doc, "calibration": {**doc["calibration"], "band": "3"}},
+], ids=["missing-tau", "top-level-list", "unknown-reference-key", "non-numeric-tau",
+        "calibration-list", "non-integer-band"])
+def test_malformed_thresholds_is_a_schema_error(workdir, tmp_path, capsys, corrupt):
+    root, cfg = workdir
+    bad = tmp_path / "thresholds.json"
+    bad.write_text(json.dumps(corrupt(json.loads((root / "thresholds.json").read_text()))))
+    rc = main([
+        "run", "--config", str(cfg),
+        "--corpus", str(root / "corpus.ndjson"),
+        "--model", str(root / "model.json"),
+        "--thresholds", str(bad),
+        "--out", str(tmp_path / "reports.ndjson"),
+    ])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_unknown_flag_is_a_usage_error(workdir):
     with pytest.raises(SystemExit) as exc:
         main(["generate", "--no-such-flag"])

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from dtw_oracle import dtw_cost as oracle_dtw_cost
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from turnoutguard.classifier import FEATURE_NAMES, ClassifierReference
 from turnoutguard.comparator import (
-    DTW_BACKEND,
     CalibrationWarning,
     DistancePair,
     Thresholds,
@@ -95,19 +98,19 @@ def test_dtw_band_zero_equal_lengths_is_the_pointwise_l1():
     assert dtw(a, b, band=0) == pytest.approx(np.abs(a - b).sum(), rel=1e-12)
 
 
-@pytest.mark.skipif("compiled" not in DTW_BACKEND, reason="extension not built")
-def test_backends_agree():
-    from turnoutguard._dtw_cy import dtw_cost as fast
-    from turnoutguard._dtw_py import dtw_cost as slow
+series = st.lists(
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False),
+    min_size=1, max_size=60,
+)
 
-    rng = np.random.default_rng(9)
-    for _ in range(50):
-        a = np.ascontiguousarray(rng.uniform(0, 10, int(rng.integers(1, 40))))
-        b = np.ascontiguousarray(rng.uniform(0, 10, int(rng.integers(1, 40))))
-        band = int(rng.integers(-1, 12))
-        if band >= 0:
-            band = max(band, abs(a.size - b.size))
-        assert fast(a, b, band) == pytest.approx(slow(a, b, band), abs=1e-9)
+
+@settings(max_examples=300, deadline=None)
+@given(a=series, b=series, band=st.one_of(st.none(), st.just(0), st.integers(1, 70)))
+def test_dtw_equals_the_loop_oracle_exactly(a, b, band):
+    eff_band = -1 if band is None else max(band, abs(len(a) - len(b)))
+    want = oracle_dtw_cost(a, b, eff_band)
+    assert dtw(a, b, band=band) == want
+    assert dtw(b, a, band=band) == want
 
 
 def test_phase_shift_fails_euclidean_while_dtw_forgives():
@@ -244,12 +247,17 @@ def test_thresholds_round_trip(tmp_path, trained_bundle):
     model, pairs = trained_bundle
     th = calibrate(model, pairs)
     path = tmp_path / "thresholds.json"
-    save_thresholds(path, th, {"mean": {"plateau_mean": 600.0}})
+    reference = ClassifierReference(
+        mean={name: 600.0 for name in FEATURE_NAMES},
+        std={name: 6.0 for name in FEATURE_NAMES},
+        n_reference=40,
+    ).to_dict()
+    save_thresholds(path, th, reference)
     back, ref = load_thresholds(path)
     assert back.tau_euclidean == th.tau_euclidean
     assert back.tau_dtw == th.tau_dtw
     assert back.calibration == th.calibration
-    assert ref == {"mean": {"plateau_mean": 600.0}}
+    assert ref == reference
 
 
 def test_thresholds_version_mismatch(tmp_path):

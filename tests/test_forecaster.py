@@ -143,6 +143,52 @@ def test_forward_matches_oracle_on_random_models():
         )
 
 
+def per_gate_forward_seq(params, x):
+    """Reference recurrence with one sigmoid call per gate."""
+    hidden = params["w_h"].shape[0]
+    batch, steps, length = x.shape
+    a_x = (x.reshape(batch * steps, length) @ params["w_x"] + params["b"]).reshape(
+        batch, steps, 4 * hidden)
+
+    def sigmoid(v):
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp(-v))
+
+    h = np.zeros((batch, hidden), dtype=x.dtype)
+    c = np.zeros((batch, hidden), dtype=x.dtype)
+    caches = []
+    for t in range(steps):
+        a = a_x[:, t, :] + h @ params["w_h"]
+        i = sigmoid(a[:, :hidden])
+        f = sigmoid(a[:, hidden:2 * hidden])
+        o = sigmoid(a[:, 2 * hidden:3 * hidden])
+        g = np.tanh(a[:, 3 * hidden:])
+        c_prev, h_prev = c, h
+        c = f * c_prev + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        caches.append((i, f, o, g, c_prev, tc, h_prev))
+    return h @ params["v_out"].T + params["b_out"], h, caches
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and (
+        np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("batch", [1, 7])
+def test_forward_seq_equals_per_gate_reference_bit_for_bit(dtype, batch):
+    model = small_model(length=24, hidden=16, window=9, seed=batch, dtype=dtype)
+    rng = np.random.default_rng(3)
+    x = rng.normal(0.0, 2.0, size=(batch, 9, 24)).astype(dtype)
+    y, h, caches = _forward_seq(model.params(), x, need_cache=True)
+    want_y, want_h, want_caches = per_gate_forward_seq(model.params(), x)
+    assert same_bits(y, want_y) and same_bits(h, want_h)
+    for got, want in zip(caches, want_caches, strict=True):
+        assert all(same_bits(g, w) for g, w in zip(got, want, strict=True))
+
+
 def test_gate_activations_stay_in_range():
     model = small_model(length=5, hidden=4, window=3, seed=2)
     x = model.normalize(np.random.default_rng(0).uniform(0, 9, (3, 5)))[np.newaxis]
