@@ -6,7 +6,7 @@ operation phase, ``inject`` builds tampered corpora for exercises, and
 ``report`` aggregates existing report files.
 
 Options may come from a JSON config file (``--config``); explicit flags win
-over the file, which wins over built-in defaults.  Exit codes: 0 ok,
+over the file, which wins over the library's defaults.  Exit codes: 0 ok,
 1 suspicion raised, 2 usage error, 3 I/O or schema error.
 """
 
@@ -17,14 +17,15 @@ import csv
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import classifier, comparator, curvegen, dataio, forecaster, investigator
 from .comparator import ThresholdsFormatError
-from .curvegen import AttackKind, AttackScenario, GeneratorConfig
+from .curvegen import FAILURE_MODES, AttackKind, AttackScenario, GeneratorConfig
 from .dataio import CorpusFormatError
 from .forecaster import ModelFormatError, TrainConfig
-from .investigator import VerdictKind
-from .pipeline import Pipeline, PipelineConfig
+from .investigator import ReportFormatError, VerdictKind
+from .pipeline import REJECT_FREEZE, REJECT_SUBSTITUTE, Pipeline, PipelineConfig
 
 EXIT_OK = 0
 EXIT_SUSPICION = 1
@@ -32,8 +33,69 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
+
+
+class Key(NamedTuple):
+    """A config-section key; ``flag`` names its ``--flag`` with underscores.
+
+    A file value goes through the flag's converter and choices as the text
+    the flag would get, so 4.7 is no int; with no converter, the library does.
+    """
+
+    flag: str | None = None
+    convert: Callable | None = None
+    choices: tuple | None = None
+    help: str | None = None
+
+    def parse(self, where: str, value):
+        try:
+            value = value if self.convert is None else self.convert(str(value))
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"config {where}: bad value {value!r}") from exc
+        if self.choices is not None and value not in self.choices:
+            raise UsageError(f"config {where}: {value!r} is not one of {list(self.choices)}")
+        return value
+
+
+SECTIONS = {
+    "generator": {key: Key() for key in curvegen.CONFIG_KEYS} | {
+        "seed": Key("seed", int),
+        "operations": Key("operations", int, help="number of switch operations"),
+        "length": Key("length", int, help="samples per curve"),
+        "noise_sigma": Key("noise_sigma", float, help="per-sample noise in watts"),
+    },
+    "train": {
+        "window": Key("window", int, help="curves per input sequence (default 50)"),
+        "train_fraction": Key("train_fraction", float, help="share that trains (default 0.8)"),
+        "hidden": Key("hidden", int),
+        "epochs": Key("epochs", int),
+        "learning_rate": Key("lr", float),
+        "seed": Key("seed", int),
+        "batch_size": Key("batch_size", int),
+        "dtype": Key("dtype", str, choices=("float32", "float64")),
+    },
+    "calibrate": {
+        "percentile": Key("percentile", float, help="residual percentile (default: max)"),
+        "safety_factor": Key("safety", float, help="safety factor on thresholds"),
+        "band": Key("band", int, help="warping band radius"),
+    },
+    "attack": {
+        "kind": Key("attack", str, choices=tuple(k.value for k in AttackKind)),
+        "start": Key("start", int, help="first op index attacked"),
+        "end": Key("end", int, help="op index that ends the attack (exclusive)"),
+        "severity": Key("severity", float),
+        "seed": Key("attack_seed", int),
+        "failure_mode": Key("failure_mode", str, choices=FAILURE_MODES),
+    },
+    "pipeline": {
+        "start": Key("start", int, help="first op index treated as field data"),
+        "policy": Key("policy", str, choices=(REJECT_FREEZE, REJECT_SUBSTITUTE)),
+        "alarm_after": Key("alarm_after", int),
+        "band": Key("band", int),
+    },
+}
 
 
 def _load_config(path) -> dict:
@@ -46,16 +108,33 @@ def _load_config(path) -> dict:
             raise CorpusFormatError(f"config file: invalid JSON ({exc.msg})") from exc
     if not isinstance(cfg, dict):
         raise UsageError("config file must hold a JSON object")
+    for name, section in cfg.items():
+        if name not in SECTIONS:
+            raise UsageError(f"config file: unknown section {name!r}; expected {list(SECTIONS)}")
+        if not isinstance(section, dict):
+            raise UsageError(f"config section {name!r} must be a JSON object")
     return cfg
 
 
-def _opt(flag_value, section: dict, key: str, default):
-    """Flag > config file > default."""
-    if flag_value is not None:
-        return flag_value
-    if key in section:
-        return section[key]
-    return default
+def _options(args, cfg: dict, name: str) -> dict:
+    """The options set in config section ``name`` or by flags, which win.
+
+    Unset and null keys are left out, so the library's defaults apply.
+    """
+    keys, section = SECTIONS[name], cfg.get(name, {})
+    unknown = set(section) - set(keys)
+    if unknown:
+        raise UsageError(
+            f"config section {name!r}: unknown keys {sorted(unknown)}; expected {list(keys)}"
+        )
+    options = {}
+    for key, spec in keys.items():
+        value = getattr(args, spec.flag, None) if spec.flag else None
+        if value is None and section.get(key) is not None:
+            value = spec.parse(f"{name}.{key}", section[key])
+        if value is not None:
+            options[key] = value
+    return options
 
 
 def _require_file(path, hint: str) -> Path:
@@ -69,18 +148,8 @@ def _require_file(path, hint: str) -> Path:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_generate(args) -> int:
-    section = _load_config(args.config).get("generator", {})
-    merged = dict(section)
-    for key, value in (
-        ("seed", args.seed),
-        ("operations", args.operations),
-        ("length", args.length),
-        ("noise_sigma", args.noise_sigma),
-    ):
-        if value is not None:
-            merged[key] = value
-    config = GeneratorConfig.from_dict(merged)
+def cmd_generate(args, cfg) -> int:
+    config = GeneratorConfig.from_dict(_options(args, cfg, "generator"))
     corpus = curvegen.generate_lifecycle(config)
     out = args.out or "corpus.ndjson"
     dataio.write_corpus(out, corpus)
@@ -88,34 +157,17 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _split_fraction(args, section) -> float:
-    fraction = float(_opt(getattr(args, "train_fraction", None), section, "train_fraction", 0.8))
-    if not 0.0 < fraction < 1.0:
-        raise UsageError("train fraction must lie strictly between 0 and 1")
-    return fraction
-
-
-def cmd_train(args) -> int:
-    cfg = _load_config(args.config)
-    section = cfg.get("train", {})
+def cmd_train(args, cfg) -> int:
+    options = _options(args, cfg, "train")
+    # no library function defaults these two
+    window = options.pop("window", 50)
+    fraction = options.pop("train_fraction", 0.8)
+    train_config = TrainConfig(**options)
     corpus = dataio.read_corpus(_require_file(args.corpus, "generate a corpus first"))
-    fraction = _split_fraction(args, section)
-    window = int(_opt(args.window, section, "window", 50))
 
     train_part, test_part = dataio.split(corpus, fraction)
     train_pairs = dataio.make_dataset(train_part, window)
     val_pairs = dataio.make_dataset(test_part, window) if len(test_part) > window else None
-
-    train_config = TrainConfig(
-        hidden=int(_opt(args.hidden, section, "hidden", 64)),
-        epochs=int(_opt(args.epochs, section, "epochs", 100)),
-        learning_rate=float(_opt(args.lr, section, "learning_rate", 1e-3)),
-        seed=int(_opt(args.seed, section, "seed", 0)),
-        batch_size=_opt(args.batch_size, section, "batch_size", None),
-        dtype=str(_opt(args.dtype, section, "dtype", "float64")),
-    )
-    if train_config.batch_size is not None:
-        train_config.batch_size = int(train_config.batch_size)
 
     print(
         f"training on {len(train_pairs)} pairs (window {window}, hidden "
@@ -136,29 +188,19 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_calibrate(args) -> int:
-    cfg = _load_config(args.config)
-    section = cfg.get("calibrate", {})
+def cmd_calibrate(args, cfg) -> int:
+    options = _options(args, cfg, "calibrate")
     corpus = dataio.read_corpus(_require_file(args.corpus, "generate a corpus first"))
     model = forecaster.load_model(_require_file(args.model, "train a model first"))
-    fraction = _split_fraction(args, section)
+    training_pairs = model.meta.get("training_pairs")
+    if not isinstance(training_pairs, int) or training_pairs < 1:
+        raise ModelFormatError("weights file records no training_pairs; train the model again")
 
-    train_part, test_part = dataio.split(corpus, fraction)
-    if len(test_part) <= model.window:
-        raise UsageError(
-            f"test split of {len(test_part)} curves cannot fill a window of "
-            f"{model.window} plus a target"
-        )
+    # the test split starts where the model's training curves ended
+    cut = training_pairs + model.window
+    train_part, test_part = corpus[:cut], corpus[cut:]
     test_pairs = dataio.make_dataset(test_part, model.window)
-
-    percentile = _opt(args.percentile, section, "percentile", None)
-    thresholds = comparator.calibrate(
-        model,
-        test_pairs,
-        percentile=None if percentile is None else float(percentile),
-        safety_factor=float(_opt(args.safety, section, "safety_factor", 1.0)),
-        band=_opt(args.band, section, "band", None),
-    )
+    thresholds = comparator.calibrate(model, test_pairs, **options)
     reference = classifier.build_reference(train_part)
     out = args.out or "thresholds.json"
     comparator.save_thresholds(out, thresholds, reference.to_dict())
@@ -171,40 +213,15 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-_ATTACK_KINDS = {k.value: k for k in AttackKind}
-
-
-def cmd_inject(args) -> int:
-    cfg = _load_config(args.config)
-    section = cfg.get("attack", {})
+def cmd_inject(args, cfg) -> int:
+    options = _options(args, cfg, "attack")
+    if not {"kind", "start", "end"} <= set(options):
+        raise UsageError("inject needs --attack, --start and --end")
+    scenario = AttackScenario(kind=AttackKind(options.pop("kind")), **options)
     corpus = dataio.read_corpus(_require_file(args.corpus, "generate a corpus first"))
-
-    kind_name = _opt(args.attack, section, "kind", None)
-    if kind_name not in _ATTACK_KINDS:
-        raise UsageError(
-            f"--attack must be one of {sorted(_ATTACK_KINDS)} (got {kind_name!r})"
-        )
-    start = _opt(args.start, section, "start", None)
-    end = _opt(args.end, section, "end", None)
-    if start is None or end is None:
-        raise UsageError("--start and --end are required for inject")
-    scenario = AttackScenario(
-        kind=_ATTACK_KINDS[kind_name],
-        start=int(start),
-        end=int(end),
-        severity=float(_opt(args.severity, section, "severity", 0.8)),
-        seed=int(_opt(args.attack_seed, section, "seed", 0)),
-        failure_mode=_opt(args.failure_mode, section, "failure_mode", None),
-    )
     gen_config = None
-    if scenario.kind is not AttackKind.REPLAY_CONCEAL:
-        gen_section = cfg.get("generator")
-        if gen_section is None:
-            raise UsageError(
-                f"{kind_name} substitutes generated shapes; pass --config "
-                "with a generator section"
-            )
-        gen_config = GeneratorConfig.from_dict(gen_section)
+    if scenario.kind is not AttackKind.REPLAY_CONCEAL and "generator" in cfg:
+        gen_config = GeneratorConfig.from_dict(_options(args, cfg, "generator"))
     tampered = curvegen.inject_attack(corpus, scenario, gen_config)
     out = args.out or "tampered.ndjson"
     dataio.write_corpus(out, tampered)
@@ -256,60 +273,49 @@ def _print_summary(summary: dict):
             print(f"{key.replace('_', ' ')}: {summary[key]:.3f}")
 
 
-def cmd_run(args) -> int:
-    cfg = _load_config(args.config)
-    section = cfg.get("pipeline", {})
+def cmd_run(args, cfg) -> int:
+    options = _options(args, cfg, "pipeline")
+    if "start" not in options:
+        raise UsageError("--start (first field op index) is required for run")
+    start = options.pop("start")
+    if "policy" in options:
+        options["rejected_curve_policy"] = options.pop("policy")
     corpus = dataio.read_corpus(_require_file(args.corpus, "generate or inject a corpus first"))
     model = forecaster.load_model(_require_file(args.model, "train a model first"))
-    thresholds_path = Path(args.thresholds)
-    if not thresholds_path.exists():
-        raise FileNotFoundError(f"{thresholds_path}: not found; calibrate first")
-    thresholds, ref_dict = comparator.load_thresholds(thresholds_path)
+    thresholds, ref_dict = comparator.load_thresholds(
+        _require_file(args.thresholds, "calibrate first")
+    )
     if ref_dict is None:
         raise UsageError(
             "thresholds file carries no classifier baseline; re-run calibrate"
         )
     reference = classifier.ClassifierReference.from_dict(ref_dict)
 
-    start = _opt(args.start, section, "start", None)
-    if start is None:
-        raise UsageError("--start (first field op index) is required for run")
-    start = int(start)
-    positions = [k for k, lc in enumerate(corpus) if lc.curve.op_index >= start]
-    if not positions:
+    cut = next((k for k, lc in enumerate(corpus) if lc.curve.op_index >= start), None)
+    if cut is None:
         raise UsageError(f"no operation with op_index >= {start} in the corpus")
-    cut = positions[0]
     history, stream = corpus[:cut], corpus[cut:]
 
-    config = PipelineConfig(
-        rejected_curve_policy=str(_opt(args.policy, section, "policy", "freeze")),
-        alarm_after=int(_opt(args.alarm_after, section, "alarm_after", 5)),
-        # default to the band the thresholds were calibrated with
-        band=_opt(args.band, section, "band", thresholds.calibration.get("band")),
-    )
-    pipe = Pipeline(model, thresholds, reference, config).bootstrap(history)
+    # default to the band the thresholds were calibrated with
+    options.setdefault("band", thresholds.calibration.get("band"))
+    pipe = Pipeline(model, thresholds, reference, PipelineConfig(**options)).bootstrap(history)
 
     plot_dir = Path(args.plot_dir) if args.plot_dir else None
     if plot_dir:
         plot_dir.mkdir(parents=True, exist_ok=True)
     plotted = 0
-    reports = []
     for lc in stream:
-        predicted = None
-        if plot_dir is not None:
-            predicted = forecaster.forward(pipe.model, pipe.window)
         report = pipe.step(lc)
-        reports.append(report)
         wanted = args.plot_all or report.verdict.kind is not VerdictKind.VALIDATED
         if plot_dir is not None and wanted and plotted < args.plot_limit:
-            _write_plot(plot_dir, report, predicted, lc)
+            _write_plot(plot_dir, report, pipe.last_prediction, lc)
             plotted += 1
 
     out = args.out or "reports.ndjson"
-    investigator.write_reports(out, reports)
-    summary = _summarize(reports)
+    investigator.write_reports(out, pipe.reports)
+    summary = _summarize(pipe.reports)
     _print_summary(summary)
-    print(f"wrote {len(reports)} reports to {out}")
+    print(f"wrote {len(pipe.reports)} reports to {out}")
     if args.summary_out:
         with open(args.summary_out, "w", encoding="utf-8") as fh:
             json.dump(summary, fh)
@@ -328,7 +334,7 @@ def _write_plot(plot_dir: Path, report, predicted, lc):
             writer.writerow([k, repr(float(p)), repr(float(f))])
 
 
-def cmd_report(args) -> int:
+def cmd_report(args, cfg) -> int:
     reports = []
     for path in args.reports:
         reports.extend(investigator.read_reports(_require_file(path, "run the pipeline first")))
@@ -345,6 +351,14 @@ def cmd_report(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _add_flags(parser, section: str):
+    parser.add_argument("--config", help="JSON config file; flags override its values")
+    for spec in SECTIONS[section].values():
+        if spec.flag:
+            parser.add_argument("--" + spec.flag.replace("_", "-"), type=spec.convert,
+                                choices=spec.choices, help=spec.help)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="turnoutguard",
@@ -356,66 +370,40 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a synthetic labeled life cycle")
-    p.add_argument("--config", help="JSON config file (generator section)")
     p.add_argument("--out", help="output corpus NDJSON (default corpus.ndjson)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--operations", type=int, help="number of switch operations")
-    p.add_argument("--length", type=int, help="samples per curve")
-    p.add_argument("--noise-sigma", type=float, help="per-sample noise in watts")
+    _add_flags(p, "generator")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train", help="fit the forecaster on the corpus' train split")
-    p.add_argument("--config")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", help="weights file (default model.json)")
-    p.add_argument("--window", type=int, help="curves per input sequence")
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--dtype", choices=["float32", "float64"])
-    p.add_argument("--train-fraction", type=float)
+    _add_flags(p, "train")
     p.add_argument("--report-out", help="write the training report as JSON")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("calibrate", help="derive acceptance thresholds from the test split")
-    p.add_argument("--config")
-    p.add_argument("--corpus", required=True)
+    p.add_argument("--corpus", required=True, help="the corpus the model was trained on")
     p.add_argument("--model", required=True)
     p.add_argument("--out", help="thresholds file (default thresholds.json)")
-    p.add_argument("--percentile", type=float, help="residual percentile (default: max)")
-    p.add_argument("--safety", type=float, help="safety factor on thresholds")
-    p.add_argument("--band", type=int, help="warping band radius")
-    p.add_argument("--train-fraction", type=float)
+    _add_flags(p, "calibrate")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("inject", help="substitute attack curves into a corpus")
-    p.add_argument("--config")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", help="tampered corpus (default tampered.ndjson)")
-    p.add_argument("--attack", help="|".join(sorted(_ATTACK_KINDS)))
-    p.add_argument("--start", type=int)
-    p.add_argument("--end", type=int)
-    p.add_argument("--severity", type=float)
-    p.add_argument("--attack-seed", type=int)
-    p.add_argument("--failure-mode", choices=["truncate", "spike", "random"])
+    _add_flags(p, "attack")
     p.set_defaults(func=cmd_inject)
 
     p = sub.add_parser("run", help="operation phase over a field stream")
-    p.add_argument("--config")
     p.add_argument("--corpus", required=True, help="corpus holding history + field stream")
     p.add_argument("--model", required=True)
     p.add_argument("--thresholds", required=True)
-    p.add_argument("--start", type=int, help="first op index treated as field data")
     p.add_argument("--out", help="report NDJSON (default reports.ndjson)")
     p.add_argument("--summary-out", help="write the run summary as JSON")
     p.add_argument("--plot-dir", help="write predicted-vs-field CSVs here")
     p.add_argument("--plot-all", action="store_true", help="plot validated steps too")
     p.add_argument("--plot-limit", type=int, default=50)
-    p.add_argument("--policy", choices=["freeze", "substitute_prediction"])
-    p.add_argument("--alarm-after", type=int)
-    p.add_argument("--band", type=int)
+    _add_flags(p, "pipeline")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("report", help="aggregate existing report files")
@@ -429,17 +417,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (CorpusFormatError, ModelFormatError, ThresholdsFormatError) as exc:
+        return args.func(args, _load_config(getattr(args, "config", None)))
+    except (CorpusFormatError, ModelFormatError, ReportFormatError, ThresholdsFormatError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
+    except ValueError as exc:   # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

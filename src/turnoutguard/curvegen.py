@@ -16,7 +16,7 @@ and editing one phase of a plan never disturbs the curves of another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -29,6 +29,8 @@ OP_PERIOD_S = 360.0
 INRUSH_END = 0.15
 LOCK_START = 0.85
 MIN_CURVE_LEN = 16
+
+FAILURE_MODES = ("truncate", "spike", "random")
 
 
 class CurveKind(str, Enum):
@@ -181,7 +183,7 @@ class GeneratorConfig:
             raise ValueError("operations must be >= 1")
         if self.noise_sigma < 0.0:
             raise ValueError("noise_sigma must be >= 0")
-        if self.failure_mode not in ("truncate", "spike", "random"):
+        if self.failure_mode not in FAILURE_MODES:
             raise ValueError(f"unknown failure_mode {self.failure_mode!r}")
         self.base_shape.validate()
         self._validate_phases()
@@ -231,63 +233,58 @@ class GeneratorConfig:
     # -- JSON round trip (CLI config files) ---------------------------------
 
     def to_dict(self) -> dict:
-        d = {
-            "length": self.length,
-            "operations": self.operations,
-            "seed": self.seed,
-            "noise_sigma": self.noise_sigma,
-            "base_shape": {
-                "peak_amplitude": self.base_shape.peak_amplitude,
-                "peak_position": self.base_shape.peak_position,
-                "plateau_level": self.base_shape.plateau_level,
-                "bump_amplitude": self.base_shape.bump_amplitude,
-                "bump_center": self.base_shape.bump_center,
-                "bump_width": self.base_shape.bump_width,
-            },
-            "phases": [
-                {
-                    "kind": p.kind.value,
-                    "start": p.start,
-                    "end": p.end,
-                    "severity": [p.severity_start, p.severity_end],
-                }
-                for p in self.phase_plan
-            ],
-            "prefault_plateau_gain": self.prefault_plateau_gain,
-            "prefault_bump_widening": self.prefault_bump_widening,
-            "aging_plateau_gain": self.aging_plateau_gain,
-            "endoflife_plateau_gain": self.endoflife_plateau_gain,
-            "endoflife_bump_widening": self.endoflife_bump_widening,
-            "transient_amplitude": self.transient_amplitude,
-            "transient_width": self.transient_width,
-            "failure_mode": self.failure_mode,
-            "failure_spike_gain": self.failure_spike_gain,
-        }
+        d = dict(zip(CONFIG_KEYS, asdict(self).values()))
+        d["phases"] = [
+            {"kind": p.kind.value, "start": p.start, "end": p.end,
+             "severity": [p.severity_start, p.severity_end]}
+            for p in self.phase_plan
+        ]
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorConfig":
-        kwargs = dict(d)
-        shape = kwargs.pop("base_shape", None)
-        if shape is not None:
-            kwargs["base_shape"] = BaseShape(**shape)
-        phases = kwargs.pop("phases", None)
-        if phases is not None:
-            kwargs["phase_plan"] = tuple(
-                Phase(
-                    kind=CurveKind(p["kind"]),
-                    start=int(p["start"]),
-                    end=int(p["end"]),
-                    severity_start=float(p.get("severity", [0.0, 0.0])[0]),
-                    severity_end=float(p.get("severity", [0.0, 0.0])[1]),
-                )
-                for p in phases
-            )
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(kwargs) - known
+        """Inverse of ``to_dict``; ValueError on an unknown key or a bad value."""
+        unknown = set(d) - set(CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown generator config keys: {sorted(unknown)}")
+        kwargs = {}
+        for key, f in zip(CONFIG_KEYS, fields(cls)):
+            if key in d:
+                try:
+                    kwargs[f.name] = _FROM_JSON[f.type](d[key])
+                except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                    raise ValueError(f"generator config {key}: bad value ({exc!r})") from exc
         return cls(**kwargs)
+
+
+def _phase(d: dict) -> Phase:
+    unknown = set(d) - {"kind", "start", "end", "severity"}
+    if unknown:
+        raise ValueError(f"unknown phase keys {sorted(unknown)}")
+    severity = _pair(d.get("severity", (0.0, 0.0)))
+    return Phase(CurveKind(d["kind"]), int(d["start"]), int(d["end"]), *severity)
+
+
+def _pair(value) -> tuple[float, float]:
+    lo, hi = value
+    return float(lo), float(hi)
+
+
+#: the keys of a generator config section, one per GeneratorConfig field
+CONFIG_KEYS = tuple(
+    "phases" if f.name == "phase_plan" else f.name for f in fields(GeneratorConfig)
+)
+
+# JSON value -> field value, by the field's annotation
+_FROM_JSON = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "float | None": lambda v: None if v is None else float(v),
+    "tuple[float, float]": _pair,
+    "BaseShape": lambda v: BaseShape(**{k: float(x) for k, x in dict(v).items()}),
+    "tuple[Phase, ...] | None": lambda v: None if v is None else tuple(map(_phase, v)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +407,7 @@ def generate_lifecycle(config: GeneratorConfig) -> list[LabeledCurve]:
 
 @dataclass(frozen=True)
 class AttackScenario:
-    """Substitution attack over ops [start, end) of a corpus.
+    """Substitution attack over the ops of a corpus with start <= op_index < end.
 
     ``replay_conceal`` re-sends copies of earlier healthy curves in place of
     the real ones (hides a developing fault); ``spurious_failure`` and
@@ -427,14 +424,17 @@ class AttackScenario:
     seed: int = 0
     failure_mode: str | None = None   # override config.failure_mode
 
-    def validate(self, operations: int):
-        if not 0 <= self.start <= self.end <= operations:
+    def validate(self, ops: range):
+        """Check the scenario against a corpus spanning op indices ``ops``."""
+        if not ops.start <= self.start <= self.end <= ops.stop:
             raise ValueError(
-                f"target range [{self.start}, {self.end}) outside corpus of "
-                f"{operations} operations"
+                f"target range [{self.start}, {self.end}) outside corpus ops "
+                f"[{ops.start}, {ops.stop})"
             )
         if not 0.0 <= self.severity <= 1.0:
             raise ValueError("attack severity must lie in [0, 1]")
+        if self.failure_mode not in (None, *FAILURE_MODES):
+            raise ValueError(f"unknown failure_mode {self.failure_mode!r}")
 
 
 def inject_attack(
@@ -449,7 +449,9 @@ def inject_attack(
     describing the curve actually planted.  The spurious kinds need the
     generator config to synthesize plausible shapes of the same length.
     """
-    scenario.validate(len(corpus))
+    scenario.validate(
+        range(corpus[0].curve.op_index, corpus[-1].curve.op_index + 1) if corpus else range(0)
+    )
     if scenario.kind is not AttackKind.REPLAY_CONCEAL and config is None:
         raise ValueError(f"{scenario.kind.value} needs the generator config")
     if config is not None:
@@ -461,14 +463,18 @@ def inject_attack(
             )
 
     out = list(corpus)
-    targets = range(scenario.start, scenario.end)
+    targets = [
+        k for k, lc in enumerate(corpus)
+        if scenario.start <= lc.curve.op_index < scenario.end
+    ]
     if not targets:
         return out
 
     if scenario.kind is AttackKind.REPLAY_CONCEAL:
         pool = [
-            lc for lc in corpus[: scenario.start]
-            if lc.label.kind is CurveKind.EARLY_LIFE_NORMAL and not lc.tampered
+            lc for lc in corpus
+            if lc.curve.op_index < scenario.start
+            and lc.label.kind is CurveKind.EARLY_LIFE_NORMAL and not lc.tampered
         ]
         if not pool:
             raise ValueError(
@@ -477,9 +483,9 @@ def inject_attack(
         # replay the most recent healthy stretch, cycling if it is shorter
         # than the target range
         pool = pool[-len(targets):]
-        for k, op in enumerate(targets):
+        for k, pos in enumerate(targets):
             src = pool[k % len(pool)]
-            out[op] = _substitute(corpus[op], src.curve.samples.copy(), src.label)
+            out[pos] = _substitute(corpus[pos], src.curve.samples.copy(), src.label)
         return out
 
     if scenario.kind is AttackKind.SPURIOUS_FAILURE:
@@ -490,10 +496,10 @@ def inject_attack(
     gen_config = config
     if scenario.failure_mode is not None:
         gen_config = replace(config, failure_mode=scenario.failure_mode)
-    for op in targets:
-        rng = _op_rng(scenario.seed, op, salt=1)
+    for pos in targets:
+        rng = _op_rng(scenario.seed, corpus[pos].curve.op_index, salt=1)
         samples = synth_samples(gen_config, kind, severity, rng)
-        out[op] = _substitute(corpus[op], samples, CurveLabel(kind, severity))
+        out[pos] = _substitute(corpus[pos], samples, CurveLabel(kind, severity))
     return out
 
 

@@ -141,8 +141,6 @@ def write_corpus(path, corpus: list[LabeledCurve]):
 def read_corpus(path) -> list[LabeledCurve]:
     """Parse an NDJSON corpus; schema violations name the offending line."""
     corpus: list[LabeledCurve] = []
-    length = None
-    prev_ts = None
     with open(path, "r", encoding="utf-8") as fh:
         for n, line in enumerate(fh, start=1):
             if not line.strip():
@@ -155,15 +153,14 @@ def read_corpus(path) -> list[LabeledCurve]:
                 lc = _parse_record(rec)
             except (KeyError, TypeError, ValueError) as exc:
                 raise CorpusFormatError(str(exc), n) from exc
-            if length is None:
-                length = len(lc.curve)
-            elif len(lc.curve) != length:
+            if corpus and len(lc.curve) != len(corpus[0].curve):
                 raise CorpusFormatError(
-                    f"curve has {len(lc.curve)} samples, corpus uses {length}", n
+                    f"curve has {len(lc.curve)} samples, corpus uses {len(corpus[0].curve)}", n
                 )
-            if prev_ts is not None and lc.curve.timestamp <= prev_ts:
+            if corpus and lc.curve.op_index <= corpus[-1].curve.op_index:
+                raise CorpusFormatError("op_index must strictly increase", n)
+            if corpus and lc.curve.timestamp <= corpus[-1].curve.timestamp:
                 raise CorpusFormatError("timestamps must strictly increase", n)
-            prev_ts = lc.curve.timestamp
             corpus.append(lc)
     return corpus
 

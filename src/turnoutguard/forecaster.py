@@ -621,6 +621,6 @@ def load_model(path) -> ForecastModel:
             meta={"format_version": MODEL_FORMAT_VERSION, **hyper,
                   "input_order": doc.get("input_order", "oldest_first")},
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed weights file: {exc}") from exc
     return model

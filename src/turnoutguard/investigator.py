@@ -142,6 +142,10 @@ def investigate(
 # reports
 # ---------------------------------------------------------------------------
 
+class ReportFormatError(ValueError):
+    """A reports file violates the NDJSON schema; names the line."""
+
+
 @dataclass
 class InvestigationReport:
     op_index: int
@@ -199,11 +203,15 @@ def write_reports(path, reports: list[InvestigationReport]):
 
 
 def read_reports(path) -> list[InvestigationReport]:
+    """Parse an NDJSON report stream; a bad line raises ReportFormatError."""
     reports = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for n, line in enumerate(fh, start=1):
             if line.strip():
-                reports.append(InvestigationReport.from_dict(json.loads(line)))
+                try:
+                    reports.append(InvestigationReport.from_dict(json.loads(line)))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ReportFormatError(f"line {n}: malformed report ({exc!r})") from exc
     return reports
 
 

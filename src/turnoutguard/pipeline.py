@@ -12,7 +12,7 @@ same reports bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import comparator, forecaster
 from .classifier import ClassifierReference, classify
@@ -67,6 +67,7 @@ class Pipeline:
         self.window: CurveWindow | None = None
         self.validated_store: list[PowerCurve] = []
         self.reports: list[InvestigationReport] = []
+        self.last_prediction: PowerCurve | None = None   # the forecast of the latest step
         self._rejection_streak = 0
         self._last_op = None
 
@@ -85,6 +86,7 @@ class Pipeline:
         self.window = CurveWindow(curves[-self.model.window:])
         self.validated_store = []
         self.reports = []
+        self.last_prediction = None
         self._rejection_streak = 0
         self._last_op = self.window.last.op_index
         return self
@@ -108,7 +110,7 @@ class Pipeline:
                 f"(last seen {self._last_op})"
             )
 
-        predicted = forecaster.forward(self.model, self.window)
+        predicted = self.last_prediction = forecaster.forward(self.model, self.window)
         outcome = comparator.validate(
             field_curve, predicted, self.thresholds, band=self.config.band
         )
@@ -139,7 +141,10 @@ class Pipeline:
             )
             self._rejection_streak += 1
             if self.config.rejected_curve_policy == REJECT_SUBSTITUTE:
-                self.window.push(predicted)
+                # the stand-in takes the field op's place in the stream
+                self.window.push(replace(
+                    predicted, op_index=field_curve.op_index, timestamp=field_curve.timestamp
+                ))
 
         alert = None
         if self._rejection_streak >= self.config.alarm_after:

@@ -1,5 +1,8 @@
 """Generator contracts: shapes, labels, determinism, attack injection."""
 
+import json
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -149,13 +152,23 @@ def test_too_short_curve_rejected():
 def test_config_json_round_trip():
     cfg = GeneratorConfig(
         length=56, operations=120, seed=8, noise_sigma=3.5,
-        base_shape=BaseShape(peak_amplitude=2000.0, plateau_level=500.0),
+        base_shape=BaseShape(2000.0, 0.05, 500.0, 200.0, 0.93, 0.025),
         phase_plan=plan(
             (CurveKind.EARLY_LIFE_NORMAL, 0, 70, 0.0, 0.0),
             (CurveKind.PROGRESSIVE_PRE_FAULT, 70, 120, 0.0, 0.9),
         ),
+        prefault_plateau_gain=0.25, prefault_bump_widening=0.45,
+        aging_plateau_gain=0.15, endoflife_plateau_gain=0.35,
+        endoflife_bump_widening=0.75, transient_amplitude=150.0,
+        transient_width=0.03, transient_span=(0.4, 0.6), failure_mode="spike",
+        failure_cut_span=(0.2, 0.8), failure_spike_gain=1.5,
     )
-    restored = GeneratorConfig.from_dict(cfg.to_dict())
+    default = GeneratorConfig()
+    for f in fields(GeneratorConfig):
+        assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+    for f in fields(BaseShape):
+        assert getattr(cfg.base_shape, f.name) != getattr(default.base_shape, f.name), f.name
+    restored = GeneratorConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
     assert restored == cfg
     with pytest.raises(ValueError, match="unknown generator config keys"):
         GeneratorConfig.from_dict({"lenght": 50})
@@ -257,3 +270,41 @@ def test_bad_target_range_rejected(prefault_corpus):
     _, corpus = prefault_corpus
     with pytest.raises(ValueError, match="target range"):
         inject_attack(corpus, AttackScenario(AttackKind.REPLAY_CONCEAL, 500, 9000))
+
+
+def _shifted(corpus, by):
+    """The same curves with op indices (and timestamps) moved by ``by`` ops."""
+    return [
+        replace(lc, curve=replace(lc.curve, op_index=lc.curve.op_index + by,
+                                  timestamp=lc.curve.timestamp + by * 360.0))
+        for lc in corpus
+    ]
+
+
+@pytest.mark.parametrize("kind", [AttackKind.REPLAY_CONCEAL, AttackKind.SPURIOUS_FAILURE])
+def test_attack_range_addresses_op_indices(prefault_corpus, kind):
+    cfg, corpus = prefault_corpus
+    shifted = _shifted(corpus[:150], 1000)        # ops 1000..1149
+    out = inject_attack(shifted, AttackScenario(kind, 1100, 1110, seed=3), cfg)
+    assert [lc.curve.op_index for lc in out if lc.tampered] == list(range(1100, 1110))
+    assert all(a is b for a, b in zip(out, shifted) if not a.tampered)
+    with pytest.raises(ValueError, match="outside corpus ops"):
+        inject_attack(shifted, AttackScenario(kind, 100, 110), cfg)
+
+
+def test_attack_range_skips_missing_ops(prefault_corpus):
+    cfg, corpus = prefault_corpus
+    sparse = corpus[::2]                          # ops 0, 2, 4, ...
+    out = inject_attack(sparse, AttackScenario(AttackKind.REPLAY_CONCEAL, 101, 111))
+    assert [lc.curve.op_index for lc in out if lc.tampered] == [102, 104, 106, 108, 110]
+    # replayed from the latest healthy curves before op 101
+    replayed = [lc.curve.samples for lc in out if lc.tampered]
+    expected = [lc.curve.samples for lc in sparse if lc.curve.op_index < 101][-5:]
+    assert all(np.array_equal(a, b) for a, b in zip(replayed, expected))
+
+
+def test_unknown_failure_mode_is_rejected(prefault_corpus):
+    cfg, corpus = prefault_corpus
+    scenario = AttackScenario(AttackKind.SPURIOUS_FAILURE, 10, 12, failure_mode="zap")
+    with pytest.raises(ValueError, match="failure_mode"):
+        inject_attack(corpus, scenario, cfg)

@@ -178,3 +178,13 @@ def test_non_monotone_timestamps_rejected(tmp_path):
     write_corpus(path, corpus)
     with pytest.raises(CorpusFormatError, match="line 3.*increase"):
         read_corpus(path)
+
+
+@pytest.mark.parametrize("op_index", [1, 0], ids=["repeated", "decreasing"])
+def test_non_increasing_op_index_names_the_line(tmp_path, op_index):
+    corpus = generate_lifecycle(GeneratorConfig(length=32, operations=3, seed=1))
+    corpus[2].curve.op_index = op_index
+    path = tmp_path / "corpus.ndjson"
+    write_corpus(path, corpus)
+    with pytest.raises(CorpusFormatError, match="line 3.*op_index"):
+        read_corpus(path)

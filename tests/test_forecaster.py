@@ -482,6 +482,19 @@ def test_missing_block_fails_cleanly(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("parameters", [["w_input"], "w_input", 3])
+def test_non_object_parameters_fail_cleanly(tmp_path, parameters):
+    import json
+
+    path = tmp_path / "model.json"
+    save_model(zero_model(4, 2, 2), path)
+    doc = json.loads(path.read_text())
+    doc["parameters"] = parameters
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="malformed"):
+        load_model(path)
+
+
 def test_loaded_model_rejects_wrong_window(tmp_path):
     model = zero_model(4, 2, window=3)
     path = tmp_path / "model.json"

@@ -111,8 +111,10 @@ def test_substitute_policy_pushes_the_prediction(constant_world):
     pipe = fresh_pipeline(constant_world, rejected_curve_policy="substitute_prediction")
     report = pipe.step(field_curve(constant_world, 50, bump=400.0))
     assert report.verdict.kind is not VerdictKind.VALIDATED
-    # the window advanced with the model's own prediction, not the field curve
-    assert pipe.window.last.op_index == 40
+    # the window advanced with the model's own prediction, not the field curve,
+    # stamped with the field op it stands in for
+    assert pipe.window.last.op_index == 50
+    assert pipe.window.last.timestamp == 2_000_000_050.0
     assert np.array_equal(pipe.window.last.samples, constant_world[1][0].curve.samples)
     assert pipe.validated_store == []
 
