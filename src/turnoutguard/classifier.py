@@ -52,7 +52,15 @@ class CurveFeatures:
 
 
 def extract_features(curve: PowerCurve | np.ndarray) -> CurveFeatures:
-    s = curve.samples if isinstance(curve, PowerCurve) else np.asarray(curve, dtype=np.float64)
+    """The curve's signature features; a PowerCurve computes them once and keeps them."""
+    if not isinstance(curve, PowerCurve):
+        return _features(np.asarray(curve, dtype=np.float64))
+    if curve.features is None:
+        curve.features = _features(curve.samples)
+    return curve.features
+
+
+def _features(s: np.ndarray) -> CurveFeatures:
     n = s.size
     k1 = int(PEAK_REGION * n)
     k2 = int(PLATEAU_REGION * n)

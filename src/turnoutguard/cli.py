@@ -74,7 +74,7 @@ SECTIONS = {
         "learning_rate": Key("lr", float),
         "seed": Key("seed", int),
         "batch_size": Key("batch_size", int),
-        "dtype": Key("dtype", str, choices=("float32", "float64")),
+        "dtype": Key("dtype", str, choices=forecaster.DTYPES),
     },
     "calibrate": {
         "percentile": Key("percentile", float, help="residual percentile (default: max)"),
@@ -196,9 +196,18 @@ def cmd_calibrate(args, cfg) -> int:
     if not isinstance(training_pairs, int) or training_pairs < 1:
         raise ModelFormatError("weights file records no training_pairs; train the model again")
 
+    expected = model.meta.get("corpus_sha256")
+    if not isinstance(expected, str):
+        raise ModelFormatError("weights file records no corpus digest; train the model again")
     # the test split starts where the model's training curves ended
     cut = training_pairs + model.window
     train_part, test_part = corpus[:cut], corpus[cut:]
+    digest = dataio.curves_digest(train_part)
+    if digest != expected:
+        raise UsageError(
+            f"--corpus is not the corpus the model was trained on: its first {cut} "
+            f"curves hash to {digest}, the weights file records {expected}"
+        )
     test_pairs = dataio.make_dataset(test_part, model.window)
     thresholds = comparator.calibrate(model, test_pairs, **options)
     reference = classifier.build_reference(train_part)

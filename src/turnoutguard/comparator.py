@@ -19,6 +19,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .classifier import ClassifierReference
 from .curvegen import PowerCurve
@@ -27,6 +28,10 @@ from .forecaster import ForecastModel, forward_samples
 
 #: the warping kernel, recorded in run provenance
 DTW_BACKEND = "numpy-wavefront"
+
+# anti-diagonals whose cell costs one block computes at once; bounds the
+# block's memory to this many rows of the shorter series
+_DIAGONALS_PER_BLOCK = 64
 
 THRESHOLDS_FORMAT_VERSION = 1
 
@@ -86,8 +91,10 @@ def dtw(a, b, band: int | None = None) -> float:
     differ.  ``band`` restricts the path to |i - j| <= band (widened
     automatically to cover any length difference); None searches the full
     matrix.  The result equals the row-by-row dynamic program bit for bit.
-    Time O(len(a)*len(b)) in about 8 numpy calls per anti-diagonal, memory
-    O(min(len(a), len(b))).
+    Time O(len(a)*len(b)) in three numpy calls per anti-diagonal plus two per
+    block of ``_DIAGONALS_PER_BLOCK`` diagonals.  Memory: a padded copy of
+    the longer series and ``_DIAGONALS_PER_BLOCK`` + 3 rows the length of the
+    shorter one, so a long pair never allocates its whole cost matrix.
     """
     xa, xb = _samples(a), _samples(b)
     if xa.size == 0 or xb.size == 0:
@@ -117,36 +124,52 @@ def _dtw_cost(long: np.ndarray, short: np.ndarray, band: int) -> float:
     (the path boundary, the band, or slots left from diagonal k-3).  Each
     cell is d + min(three neighbours) as in the row loop; min is exact and
     IEEE addition and |x - y| are symmetric, so the results are identical.
+
+    The cell costs |short[i-1] - long[k-i-1]| of up to ``_DIAGONALS_PER_BLOCK``
+    diagonals come from one subtraction against a strided view of the
+    reversed ``long``, over the columns the block's ranges span; each
+    diagonal then costs two minimums and an addition.
     """
     n, m = long.size, short.size
-    long_rev = np.ascontiguousarray(long[::-1])   # long[k-i-1] == long_rev[n-k+i]
+    # padded[n-k+m+i] == long[k-i-1]; the zeros stand in where a block's
+    # column span leaves the matrix and are never read by a cell
+    padded = np.zeros(n + 2 * m)
+    padded[m:m + n] = long[::-1]
+    diagonals = sliding_window_view(padded, m)   # diagonals[n-k+m+1][i-1] == long[k-i-1]
     short = np.ascontiguousarray(short)
     inf = np.inf
     prev2 = np.full(m + 2, inf)   # diagonal 0: D[0, 0] = 0, the path's start
     prev2[0] = 0.0
     prev1 = np.full(m + 2, inf)   # diagonal 1: D[0, 1] = D[1, 0] = inf
     cur = np.empty(m + 2)
-    d = np.empty(m)
+    costs = np.empty((_DIAGONALS_PER_BLOCK, m))
     ks = np.arange(2, n + m + 1)
     los = np.maximum(1, ks - n)
     his = np.minimum(m, ks - 1)
     if band >= 0:
         los = np.maximum(los, (ks - band + 1) // 2)
         his = np.minimum(his, (ks + band) // 2)
+    los, his = los.tolist(), his.tolist()   # both non-decreasing in k
     # the loop runs n + m - 1 times; local names save an attribute lookup per call
     subtract, absolute, minimum, add = np.subtract, np.absolute, np.minimum, np.add
-    for k, lo, hi in zip(ks.tolist(), los.tolist(), his.tolist()):
-        if lo <= hi:
-            cells = d[:hi - lo + 1]
-            out = cur[lo:hi + 1]
-            subtract(short[lo - 1:hi], long_rev[n - k + lo:n - k + hi + 1], out=cells)
-            absolute(cells, out=cells)
-            minimum(prev1[lo - 1:hi], prev1[lo:hi + 1], out=out)
-            minimum(out, prev2[lo - 1:hi], out=out)
-            add(cells, out, out=out)
-        cur[lo - 1] = inf
-        cur[hi + 1] = inf
-        prev2, prev1, cur = prev1, cur, prev2
+    for b0 in range(0, n + m - 1, _DIAGONALS_PER_BLOCK):
+        b1 = min(b0 + _DIAGONALS_PER_BLOCK, n + m - 1)
+        k0, k1 = b0 + 2, b1 + 2   # the block holds diagonals [k0, k1)
+        first, last = los[b0], his[b1 - 1]
+        block = costs[:b1 - b0, :max(last - first + 1, 0)]
+        if first <= last:
+            subtract(short[first - 1:last],
+                     diagonals[n - k1 + m + 2:n - k0 + m + 2][::-1, first - 1:last], out=block)
+            absolute(block, out=block)
+        for row, lo, hi in zip(block, los[b0:b1], his[b0:b1]):
+            if lo <= hi:
+                out = cur[lo:hi + 1]
+                minimum(prev1[lo - 1:hi], prev1[lo:hi + 1], out=out)
+                minimum(out, prev2[lo - 1:hi], out=out)
+                add(row[lo - first:hi - first + 1], out, out=out)
+            cur[lo - 1] = inf
+            cur[hi + 1] = inf
+            prev2, prev1, cur = prev1, cur, prev2
     return float(prev1[m])
 
 

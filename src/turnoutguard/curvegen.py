@@ -18,8 +18,12 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .classifier import CurveFeatures
 
 # synthetic timeline: one switch operation every 6 minutes
 EPOCH_START = 1_700_000_000.0
@@ -56,11 +60,18 @@ class AttackKind(str, Enum):
 
 @dataclass
 class PowerCurve:
-    """Power samples (watts) recorded during one switch operation."""
+    """Power samples (watts) recorded during one switch operation.
+
+    The samples are read-only once wrapped, so what is derived from them can
+    be kept with the curve: ``features`` is filled by
+    ``classifier.extract_features`` on first use, and ``dataclasses.replace``
+    starts a new curve without it.
+    """
 
     samples: np.ndarray
     op_index: int
     timestamp: float
+    features: CurveFeatures | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -70,6 +81,7 @@ class PowerCurve:
             raise ValueError(f"op {self.op_index}: non-finite power sample")
         if np.any(self.samples < 0.0):
             raise ValueError(f"op {self.op_index}: negative power sample")
+        self.samples.flags.writeable = False
 
     def __len__(self):
         return self.samples.size

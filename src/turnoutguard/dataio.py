@@ -7,6 +7,7 @@ round-trip float64 exactly).
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import deque
 from dataclasses import dataclass
@@ -83,6 +84,19 @@ class SupervisedPair:
 def as_power_curves(corpus) -> list[PowerCurve]:
     """Accept either labeled or bare curves; return the bare curves."""
     return [lc.curve if isinstance(lc, LabeledCurve) else lc for lc in corpus]
+
+
+def curves_digest(corpus) -> str:
+    """sha256 over each curve's op index and samples, in corpus order.
+
+    Op indices hash as little-endian int64 and samples as little-endian
+    float64, so the digest is the same on every platform.
+    """
+    h = hashlib.sha256()
+    for curve in as_power_curves(corpus):
+        h.update(np.int64(curve.op_index).astype("<i8").tobytes())
+        h.update(np.asarray(curve.samples, dtype="<f8").tobytes())
+    return h.hexdigest()
 
 
 def make_dataset(corpus, window: int) -> list[SupervisedPair]:

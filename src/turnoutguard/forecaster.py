@@ -15,16 +15,18 @@ per-gate matrices.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .curvegen import OP_PERIOD_S, PowerCurve
-from .dataio import CurveWindow, SupervisedPair
+from .dataio import CurveWindow, SupervisedPair, curves_digest
 
 MODEL_FORMAT_VERSION = 1
 GATES = ("input", "forget", "output", "candidate")
+DTYPES = ("float32", "float64")
 
 # chunk of pairs processed per pass; bounds memory, order is fixed so
 # accumulated full-batch gradients stay bit-reproducible
@@ -57,11 +59,40 @@ class TrainConfig:
     dtype: str = "float64"           # "float32" roughly halves training time
     target_val_mse: float | None = None   # stop early once validation reaches this
 
+    def __post_init__(self):
+        """ValueError for a value training cannot run with or would run wrongly."""
+        counts = {"hidden": self.hidden, "epochs": self.epochs, "batch_size": self.batch_size}
+        for name, value in counts.items():
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        for name in ("learning_rate", "eps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not 0.0 <= value < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {value}")
+        if not self.clip_norm >= 0.0:
+            raise ValueError(f"clip_norm must be >= 0, got {self.clip_norm}")
+        if self.dtype not in DTYPES:
+            raise ValueError(f"dtype must be one of {list(DTYPES)}, got {self.dtype!r}")
+        if self.target_val_mse is not None and not self.target_val_mse >= 0.0:
+            raise ValueError(f"target_val_mse must be >= 0, got {self.target_val_mse}")
+
 
 @dataclass
 class TrainReport:
+    """Per-epoch losses, wall seconds and pre-clip gradient norms.
+
+    In mini-batch mode an epoch's gradient norm is the largest of its
+    batches' norms.
+    """
+
     train_losses: list[float]
     val_losses: list[float]
+    epoch_seconds: list[float]
+    grad_norms: list[float]
     wall_seconds: float
     epochs_run: int
 
@@ -69,6 +100,8 @@ class TrainReport:
         return {
             "train_losses": self.train_losses,
             "val_losses": self.val_losses,
+            "epoch_seconds": self.epoch_seconds,
+            "grad_norms": self.grad_norms,
             "wall_seconds": self.wall_seconds,
             "epochs_run": self.epochs_run,
         }
@@ -298,19 +331,18 @@ def _init_params(length: int, hidden: int, rng: np.random.Generator, dtype) -> d
 
 
 def _index_pairs(pairs: list[SupervisedPair]):
-    """Deduplicate the curves behind the pairs into one matrix plus indices."""
-    rows: dict[int, np.ndarray] = {}
+    """Deduplicate the curves behind the pairs into an op-ordered list plus indices."""
+    unique: dict[int, PowerCurve] = {}
     for pair in pairs:
         for curve in list(pair.window) + [pair.target]:
-            rows.setdefault(curve.op_index, curve.samples)
-    order = sorted(rows)
-    lookup = {op: k for k, op in enumerate(order)}
-    matrix = np.stack([rows[op] for op in order])
+            unique.setdefault(curve.op_index, curve)
+    curves = [unique[op] for op in sorted(unique)]
+    lookup = {c.op_index: k for k, c in enumerate(curves)}
     win_idx = np.array(
         [[lookup[c.op_index] for c in pair.window] for pair in pairs], dtype=np.intp
     )
     tgt_idx = np.array([lookup[pair.target.op_index] for pair in pairs], dtype=np.intp)
-    return matrix, win_idx, tgt_idx
+    return curves, win_idx, tgt_idx
 
 
 def _check_pairs(pairs: list[SupervisedPair]):
@@ -357,7 +389,8 @@ def train(
     dtype = np.dtype(config.dtype)
     t0 = time.perf_counter()
 
-    raw, win_idx, tgt_idx = _index_pairs(pairs)
+    curves, win_idx, tgt_idx = _index_pairs(pairs)
+    raw = np.stack([c.samples for c in curves])
     norm_mean = raw.mean(axis=0)
     std = raw.std(axis=0)
     tol = _SCALE_RTOL * np.maximum(np.abs(norm_mean), 1.0)
@@ -369,7 +402,8 @@ def train(
         v_window, v_length = _check_pairs(val_pairs)
         if (v_window, v_length) != (window, length):
             raise ValueError("validation pairs do not match training dimensions")
-        v_raw, v_win, v_tgt = _index_pairs(val_pairs)
+        v_curves, v_win, v_tgt = _index_pairs(val_pairs)
+        v_raw = np.stack([c.samples for c in v_curves])
         val_set = (((v_raw - norm_mean) / norm_scale).astype(dtype), v_win, v_tgt)
 
     rng = np.random.default_rng(config.seed)
@@ -383,10 +417,13 @@ def train(
 
     train_losses: list[float] = []
     val_losses: list[float] = []
+    epoch_seconds: list[float] = []
+    grad_norms: list[float] = []
     # saturated gates overflow exp() harmlessly, and a diverging run would
     # flood the log with numpy warnings before the finite checks abort it
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
+            t_epoch = time.perf_counter()
             if full_batch:
                 acc = {k: np.zeros_like(p) for k, p in params.items()}
                 loss = 0.0
@@ -398,10 +435,11 @@ def train(
                     loss += part
                     for k in acc:
                         acc[k] += grads[k]
-                clip_gradients(acc, config.clip_norm)
+                norm = clip_gradients(acc, config.clip_norm)
                 adam.step(params, acc)
             else:
                 loss = 0.0
+                norm = 0.0
                 for lo in range(0, n, step):
                     hi = min(lo + step, n)
                     batch_scale = 1.0 / ((hi - lo) * length)
@@ -409,7 +447,7 @@ def train(
                         params, matrix[win_idx[lo:hi]], matrix[tgt_idx[lo:hi]], batch_scale
                     )
                     loss += part * (hi - lo) / n
-                    clip_gradients(grads, config.clip_norm)
+                    norm = max(norm, clip_gradients(grads, config.clip_norm))
                     adam.step(params, grads)
 
             if not np.isfinite(loss):
@@ -423,6 +461,8 @@ def train(
                 val_losses.append(_dataset_loss(params, *val_set, length))
             else:
                 val_losses.append(loss)
+            grad_norms.append(norm)
+            epoch_seconds.append(time.perf_counter() - t_epoch)
             if config.target_val_mse is not None and val_losses[-1] < config.target_val_mse:
                 break
 
@@ -441,11 +481,14 @@ def train(
             "dtype": config.dtype,
             "input_order": "oldest_first",
             "training_pairs": n,
+            "corpus_sha256": curves_digest(curves),
         },
     )
     report = TrainReport(
         train_losses=train_losses,
         val_losses=val_losses,
+        epoch_seconds=epoch_seconds,
+        grad_norms=grad_norms,
         wall_seconds=time.perf_counter() - t0,
         epochs_run=len(train_losses),
     )
@@ -557,7 +600,7 @@ def save_model(model: ForecastModel, path):
         "hidden": model.hidden,
         "dtype": model.meta.get("dtype", str(model.w_x.dtype)),
     }
-    for key in ("seed", "epochs", "training_pairs"):
+    for key in ("seed", "epochs", "training_pairs", "corpus_sha256"):
         if key in model.meta:
             hyper[key] = model.meta[key]
     doc = {

@@ -1,5 +1,7 @@
 """Feature extraction and the rule-based curve classifier."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from turnoutguard.classifier import (
     extract_features,
 )
 from turnoutguard.curvegen import (
+    PROGRESSIVE_KINDS,
     BaseShape,
     CurveKind,
     GeneratorConfig,
@@ -65,6 +68,19 @@ def test_features_are_deterministic():
     a = extract_features(corpus[0].curve)
     b = extract_features(corpus[0].curve)
     assert a == b
+
+
+@pytest.mark.parametrize("kind", list(CurveKind))
+def test_cached_features_equal_the_features_of_the_bare_samples(kind):
+    severity = 0.6 if kind in PROGRESSIVE_KINDS else 0.0
+    _, corpus = make_corpus([(kind, 0, 12, severity, severity)], 12, seed=31)
+    for lc in corpus:
+        curve = lc.curve
+        assert curve.features is None
+        cached = extract_features(curve)
+        assert cached == extract_features(curve.samples)
+        assert extract_features(curve) is cached is curve.features
+        assert replace(curve, op_index=curve.op_index + 1).features is None
 
 
 @pytest.mark.parametrize("length", [20, 101, 200])

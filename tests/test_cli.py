@@ -275,6 +275,10 @@ def _argv(command, root, cfg, out):
     ("train", {"train": {"epochs": True}}),
     ("train", {"train": 5}),
     ("train", {"train": {"dtype": "int8"}}),
+    ("train", {"train": {"epochs": 0}}),
+    ("train", {"train": {"hidden": 0}}),
+    ("train", {"train": {"learning_rate": -1}}),
+    ("train", {"train": {"batch_size": -3}}),
     ("train", {"train": {"hiden": 4}}),
     ("train", {"trian": {"hidden": 4}}),
     ("calibrate", {"calibrate": {"percentile": [1]}}),
@@ -291,7 +295,8 @@ def _argv(command, root, cfg, out):
                            "failure_mode": "zap"},
                 "generator": {"length": 40, "operations": 240}}),
     ("inject", {"attack": {"kind": "erase", "start": 210, "end": 212}}),
-], ids=["list-for-int", "float-for-int", "bool-for-int", "section-not-object", "dtype-out-of-choices", "unknown-key",
+], ids=["list-for-int", "float-for-int", "bool-for-int", "section-not-object", "dtype-out-of-choices",
+        "zero-epochs", "zero-hidden", "negative-learning-rate", "negative-batch-size", "unknown-key",
         "unknown-section", "list-for-float", "removed-calibrate-split", "list-for-start",
         "policy-out-of-choices", "generator-not-object", "unknown-base-shape-key",
         "phase-without-range", "string-for-float", "unknown-phase-key", "unknown-failure-mode",
@@ -330,6 +335,52 @@ def test_calibrate_needs_the_models_training_size(workdir, tmp_path, capsys):
                "--model", str(tmp_path / "m.json"), "--out", str(tmp_path / "t.json")])
     assert rc == 3
     assert "training_pairs" in capsys.readouterr().err
+
+
+def _edit_sample(line: str) -> str:
+    rec = json.loads(line)
+    rec["samples"][7] += 1.0
+    return json.dumps(rec) + "\n"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda lines: lines[1:],                                        # starts one op later
+    lambda lines: lines[:100] + [_edit_sample(lines[100])] + lines[101:],  # one sample differs
+], ids=["shifted", "edited"])
+def test_calibrate_refuses_a_corpus_the_model_was_not_trained_on(workdir, tmp_path, capsys, edit):
+    root, cfg = workdir
+    model = json.loads((root / "model.json").read_text())
+    lines = (root / "corpus.ndjson").read_text().splitlines(keepends=True)
+    other = tmp_path / "other.ndjson"
+    other.write_text("".join(edit(lines)))
+    rc = main(["calibrate", "--config", str(cfg), "--corpus", str(other),
+               "--model", str(root / "model.json"), "--out", str(tmp_path / "t.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and model["hyper"]["corpus_sha256"] in err
+    assert not (tmp_path / "t.json").exists()
+
+
+def test_calibrate_needs_the_models_corpus_digest(workdir, tmp_path, capsys):
+    root, cfg = workdir
+    doc = json.loads((root / "model.json").read_text())
+    del doc["hyper"]["corpus_sha256"]
+    (tmp_path / "m.json").write_text(json.dumps(doc))
+    rc = main(["calibrate", "--config", str(cfg), "--corpus", str(root / "corpus.ndjson"),
+               "--model", str(tmp_path / "m.json"), "--out", str(tmp_path / "t.json")])
+    assert rc == 3
+    assert "corpus digest" in capsys.readouterr().err
+
+
+def test_train_report_records_dynamics_without_changing_the_model(workdir, tmp_path):
+    root, cfg = workdir
+    argv = ["train", "--config", str(cfg), "--corpus", str(root / "corpus.ndjson")]
+    assert main(argv + ["--out", str(tmp_path / "m.json"),
+                        "--report-out", str(tmp_path / "r.json")]) == 0
+    assert (tmp_path / "m.json").read_bytes() == (root / "model.json").read_bytes()
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert len(report["epoch_seconds"]) == len(report["grad_norms"]) == report["epochs_run"] == 40
+    assert all(v > 0.0 for v in report["epoch_seconds"] + report["grad_norms"])
 
 
 def test_plot_dir_forecasts_each_op_once(workdir, tmp_path, monkeypatch):

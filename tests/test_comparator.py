@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from dtw_oracle import dtw_cost as oracle_dtw_cost
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from turnoutguard.classifier import FEATURE_NAMES, ClassifierReference
@@ -104,8 +104,16 @@ series = st.lists(
 )
 
 
+def _values(n, seed):
+    return np.random.default_rng(seed).uniform(-1e3, 1e3, n).tolist()
+
+
 @settings(max_examples=300, deadline=None)
 @given(a=series, b=series, band=st.one_of(st.none(), st.just(0), st.integers(1, 70)))
+# curve-sized pairs span several blocks of diagonals in the kernel
+@example(a=_values(200, 1), b=_values(200, 2), band=None)
+@example(a=_values(200, 3), b=_values(137, 4), band=None)
+@example(a=_values(200, 5), b=_values(200, 6), band=12)
 def test_dtw_equals_the_loop_oracle_exactly(a, b, band):
     eff_band = -1 if band is None else max(band, abs(len(a) - len(b)))
     want = oracle_dtw_cost(a, b, eff_band)

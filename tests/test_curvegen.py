@@ -14,6 +14,7 @@ from turnoutguard.curvegen import (
     CurveKind,
     GeneratorConfig,
     Phase,
+    PowerCurve,
     generate_lifecycle,
     inject_attack,
     nominal_shape,
@@ -104,6 +105,15 @@ def test_timestamps_strictly_increase():
     corpus = generate_lifecycle(GeneratorConfig(length=32, operations=25, seed=9))
     stamps = [lc.curve.timestamp for lc in corpus]
     assert all(b > a for a, b in zip(stamps, stamps[1:]))
+
+
+def test_curve_samples_are_read_only():
+    curve = PowerCurve(np.ones(20), op_index=0, timestamp=0.0)
+    with pytest.raises(ValueError, match="read-only"):
+        curve.samples[3] = 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        curve.samples += 1.0
+    assert np.all(curve.samples == 1.0)
 
 
 def test_curves_are_finite_and_non_negative():

@@ -1,12 +1,18 @@
 """Forecaster contracts: recurrence math, training, gradients, persistence."""
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from turnoutguard import forecaster
 from turnoutguard.curvegen import GeneratorConfig, PowerCurve, generate_lifecycle
-from turnoutguard.dataio import CurveWindow, make_dataset
+from turnoutguard.dataio import CurveWindow, curves_digest, make_dataset
 from turnoutguard.forecaster import (
     GATES,
     AdamState,
@@ -400,6 +406,88 @@ def test_validation_defaults_to_training_loss():
     pairs = make_dataset(corpus, 4)
     _, report = train(pairs, TrainConfig(hidden=4, epochs=3, seed=0))
     assert report.val_losses == report.train_losses
+
+
+@pytest.mark.parametrize("bad", [
+    {"hidden": 0}, {"epochs": 0}, {"batch_size": 0}, {"batch_size": -3},
+    {"learning_rate": -1.0}, {"learning_rate": 0.0}, {"learning_rate": math.inf},
+    {"learning_rate": math.nan}, {"eps": 0.0}, {"beta1": 1.0}, {"beta2": -0.1},
+    {"beta2": math.nan}, {"clip_norm": -1.0}, {"dtype": "int8"}, {"target_val_mse": -1.0},
+], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+def test_train_config_rejects_values_training_cannot_use(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        TrainConfig(**bad)
+
+
+@pytest.mark.parametrize("batch_size", [None, 11])
+def test_report_records_epoch_seconds_and_pre_clip_gradient_norms(monkeypatch, batch_size):
+    norms = []
+
+    def recording_clip(grads, max_norm):
+        norms.append(clip_gradients(grads, max_norm))
+        return norms[-1]
+
+    monkeypatch.setattr(forecaster, "clip_gradients", recording_clip)
+    pairs = make_dataset(generate_lifecycle(GeneratorConfig(length=16, operations=60, seed=8)), 5)
+    _, report = train(pairs, TrainConfig(hidden=6, epochs=4, seed=0, batch_size=batch_size,
+                                         clip_norm=0.05))
+    per_epoch = math.ceil(len(pairs) / batch_size) if batch_size else 1
+    epochs = [norms[k:k + per_epoch] for k in range(0, len(norms), per_epoch)]
+    assert len(epochs) == 4
+    # the largest batch norm of each epoch, taken before clipping to 0.05
+    assert report.grad_norms == [max(epoch) for epoch in epochs]
+    assert batch_size is None or any(max(epoch) != epoch[-1] for epoch in epochs)
+    assert min(report.grad_norms) > 0.05
+    assert len(report.epoch_seconds) == report.epochs_run == 4
+    assert all(s > 0.0 for s in report.epoch_seconds)
+    assert sum(report.epoch_seconds) <= report.wall_seconds
+
+
+def test_model_records_the_digest_of_its_training_curves(tmp_path):
+    corpus = generate_lifecycle(GeneratorConfig(length=16, operations=30, seed=9))
+    model, _ = train(make_dataset(corpus[:20], 4), TrainConfig(hidden=4, epochs=1))
+    assert model.meta["corpus_sha256"] == curves_digest(corpus[:20]) != curves_digest(corpus[:19])
+    save_model(model, tmp_path / "m.json")
+    assert load_model(tmp_path / "m.json").meta["corpus_sha256"] == model.meta["corpus_sha256"]
+
+
+_BLAS_PROBE = """
+import hashlib
+import numpy as np
+from turnoutguard.curvegen import GeneratorConfig, generate_lifecycle
+from turnoutguard.dataio import make_dataset
+from turnoutguard.forecaster import ForecastModel, TrainConfig, _init_params, forward_samples, train
+
+pairs = make_dataset(generate_lifecycle(GeneratorConfig(length=40, operations=120, seed=4)), 10)
+model, _ = train(pairs, TrainConfig(hidden=16, epochs=3, seed=2))
+print(hashlib.sha256(b"".join(p.tobytes() for p in model.params().values())).hexdigest())
+params = _init_params(200, 64, np.random.default_rng(1), np.dtype("float32"))
+model = ForecastModel(**params, norm_mean=np.full(200, 500.0), norm_scale=np.full(200, 100.0),
+                      window=50, meta={"dtype": "float32"})
+window = np.random.default_rng(2).uniform(0.0, 1000.0, (50, 200))
+print(hashlib.sha256(forward_samples(model, window).tobytes()).hexdigest())
+"""
+
+
+def _probe(threads: int) -> list[str]:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=str(Path(forecaster.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return done.stdout.split()
+
+
+def test_bit_exactness_holds_per_blas_thread_count_and_forecasts_across_counts():
+    """Training replays bit for bit at one OpenBLAS thread count; forecasts at any.
+
+    Training weights are not claimed equal across thread counts: the w_x
+    gradient is a product with a long inner dimension, which multi-threaded
+    OpenBLAS splits between threads, so its sums round differently.
+    """
+    threads = min(2, len(os.sched_getaffinity(0)))
+    single, multi, multi_again = _probe(1), _probe(threads), _probe(threads)
+    assert multi == multi_again
+    assert single[1] == multi[1]
 
 
 def test_divergence_aborts_with_diagnostic():

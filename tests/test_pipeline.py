@@ -156,6 +156,25 @@ def test_replayed_stream_reproduces_identical_reports(constant_world):
     assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
 
 
+def test_fresh_copies_of_a_stream_reproduce_the_reports(constant_world):
+    """Features cached on the curves of one run change nothing in the next."""
+    _, corpus, model, reference, thresholds = constant_world
+    stream = [field_curve(constant_world, 50 + k, bump=500.0 * (k % 3 == 1)) for k in range(9)]
+    first = [r.to_dict() for r in fresh_pipeline(constant_world).run(stream)]
+    assert all(lc.curve.features is not None for lc in stream)
+    copies = [
+        LabeledCurve(PowerCurve(lc.curve.samples.copy(), lc.curve.op_index, lc.curve.timestamp),
+                     lc.label, lc.tampered)
+        for lc in stream
+    ]
+    again = Pipeline(model, thresholds, reference).bootstrap(
+        [PowerCurve(lc.curve.samples.copy(), lc.curve.op_index, lc.curve.timestamp)
+         for lc in corpus[:40]]
+    )
+    assert [r.to_dict() for r in again.run(copies)] == first
+    assert {r["verdict"]["kind"] for r in first} == {"validated", "no_suspicion"}
+
+
 def test_non_monotone_stream_is_rejected(constant_world):
     pipe = fresh_pipeline(constant_world)
     pipe.step(field_curve(constant_world, 50))
