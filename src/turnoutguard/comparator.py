@@ -135,7 +135,8 @@ def _dtw_cost(long: np.ndarray, short: np.ndarray, band: int) -> float:
     # column span leaves the matrix and are never read by a cell
     padded = np.zeros(n + 2 * m)
     padded[m:m + n] = long[::-1]
-    diagonals = sliding_window_view(padded, m)   # diagonals[n-k+m+1][i-1] == long[k-i-1]
+    # diagonal k = b + 2 reads long[k-i-1] at diagonals[n+m-1-b][i-1]
+    diagonals = sliding_window_view(padded, m)
     short = np.ascontiguousarray(short)
     inf = np.inf
     prev2 = np.full(m + 2, inf)   # diagonal 0: D[0, 0] = 0, the path's start
@@ -153,13 +154,12 @@ def _dtw_cost(long: np.ndarray, short: np.ndarray, band: int) -> float:
     # the loop runs n + m - 1 times; local names save an attribute lookup per call
     subtract, absolute, minimum, add = np.subtract, np.absolute, np.minimum, np.add
     for b0 in range(0, n + m - 1, _DIAGONALS_PER_BLOCK):
-        b1 = min(b0 + _DIAGONALS_PER_BLOCK, n + m - 1)
-        k0, k1 = b0 + 2, b1 + 2   # the block holds diagonals [k0, k1)
+        b1 = min(b0 + _DIAGONALS_PER_BLOCK, n + m - 1)   # diagonals b0+2 .. b1+1
         first, last = los[b0], his[b1 - 1]
         block = costs[:b1 - b0, :max(last - first + 1, 0)]
         if first <= last:
             subtract(short[first - 1:last],
-                     diagonals[n - k1 + m + 2:n - k0 + m + 2][::-1, first - 1:last], out=block)
+                     diagonals[n + m - b1:n + m - b0][::-1, first - 1:last], out=block)
             absolute(block, out=block)
         for row, lo, hi in zip(block, los[b0:b1], his[b0:b1]):
             if lo <= hi:

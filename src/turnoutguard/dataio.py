@@ -94,7 +94,7 @@ def curves_digest(corpus) -> str:
     """
     h = hashlib.sha256()
     for curve in as_power_curves(corpus):
-        h.update(np.int64(curve.op_index).astype("<i8").tobytes())
+        h.update(int(curve.op_index).to_bytes(8, "little", signed=True))
         h.update(np.asarray(curve.samples, dtype="<f8").tobytes())
     return h.hexdigest()
 

@@ -1,6 +1,5 @@
 """Forecaster contracts: recurrence math, training, gradients, persistence."""
 
-import hashlib
 import math
 import os
 import subprocess
