@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -144,6 +145,10 @@ def _require_file(path, hint: str) -> Path:
     return p
 
 
+def _file_sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -196,20 +201,24 @@ def cmd_calibrate(args, cfg) -> int:
     if not isinstance(training_pairs, int) or training_pairs < 1:
         raise ModelFormatError("weights file records no training_pairs; train the model again")
 
-    expected = model.meta.get("corpus_sha256")
-    if not isinstance(expected, str):
-        raise ModelFormatError("weights file records no corpus digest; train the model again")
     # the test split starts where the model's training curves ended
     cut = training_pairs + model.window
     train_part, test_part = corpus[:cut], corpus[cut:]
-    digest = dataio.curves_digest(train_part)
-    if digest != expected:
-        raise UsageError(
-            f"--corpus is not the corpus the model was trained on: its first {cut} "
-            f"curves hash to {digest}, the weights file records {expected}"
-        )
+    recorded = (("corpus_sha256", "corpus", train_part, f"its first {cut} curves"),
+                ("validation_sha256", "validation", test_part, f"its curves after the first {cut}"))
+    for key, name, part, which in recorded:
+        expected = model.meta.get(key)
+        if not isinstance(expected, str):
+            raise ModelFormatError(f"weights file records no {name} digest; train the model again")
+        digest = dataio.curves_digest(part)
+        if digest != expected:
+            raise UsageError(
+                f"--corpus is not the corpus the model was trained on: {which} "
+                f"hash to {digest}, the weights file records {expected}"
+            )
     test_pairs = dataio.make_dataset(test_part, model.window)
     thresholds = comparator.calibrate(model, test_pairs, **options)
+    thresholds.calibration["model_sha256"] = _file_sha256(args.model)
     reference = classifier.build_reference(train_part)
     out = args.out or "thresholds.json"
     comparator.save_thresholds(out, thresholds, reference.to_dict())
@@ -299,6 +308,15 @@ def cmd_run(args, cfg) -> int:
             "thresholds file carries no classifier baseline; re-run calibrate"
         )
     reference = classifier.ClassifierReference.from_dict(ref_dict)
+    expected = thresholds.calibration.get("model_sha256")
+    if expected is None:
+        raise ThresholdsFormatError("thresholds file records no model digest; re-run calibrate")
+    digest = _file_sha256(args.model)
+    if digest != expected:
+        raise UsageError(
+            f"--model is not the model the thresholds were calibrated for: it hashes to "
+            f"{digest}, the thresholds file records {expected}"
+        )
 
     cut = next((k for k, lc in enumerate(corpus) if lc.curve.op_index >= start), None)
     if cut is None:

@@ -92,7 +92,9 @@ def dtw(a, b, band: int | None = None) -> float:
     automatically to cover any length difference); None searches the full
     matrix.  The result equals the row-by-row dynamic program bit for bit.
     Time O(len(a)*len(b)) in three numpy calls per anti-diagonal plus two per
-    block of ``_DIAGONALS_PER_BLOCK`` diagonals.  Memory: a padded copy of
+    block of ``_DIAGONALS_PER_BLOCK`` diagonals (five with a band).  Each
+    block computes a rectangle of cells that covers its diagonals' ranges,
+    so somewhat more slots than cells are computed.  Memory: a padded copy of
     the longer series and ``_DIAGONALS_PER_BLOCK`` + 3 rows the length of the
     shorter one, so a long pair never allocates its whole cost matrix.
     """
@@ -117,32 +119,38 @@ def _dtw_cost(long: np.ndarray, short: np.ndarray, band: int) -> float:
 
     Rows i index ``short`` (m), columns j index ``long`` (n >= m); ``band``
     >= 0 keeps |i - j| = |2i - k| <= band, -1 keeps every cell.  Three
-    buffers of m + 2 slots hold diagonals k-2, k-1 and k, indexed by i.  The
+    buffers of m + 1 slots hold diagonals k-2, k-1 and k, indexed by i.  The
     cells of diagonal k read i-1 and i of diagonal k-1 and i-1 of diagonal
-    k-2, and its range [lo, hi] moves by at most one slot per diagonal, so
-    inf written at lo-1 and hi+1 stands for every cell outside the range
-    (the path boundary, the band, or slots left from diagonal k-3).  Each
-    cell is d + min(three neighbours) as in the row loop; min is exact and
-    IEEE addition and |x - y| are symmetric, so the results are identical.
+    k-2.  Each cell is d + min(three neighbours) as in the row loop; min is
+    exact and IEEE addition and |x - y| are symmetric, so the results are
+    identical.
 
-    The cell costs |short[i-1] - long[k-i-1]| of up to ``_DIAGONALS_PER_BLOCK``
-    diagonals come from one subtraction against a strided view of the
-    reversed ``long``, over the columns the block's ranges span; each
-    diagonal then costs two minimums and an addition.
+    Diagonals go in blocks of ``_DIAGONALS_PER_BLOCK``.  Each diagonal of a
+    block computes the block's span of rows [first, last], the union of their
+    ranges, so buffer views are taken once per block and each diagonal costs
+    two minimums and an addition.  A span cell outside its diagonal's range
+    costs inf (off the matrix through the inf padding of ``long``, off the
+    band through one mask per block), and an inf cost makes the cell inf
+    whatever its neighbours hold.  Slot first-1 lies outside every range of
+    the block and gets inf, which hides what the buffer held from an earlier
+    diagonal; slots above ``last`` were never written, because ``last`` never
+    decreases, and keep their initial inf.  The span of a block is never
+    empty: at most one of two neighbouring diagonals has no cell in the band,
+    and the last diagonal holds D[n, m].
     """
     n, m = long.size, short.size
-    # padded[n-k+m+i] == long[k-i-1]; the zeros stand in where a block's
-    # column span leaves the matrix and are never read by a cell
-    padded = np.zeros(n + 2 * m)
+    inf = np.inf
+    # padded[n-k+m+i] == long[k-i-1]; the inf fill is the cost of every span
+    # cell whose column j = k - i leaves [1, n]
+    padded = np.full(n + 2 * m, inf)
     padded[m:m + n] = long[::-1]
     # diagonal k = b + 2 reads long[k-i-1] at diagonals[n+m-1-b][i-1]
     diagonals = sliding_window_view(padded, m)
     short = np.ascontiguousarray(short)
-    inf = np.inf
-    prev2 = np.full(m + 2, inf)   # diagonal 0: D[0, 0] = 0, the path's start
+    prev2 = np.full(m + 1, inf)   # diagonal 0: D[0, 0] = 0, the path's start
     prev2[0] = 0.0
-    prev1 = np.full(m + 2, inf)   # diagonal 1: D[0, 1] = D[1, 0] = inf
-    cur = np.empty(m + 2)
+    prev1 = np.full(m + 1, inf)   # diagonal 1: D[0, 1] = D[1, 0] = inf
+    cur = np.full(m + 1, inf)
     costs = np.empty((_DIAGONALS_PER_BLOCK, m))
     ks = np.arange(2, n + m + 1)
     los = np.maximum(1, ks - n)
@@ -152,24 +160,29 @@ def _dtw_cost(long: np.ndarray, short: np.ndarray, band: int) -> float:
         his = np.minimum(his, (ks + band) // 2)
     los, his = los.tolist(), his.tolist()   # both non-decreasing in k
     # the loop runs n + m - 1 times; local names save an attribute lookup per call
-    subtract, absolute, minimum, add = np.subtract, np.absolute, np.minimum, np.add
+    minimum, add = np.minimum, np.add
     for b0 in range(0, n + m - 1, _DIAGONALS_PER_BLOCK):
         b1 = min(b0 + _DIAGONALS_PER_BLOCK, n + m - 1)   # diagonals b0+2 .. b1+1
         first, last = los[b0], his[b1 - 1]
-        block = costs[:b1 - b0, :max(last - first + 1, 0)]
-        if first <= last:
-            subtract(short[first - 1:last],
-                     diagonals[n + m - b1:n + m - b0][::-1, first - 1:last], out=block)
-            absolute(block, out=block)
-        for row, lo, hi in zip(block, los[b0:b1], his[b0:b1]):
-            if lo <= hi:
-                out = cur[lo:hi + 1]
-                minimum(prev1[lo - 1:hi], prev1[lo:hi + 1], out=out)
-                minimum(out, prev2[lo - 1:hi], out=out)
-                add(row[lo - first:hi - first + 1], out, out=out)
-            cur[lo - 1] = inf
-            cur[hi + 1] = inf
-            prev2, prev1, cur = prev1, cur, prev2
+        block = costs[:b1 - b0, :last - first + 1]
+        np.subtract(short[first - 1:last],
+                    diagonals[n + m - b1:n + m - b0][::-1, first - 1:last], out=block)
+        np.absolute(block, out=block)
+        if band >= 0:
+            outside = np.abs(np.arange(2 * first, 2 * last + 1, 2)
+                             - np.arange(b0 + 2, b1 + 2)[:, None]) > band
+            block[outside] = inf
+        # per buffer: the whole buffer, slots first-1 .. last-1, slots first .. last
+        v2, v1, v0 = ((buf, buf[first - 1:last], buf[first:last + 1])
+                      for buf in (prev2, prev1, cur))
+        for row in block:
+            out = v0[2]
+            minimum(v1[1], v1[2], out=out)
+            minimum(out, v2[1], out=out)
+            add(row, out, out=out)
+            v0[0][first - 1] = inf
+            v2, v1, v0 = v1, v0, v2
+        prev2, prev1, cur = v2[0], v1[0], v0[0]
     return float(prev1[m])
 
 
@@ -287,6 +300,9 @@ def load_thresholds(path) -> tuple[Thresholds, dict | None]:
         band = th.calibration.get("band")
         if band is not None and (type(band) is not int or band < 0):
             raise ValueError(f"calibration band must be null or an integer >= 0, got {band!r}")
+        digest = th.calibration.get("model_sha256")
+        if digest is not None and not isinstance(digest, str):
+            raise ValueError(f"calibration model_sha256 must be a string, got {digest!r}")
         if reference is not None:
             ClassifierReference.from_dict(reference)
     except KeyError as exc:

@@ -175,11 +175,6 @@ class ForecastModel:
 # numerics
 # ---------------------------------------------------------------------------
 
-def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return np.divide(1.0, 1.0 + np.exp(-x), out=out)
-
-
 def mse(predicted, target) -> float:
     """Mean over the curve of squared pointwise differences."""
     a = predicted.samples if isinstance(predicted, PowerCurve) else np.asarray(predicted, dtype=np.float64)
@@ -195,31 +190,55 @@ def _forward_seq(params: dict, x: np.ndarray, need_cache: bool = False):
 
     Returns (readout, last_hidden, caches); caches hold per-step gate
     activations when requested (for backprop and for gate-range checks).
+    Every step writes its results into buffers: inference reuses one set for
+    all steps, while with ``need_cache`` each step gets fresh arrays that its
+    cache entry keeps.  The gate pre-activations ``a`` are scratch either way.
     """
     batch, steps, length = x.shape
-    hidden = params["w_h"].shape[0]
-    a_x = x.reshape(batch * steps, length) @ params["w_x"] + params["b"]
+    w_h = params["w_h"]
+    hidden = w_h.shape[0]
+    a_x = x.reshape(batch * steps, length) @ params["w_x"]
+    a_x += params["b"]
     a_x = a_x.reshape(batch, steps, 4 * hidden)
 
+    def step_buffers():
+        # gate-major (3, batch, hidden) for the input, forget and output
+        # sigmoids, so each gate is a contiguous block, with its three gate
+        # views; then g, c, tanh(c), h
+        ifo = np.empty((3, batch, hidden), dtype=x.dtype)
+        return (ifo, *ifo, *np.empty((4, batch, hidden), dtype=x.dtype))
+
+    # an array operand costs less per call than a Python scalar
+    ones = np.ones((3, batch, hidden), dtype=x.dtype)
+    a = np.empty((batch, 4 * hidden), dtype=x.dtype)
+    a_ifo = a[:, :3 * hidden].reshape(batch, 3, hidden).transpose(1, 0, 2)
+    a_g = a[:, 3 * hidden:]
     h = np.zeros((batch, hidden), dtype=x.dtype)
     c = np.zeros((batch, hidden), dtype=x.dtype)
+    reused = None if need_cache else step_buffers()
     caches = []
-    for t in range(steps):
-        a = a_x[:, t, :] + h @ params["w_h"]
-        # one call for the input, forget and output gates (elementwise, so
-        # bit-identical to three), written gate-major so that each gate is a
-        # contiguous (batch, hidden) block for the elementwise work after it
-        ifo = np.empty((3, batch, hidden), dtype=x.dtype)
-        _sigmoid(a[:, :3 * hidden].reshape(batch, 3, hidden), out=ifo.transpose(1, 0, 2))
-        i, f, o = ifo
-        g = np.tanh(a[:, 3 * hidden:])
-        c_prev = c
-        c = f * c_prev + i * g
-        tc = np.tanh(c)
-        h_prev = h
-        h = o * tc
-        if need_cache:
-            caches.append((i, f, o, g, c_prev, tc, h_prev))
+    # a saturated gate overflows exp() harmlessly: 1 / (1 + inf) is 0
+    with np.errstate(over="ignore"):
+        for a_x_t in a_x.transpose(1, 0, 2):
+            ifo, i, f, o, g, c_new, tc, h_new = reused or step_buffers()
+            np.matmul(h, w_h, out=a)
+            np.add(a_x_t, a, out=a)
+            # sigmoid 1 / (1 + exp(-a)) for three gates in one pass
+            np.negative(a_ifo, out=ifo)
+            np.exp(ifo, out=ifo)
+            np.add(ones, ifo, out=ifo)
+            np.divide(ones, ifo, out=ifo)
+            np.tanh(a_g, out=g)
+            # c_new = f * c + i * g, with i * g held in tc until tanh(c_new);
+            # f * c reads c before c_new (c itself when reused) is written
+            np.multiply(f, c, out=c_new)
+            np.multiply(i, g, out=tc)
+            np.add(c_new, tc, out=c_new)
+            np.tanh(c_new, out=tc)
+            np.multiply(o, tc, out=h_new)
+            if need_cache:
+                caches.append((i, f, o, g, c, tc, h))
+            c, h = c_new, h_new
     y = h @ params["v_out"].T + params["b_out"]
     return y, h, caches
 
@@ -484,6 +503,8 @@ def train(
             "corpus_sha256": curves_digest(curves),
         },
     )
+    if val_set is not None:
+        model.meta["validation_sha256"] = curves_digest(v_curves)
     report = TrainReport(
         train_losses=train_losses,
         val_losses=val_losses,
@@ -600,7 +621,7 @@ def save_model(model: ForecastModel, path):
         "hidden": model.hidden,
         "dtype": model.meta.get("dtype", str(model.w_x.dtype)),
     }
-    for key in ("seed", "epochs", "training_pairs", "corpus_sha256"):
+    for key in ("seed", "epochs", "training_pairs", "corpus_sha256", "validation_sha256"):
         if key in model.meta:
             hyper[key] = model.meta[key]
     doc = {

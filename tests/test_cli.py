@@ -141,8 +141,12 @@ def test_missing_thresholds_means_calibrate_first(workdir, capsys):
     lambda doc: {**doc, "tau_euclidean": "wide"},
     lambda doc: {**doc, "calibration": ["band"]},
     lambda doc: {**doc, "calibration": {**doc["calibration"], "band": "3"}},
+    lambda doc: {**doc, "calibration": {**doc["calibration"], "model_sha256": 5}},
+    lambda doc: {**doc, "calibration": {k: v for k, v in doc["calibration"].items()
+                                        if k != "model_sha256"}},
 ], ids=["missing-tau", "top-level-list", "unknown-reference-key", "non-numeric-tau",
-        "calibration-list", "non-integer-band"])
+        "calibration-list", "non-integer-band", "non-string-model-digest",
+        "missing-model-digest"])
 def test_malformed_thresholds_is_a_schema_error(workdir, tmp_path, capsys, corrupt):
     root, cfg = workdir
     bad = tmp_path / "thresholds.json"
@@ -361,15 +365,61 @@ def test_calibrate_refuses_a_corpus_the_model_was_not_trained_on(workdir, tmp_pa
     assert not (tmp_path / "t.json").exists()
 
 
-def test_calibrate_needs_the_models_corpus_digest(workdir, tmp_path, capsys):
+def _extra_op(lines):
+    rec = json.loads(lines[-1])
+    rec["op_index"] += 1
+    rec["timestamp"] += 1.0
+    return lines + [json.dumps(rec) + "\n"]
+
+
+@pytest.mark.parametrize("edit", [lambda lines: lines[:230], _extra_op],
+                         ids=["prefix", "one-more-op"])
+def test_calibrate_refuses_a_corpus_that_differs_after_the_training_curves(
+        workdir, tmp_path, capsys, edit):
+    root, cfg = workdir
+    model = json.loads((root / "model.json").read_text())
+    lines = (root / "corpus.ndjson").read_text().splitlines(keepends=True)
+    other = tmp_path / "other.ndjson"
+    other.write_text("".join(edit(lines)))
+    rc = main(["calibrate", "--config", str(cfg), "--corpus", str(other),
+               "--model", str(root / "model.json"), "--out", str(tmp_path / "t.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and model["hyper"]["validation_sha256"] in err
+    assert not (tmp_path / "t.json").exists()
+
+
+def _calibrate_without(workdir, tmp_path, capsys, key, message):
     root, cfg = workdir
     doc = json.loads((root / "model.json").read_text())
-    del doc["hyper"]["corpus_sha256"]
+    del doc["hyper"][key]
     (tmp_path / "m.json").write_text(json.dumps(doc))
     rc = main(["calibrate", "--config", str(cfg), "--corpus", str(root / "corpus.ndjson"),
                "--model", str(tmp_path / "m.json"), "--out", str(tmp_path / "t.json")])
     assert rc == 3
-    assert "corpus digest" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+def test_calibrate_needs_the_models_corpus_digest(workdir, tmp_path, capsys):
+    _calibrate_without(workdir, tmp_path, capsys, "corpus_sha256", "corpus digest")
+
+
+def test_calibrate_needs_the_models_validation_digest(workdir, tmp_path, capsys):
+    _calibrate_without(workdir, tmp_path, capsys, "validation_sha256", "validation digest")
+
+
+def test_run_refuses_a_model_the_thresholds_were_not_calibrated_for(workdir, tmp_path, capsys):
+    root, cfg = workdir
+    doc = json.loads((root / "model.json").read_text())
+    doc["parameters"]["w_input"]["data"][0] += 1e-3
+    other = tmp_path / "m.json"
+    other.write_text(json.dumps(doc))
+    thresholds = json.loads((root / "thresholds.json").read_text())
+    rc = main(_argv("run", root, cfg, tmp_path / "r.ndjson") + ["--model", str(other)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and thresholds["calibration"]["model_sha256"] in err
+    assert not (tmp_path / "r.ndjson").exists()
 
 
 def test_train_report_records_dynamics_without_changing_the_model(workdir, tmp_path):

@@ -114,6 +114,9 @@ def _values(n, seed):
 @example(a=_values(200, 1), b=_values(200, 2), band=None)
 @example(a=_values(200, 3), b=_values(137, 4), band=None)
 @example(a=_values(200, 5), b=_values(200, 6), band=12)
+# a narrow band on long series moves the block's span along the corridor
+@example(a=_values(600, 7), b=_values(600, 8), band=20)
+@example(a=_values(300, 9), b=_values(250, 10), band=60)
 def test_dtw_equals_the_loop_oracle_exactly(a, b, band):
     eff_band = -1 if band is None else max(band, abs(len(a) - len(b)))
     want = oracle_dtw_cost(a, b, eff_band)

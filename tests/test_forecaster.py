@@ -187,11 +187,13 @@ def test_forward_seq_equals_per_gate_reference_bit_for_bit(dtype, batch):
     model = small_model(length=24, hidden=16, window=9, seed=batch, dtype=dtype)
     rng = np.random.default_rng(3)
     x = rng.normal(0.0, 2.0, size=(batch, 9, 24)).astype(dtype)
-    y, h, caches = _forward_seq(model.params(), x, need_cache=True)
     want_y, want_h, want_caches = per_gate_forward_seq(model.params(), x)
-    assert same_bits(y, want_y) and same_bits(h, want_h)
-    for got, want in zip(caches, want_caches, strict=True):
-        assert all(same_bits(g, w) for g, w in zip(got, want, strict=True))
+    # without caches every step reuses one set of buffers
+    for need_cache in (True, False):
+        y, h, caches = _forward_seq(model.params(), x, need_cache=need_cache)
+        assert same_bits(y, want_y) and same_bits(h, want_h)
+        for got, want in zip(caches, want_caches if need_cache else [], strict=True):
+            assert all(same_bits(g, w) for g, w in zip(got, want, strict=True))
 
 
 def test_gate_activations_stay_in_range():
@@ -448,6 +450,16 @@ def test_model_records_the_digest_of_its_training_curves(tmp_path):
     assert model.meta["corpus_sha256"] == curves_digest(corpus[:20]) != curves_digest(corpus[:19])
     save_model(model, tmp_path / "m.json")
     assert load_model(tmp_path / "m.json").meta["corpus_sha256"] == model.meta["corpus_sha256"]
+    assert "validation_sha256" not in model.meta
+
+
+def test_model_records_the_digest_of_its_validation_curves(tmp_path):
+    corpus = generate_lifecycle(GeneratorConfig(length=16, operations=30, seed=9))
+    model, _ = train(make_dataset(corpus[:20], 4), TrainConfig(hidden=4, epochs=1),
+                     val_pairs=make_dataset(corpus[20:], 4))
+    assert model.meta["validation_sha256"] == curves_digest(corpus[20:])
+    save_model(model, tmp_path / "m.json")
+    assert load_model(tmp_path / "m.json").meta["validation_sha256"] == curves_digest(corpus[20:])
 
 
 _BLAS_PROBE = """
