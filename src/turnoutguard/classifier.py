@@ -27,6 +27,16 @@ PEAK_REGION = 0.2      # first 20%: unlocking inrush
 PLATEAU_REGION = 0.8   # 20%..80%: translation plateau
 TAIL_FRACTION = 0.05   # used for the truncation test
 
+# decision bands: CORRIDOR bounds how far above baseline a plateau may sit
+# and still read as progressive deterioration rather than a gross
+# discontinuity; SPIKE_FACTOR flags inrush overcurrent; REL_FLOOR keeps bands
+# open on noise-free data; TRANSIENT_FLOOR (fraction of the baseline plateau)
+# is the smallest plateau transient treated as a real event
+CORRIDOR = 0.5
+SPIKE_FACTOR = 1.5
+REL_FLOOR = 0.005
+TRANSIENT_FLOOR = 0.05
+
 FEATURE_NAMES = (
     "peak_amplitude",
     "peak_position",
@@ -86,33 +96,14 @@ def _features(s: np.ndarray) -> CurveFeatures:
 
 @dataclass
 class ClassifierReference:
-    """Baseline feature statistics from trusted healthy curves, plus bands.
-
-    ``corridor`` bounds how far above baseline a plateau may sit and still
-    read as progressive deterioration rather than a gross discontinuity;
-    ``spike_factor`` flags inrush overcurrent; ``rel_floor`` keeps bands
-    open on noise-free data; ``transient_floor`` (fraction of the baseline
-    plateau) is the smallest plateau transient treated as a real event.
-    """
+    """Baseline feature statistics from trusted healthy curves."""
 
     mean: dict[str, float]
     std: dict[str, float]
     n_reference: int
-    corridor: float = 0.5
-    spike_factor: float = 1.5
-    rel_floor: float = 0.005
-    transient_floor: float = 0.05
 
     def to_dict(self) -> dict:
-        return {
-            "mean": dict(self.mean),
-            "std": dict(self.std),
-            "n_reference": self.n_reference,
-            "corridor": self.corridor,
-            "spike_factor": self.spike_factor,
-            "rel_floor": self.rel_floor,
-            "transient_floor": self.transient_floor,
-        }
+        return {"mean": dict(self.mean), "std": dict(self.std), "n_reference": self.n_reference}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ClassifierReference":
@@ -130,10 +121,8 @@ class ClassifierReference:
                     "classifier reference mean and std must map each of "
                     f"{', '.join(FEATURE_NAMES)} to a finite number"
                 )
-        scalars = (ref.n_reference, ref.corridor, ref.spike_factor, ref.rel_floor,
-                   ref.transient_floor)
-        if not all(_finite(v) for v in scalars):
-            raise ValueError("classifier reference tuning values must be finite numbers")
+        if not _finite(ref.n_reference):
+            raise ValueError("classifier reference n_reference must be a finite number")
         return ref
 
 
@@ -142,7 +131,7 @@ def _finite(value) -> bool:
             and math.isfinite(value))
 
 
-def build_reference(corpus: list[LabeledCurve], **tuning) -> ClassifierReference:
+def build_reference(corpus: list[LabeledCurve]) -> ClassifierReference:
     """Baseline from the untampered early-life curves of a trusted corpus."""
     healthy = [
         lc.curve for lc in corpus
@@ -159,12 +148,11 @@ def build_reference(corpus: list[LabeledCurve], **tuning) -> ClassifierReference
         mean={name: float(np.mean(v)) for name, v in table.items()},
         std={name: float(np.std(v)) for name, v in table.items()},
         n_reference=len(healthy),
-        **tuning,
     )
 
 
 def _band(ref: ClassifierReference, name: str, scale: float) -> float:
-    return max(3.0 * ref.std[name], ref.rel_floor * abs(scale), 1e-9)
+    return max(3.0 * ref.std[name], REL_FLOOR * abs(scale), 1e-9)
 
 
 def classify(curve: PowerCurve | np.ndarray, ref: ClassifierReference) -> CurveKind:
@@ -180,19 +168,19 @@ def classify(curve: PowerCurve | np.ndarray, ref: ClassifierReference) -> CurveK
 
     if f.truncated:
         return CurveKind.SUDDEN_FAILURE
-    if f.peak_amplitude > ref.spike_factor * ref.mean["peak_amplitude"]:
+    if f.peak_amplitude > SPIKE_FACTOR * ref.mean["peak_amplitude"]:
         return CurveKind.SUDDEN_FAILURE
 
     transient_limit = ref.mean["transient_amplitude"] + max(
         3.0 * ref.std["transient_amplitude"],
-        ref.transient_floor * plateau_ref,
+        TRANSIENT_FLOOR * plateau_ref,
     )
     if f.transient_amplitude > transient_limit:
         return CurveKind.MINOR_ANOMALY
 
     band = _band(ref, "plateau_mean", plateau_ref)
     if f.plateau_mean > plateau_ref + band:
-        if f.plateau_mean <= plateau_ref * (1.0 + ref.corridor):
+        if f.plateau_mean <= plateau_ref * (1.0 + CORRIDOR):
             return CurveKind.PROGRESSIVE_PRE_FAULT
         return CurveKind.SUDDEN_FAILURE
     if f.plateau_mean < plateau_ref - band:

@@ -23,7 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .classifier import ClassifierReference
 from .curvegen import PowerCurve
-from .dataio import SupervisedPair
+from .dataio import NUMBER, SupervisedPair, json_field
 from .forecaster import ForecastModel, forward_samples
 
 #: the warping kernel, recorded in run provenance
@@ -33,7 +33,7 @@ DTW_BACKEND = "numpy-wavefront"
 # block's memory to this many rows of the shorter series
 _DIAGONALS_PER_BLOCK = 64
 
-THRESHOLDS_FORMAT_VERSION = 1
+THRESHOLDS_FORMAT_VERSION = 2
 
 
 class CalibrationWarning(UserWarning):
@@ -291,8 +291,8 @@ def load_thresholds(path) -> tuple[Thresholds, dict | None]:
     reference = doc.get("classifier_reference")
     try:
         th = Thresholds(
-            tau_euclidean=float(doc["tau_euclidean"]),
-            tau_dtw=float(doc["tau_dtw"]),
+            tau_euclidean=float(json_field(doc["tau_euclidean"], NUMBER, "tau_euclidean")),
+            tau_dtw=float(json_field(doc["tau_dtw"], NUMBER, "tau_dtw")),
             calibration=doc.get("calibration", {}),
         )
         if not isinstance(th.calibration, dict):

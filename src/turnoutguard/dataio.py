@@ -27,6 +27,26 @@ class CorpusFormatError(ValueError):
         self.line_number = line_number
 
 
+#: JSON types for ``json_field``: a name, and the Python types json.load gives
+NUMBER = ("number", (int, float))
+INTEGER = ("integer", (int,))
+BOOLEAN = ("boolean", (bool,))
+STRING = ("string", (str,))
+OPTIONAL_BOOLEAN = ("boolean or null", (bool, type(None)))
+OPTIONAL_STRING = ("string or null", (str, type(None)))
+
+
+def json_field(value, kind: tuple[str, tuple], name: str):
+    """``value`` if json.load gave it one of ``kind``'s types (a boolean is no number).
+
+    ValueError naming ``name`` otherwise.
+    """
+    wanted, types = kind
+    if type(value) not in types:
+        raise ValueError(f"{name} must be a JSON {wanted}, got {value!r}")
+    return value
+
+
 class CurveWindow:
     """FIFO buffer of the most recent curves, oldest first.
 
@@ -186,11 +206,12 @@ def _parse_record(rec: dict) -> LabeledCurve:
     label = rec["label"]
     curve = PowerCurve(
         samples=np.asarray(rec["samples"], dtype=np.float64),
-        op_index=int(rec["op_index"]),
-        timestamp=float(rec["timestamp"]),
+        op_index=json_field(rec["op_index"], INTEGER, "op_index"),
+        timestamp=float(json_field(rec["timestamp"], NUMBER, "timestamp")),
     )
+    severity = json_field(label.get("severity", 0.0), NUMBER, "label severity")
     return LabeledCurve(
         curve=curve,
-        label=CurveLabel(CurveKind(label["kind"]), float(label.get("severity", 0.0))),
-        tampered=bool(rec.get("tampered", False)),
+        label=CurveLabel(CurveKind(label["kind"]), float(severity)),
+        tampered=bool(json_field(rec.get("tampered"), OPTIONAL_BOOLEAN, "tampered")),
     )

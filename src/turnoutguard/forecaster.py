@@ -22,15 +22,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curvegen import OP_PERIOD_S, PowerCurve
-from .dataio import CurveWindow, SupervisedPair, curves_digest
+from .dataio import INTEGER, CurveWindow, SupervisedPair, curves_digest, json_field
 
 MODEL_FORMAT_VERSION = 1
 GATES = ("input", "forget", "output", "candidate")
 DTYPES = ("float32", "float64")
 
 # chunk of pairs processed per pass; bounds memory, order is fixed so
-# accumulated full-batch gradients stay bit-reproducible
+# accumulated batch gradients stay bit-reproducible
 _CHUNK = 256
+
+# Adam moment decays and denominator guard, and the global gradient-norm clip
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+CLIP_NORM = 5.0
 
 # positions whose spread is mere summation dust (std of N equal values can
 # round to ~2e-16 * |mean|) count as constant and keep a unit scale
@@ -50,12 +54,8 @@ class TrainConfig:
     hidden: int = 64
     epochs: int = 100
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
-    batch_size: int | None = None    # None: full-batch (chunked accumulation)
-    clip_norm: float = 5.0
+    batch_size: int | None = None    # None: full-batch, one batch of all pairs
     dtype: str = "float64"           # "float32" roughly halves training time
     target_val_mse: float | None = None   # stop early once validation reaches this
 
@@ -65,16 +65,8 @@ class TrainConfig:
         for name, value in counts.items():
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
-        for name in ("learning_rate", "eps"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not 0.0 <= value < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {value}")
-        if not self.clip_norm >= 0.0:
-            raise ValueError(f"clip_norm must be >= 0, got {self.clip_norm}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.dtype not in DTYPES:
             raise ValueError(f"dtype must be one of {list(DTYPES)}, got {self.dtype!r}")
         if self.target_val_mse is not None and not self.target_val_mse >= 0.0:
@@ -85,8 +77,7 @@ class TrainConfig:
 class TrainReport:
     """Per-epoch losses, wall seconds and pre-clip gradient norms.
 
-    In mini-batch mode an epoch's gradient norm is the largest of its
-    batches' norms.
+    An epoch's gradient norm is the largest of its batches' norms.
     """
 
     train_losses: list[float]
@@ -246,8 +237,8 @@ def _forward_seq(params: dict, x: np.ndarray, need_cache: bool = False):
 def _loss_and_grads(params: dict, x: np.ndarray, y_true: np.ndarray, scale: float):
     """Squared-error loss and gradients for one chunk.
 
-    ``scale`` is 1 / (total pairs * length); summing chunk contributions
-    reproduces the full-batch mean loss and its gradient.  Overflow is not
+    ``scale`` is 1 / (pairs in the batch * length); summing the batch's chunk
+    contributions reproduces its mean loss and gradient.  Overflow is not
     trapped here; the train loop's finite checks abort a diverging run.
     """
     batch, steps, length = x.shape
@@ -280,19 +271,17 @@ def _loss_and_grads(params: dict, x: np.ndarray, y_true: np.ndarray, scale: floa
         dh = da @ params["w_h"].T
         dc = dc * f
     grads["w_x"] = x.reshape(batch * steps, length).T @ d_a.reshape(batch * steps, 4 * hidden)
-    return loss, grads
+    # in parameter order, the order in which the clip sums the squares
+    return loss, {k: grads[k] for k in params}
 
 
 @dataclass
 class AdamState:
-    """Adam moments; update uses bias correction m/(1-b1^t), v/(1-b2^t)."""
+    """Adam moments; update uses bias correction m/(1-BETA1^t), v/(1-BETA2^t)."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
 
     @classmethod
@@ -301,22 +290,19 @@ class AdamState:
             m={k: np.zeros_like(p) for k, p in params.items()},
             v={k: np.zeros_like(p) for k, p in params.items()},
             learning_rate=config.learning_rate,
-            beta1=config.beta1,
-            beta2=config.beta2,
-            eps=config.eps,
         )
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         for k, p in params.items():
             g = grads[k]
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * (g * g)
+            self.m[k] = BETA1 * self.m[k] + (1.0 - BETA1) * g
+            self.v[k] = BETA2 * self.v[k] + (1.0 - BETA2) * (g * g)
             m_hat = self.m[k] / bc1
             v_hat = self.v[k] / bc2
-            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
@@ -397,11 +383,11 @@ def train(
     """Fit the forecaster on supervised pairs.
 
     Deterministic for a fixed seed: fixed initialization, fixed chunk and
-    batch order, no shuffling.  With ``batch_size=None`` the gradient of the
-    whole dataset is accumulated (in fixed chunk order) before each Adam
-    step; otherwise one step is taken per consecutive mini-batch.  When no
-    validation pairs are given the reported validation losses repeat the
-    training losses.
+    batch order, no shuffling.  Each consecutive batch of ``batch_size``
+    pairs (all pairs with ``batch_size=None``) accumulates its gradient over
+    chunks of at most ``_CHUNK`` pairs, in fixed order, and then takes one
+    clipped Adam step.  When no validation pairs are given the reported
+    validation losses repeat the training losses.
     """
     config = config or TrainConfig()
     window, length = _check_pairs(pairs)
@@ -430,9 +416,7 @@ def train(
     adam = AdamState.for_params(params, config)
 
     n = len(pairs)
-    step = config.batch_size or _CHUNK
-    full_batch = config.batch_size is None
-    scale_full = 1.0 / (n * length)
+    batch = config.batch_size or n
 
     train_losses: list[float] = []
     val_losses: list[float] = []
@@ -443,31 +427,24 @@ def train(
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             t_epoch = time.perf_counter()
-            if full_batch:
-                acc = {k: np.zeros_like(p) for k, p in params.items()}
-                loss = 0.0
-                for lo in range(0, n, step):
-                    hi = min(lo + step, n)
+            loss = norm = 0.0
+            for start in range(0, n, batch):
+                stop = min(start + batch, n)
+                scale = 1.0 / ((stop - start) * length)
+                acc = None
+                for lo in range(start, stop, _CHUNK):
+                    hi = min(lo + _CHUNK, stop)
                     part, grads = _loss_and_grads(
-                        params, matrix[win_idx[lo:hi]], matrix[tgt_idx[lo:hi]], scale_full
+                        params, matrix[win_idx[lo:hi]], matrix[tgt_idx[lo:hi]], scale
                     )
-                    loss += part
-                    for k in acc:
-                        acc[k] += grads[k]
-                norm = clip_gradients(acc, config.clip_norm)
+                    loss += part * ((stop - start) / n)
+                    if acc is None:
+                        acc = grads
+                    else:
+                        for k in acc:
+                            acc[k] += grads[k]
+                norm = max(norm, clip_gradients(acc, CLIP_NORM))
                 adam.step(params, acc)
-            else:
-                loss = 0.0
-                norm = 0.0
-                for lo in range(0, n, step):
-                    hi = min(lo + step, n)
-                    batch_scale = 1.0 / ((hi - lo) * length)
-                    part, grads = _loss_and_grads(
-                        params, matrix[win_idx[lo:hi]], matrix[tgt_idx[lo:hi]], batch_scale
-                    )
-                    loss += part * (hi - lo) / n
-                    norm = max(norm, clip_gradients(grads, config.clip_norm))
-                    adam.step(params, grads)
 
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"epoch {epoch}: training loss is not finite")
@@ -656,10 +633,11 @@ def load_model(path) -> ForecastModel:
         )
     try:
         hyper = doc["hyper"]
-        window = int(hyper["window"])
-        length = int(hyper["length"])
-        hidden = int(hyper["hidden"])
-        dtype = np.dtype(hyper.get("dtype") or "float64")
+        window, length, hidden = (json_field(hyper[k], INTEGER, f"hyper.{k}")
+                                   for k in ("window", "length", "hidden"))
+        dtype = hyper.get("dtype", "float64")
+        if dtype not in DTYPES:
+            raise ValueError(f"hyper.dtype must be one of {list(DTYPES)}, got {dtype!r}")
         norm = doc["normalization"]
         raw = {
             name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])

@@ -21,7 +21,8 @@ from enum import Enum
 from .classifier import ClassifierReference, classify, decision_kind
 from .comparator import DistancePair, Thresholds
 from .curvegen import CurveKind
-from .dataio import CurveWindow
+from .dataio import (BOOLEAN, INTEGER, NUMBER, OPTIONAL_BOOLEAN, OPTIONAL_STRING, STRING,
+                     CurveWindow, json_field)
 
 REASON_VALIDATED = "VALIDATED"
 REASON_UNEXPECTED_HEALTHY = "FIG4_1"
@@ -180,18 +181,22 @@ class InvestigationReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "InvestigationReport":
+        """Inverse of ``to_dict``; ValueError names a field of the wrong JSON type."""
         v = d["verdict"]
+        number = {k: float(json_field(d[k], NUMBER, k))
+                  for k in ("euclidean", "dtw", "tau_euclidean", "tau_dtw")}
         return cls(
-            op_index=int(d["op_index"]),
-            distances=DistancePair(float(d["euclidean"]), float(d["dtw"])),
-            tau_euclidean=float(d["tau_euclidean"]),
-            tau_dtw=float(d["tau_dtw"]),
+            op_index=json_field(d["op_index"], INTEGER, "op_index"),
+            distances=DistancePair(number["euclidean"], number["dtw"]),
+            tau_euclidean=number["tau_euclidean"],
+            tau_dtw=number["tau_dtw"],
             predicted_kind=CurveKind(d["predicted_kind"]),
             field_kind=CurveKind(d["field_kind"]),
-            window_progressive=bool(d["window_progressive"]),
-            verdict=Verdict(VerdictKind(v["kind"]), v["reason"], v["rationale"]),
-            tampered=d.get("tampered"),
-            alert=d.get("alert"),
+            window_progressive=json_field(d["window_progressive"], BOOLEAN, "window_progressive"),
+            verdict=Verdict(VerdictKind(v["kind"]), json_field(v["reason"], STRING, "reason"),
+                            json_field(v["rationale"], STRING, "rationale")),
+            tampered=json_field(d.get("tampered"), OPTIONAL_BOOLEAN, "tampered"),
+            alert=json_field(d.get("alert"), OPTIONAL_STRING, "alert"),
         )
 
 

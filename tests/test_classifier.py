@@ -124,7 +124,7 @@ def test_reference_round_trip(reference):
     lambda d: d.update(extra=1.0),
     lambda d: d["mean"].pop("plateau_mean"),
     lambda d: d["std"].update(peak_amplitude="wide"),
-    lambda d: d.update(corridor=float("nan")),
+    lambda d: d.update(n_reference=float("nan")),
     lambda d: d.update(mean=[1.0]),
 ])
 def test_reference_from_dict_rejects_a_bad_entry(reference, edit):

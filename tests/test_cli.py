@@ -1,10 +1,12 @@
 """End-to-end command-line behavior, exit codes, and idempotency."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from turnoutguard.cli import main
@@ -529,3 +531,149 @@ def test_truncated_artifact_never_raises(workdir, fixture_reports, artifact, dat
     argv = (["report", str(bad)] if flag is None
             else _argv("run", root, cfg, root / "truncated-out") + [flag, str(bad)])
     assert main(argv) in codes
+
+
+def test_thresholds_of_format_version_1_is_a_schema_error(workdir, tmp_path, capsys):
+    root, cfg = workdir
+    doc = json.loads((root / "thresholds.json").read_text())
+    doc["format_version"] = 1
+    doc["classifier_reference"].update(corridor=0.5, spike_factor=1.5, rel_floor=0.005,
+                                       transient_floor=0.05)
+    bad = tmp_path / "t.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(_argv("run", root, cfg, tmp_path / "r.ndjson") + ["--thresholds", str(bad)])
+    assert rc == 3
+    assert "format version 1 (expected 2)" in capsys.readouterr().err
+    assert not (tmp_path / "r.ndjson").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("dtype", "int8"), ("dtype", "bool"), ("dtype", "float16"), ("dtype", "complex128"),
+    ("window", "10"), ("hidden", 16.9), ("length", True),
+])
+def test_calibrate_refuses_a_weights_hyper_value_training_never_writes(
+        workdir, tmp_path, capsys, key, value):
+    root, cfg = workdir
+    doc = json.loads((root / "model.json").read_text())
+    doc["hyper"][key] = value
+    (tmp_path / "m.json").write_text(json.dumps(doc))
+    rc = main(["calibrate", "--config", str(cfg), "--corpus", str(root / "corpus.ndjson"),
+               "--model", str(tmp_path / "m.json"), "--out", str(tmp_path / "t.json")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: ") and f"hyper.{key} must be" in err and repr(value) in err
+    assert not (tmp_path / "t.json").exists()
+
+
+@pytest.mark.parametrize("key", ["tau_euclidean", "tau_dtw"])
+def test_boolean_threshold_is_a_schema_error(workdir, tmp_path, capsys, key):
+    root, cfg = workdir
+    doc = json.loads((root / "thresholds.json").read_text())
+    doc[key] = True
+    bad = tmp_path / "t.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(_argv("run", root, cfg, tmp_path / "r.ndjson") + ["--thresholds", str(bad)])
+    assert rc == 3
+    assert f"{key} must be a JSON number" in capsys.readouterr().err
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+@pytest.mark.parametrize("path, value", [
+    (("verdict", "reason"), 5),
+    (("verdict", "rationale"), ["healthy"]),
+    (("window_progressive",), "false"),
+    (("tampered",), "no"),
+    (("op_index",), 201.0),
+    (("euclidean",), True),
+    (("alert",), 5),
+], ids=["numeric-reason", "list-rationale", "string-progressive", "string-tampered",
+        "float-op-index", "boolean-distance", "numeric-alert"])
+def test_report_value_of_the_wrong_json_type_names_line_and_key(
+        workdir, fixture_reports, tmp_path, capsys, path, value):
+    root, _ = workdir
+    lines = (root / _TRUNCATED["reports"][0]).read_text().splitlines()
+    rec = json.loads(lines[1])
+    _set(rec, path, value)
+    lines[1] = json.dumps(rec)
+    bad = tmp_path / "reports.ndjson"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["report", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: ") and f"{path[-1]} must be a JSON" in err
+
+
+def _leaves(doc, path=()) -> list[tuple]:
+    """Paths to the non-null leaves of a JSON document."""
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        return [leaf for key, value in items for leaf in _leaves(value, path + (key,))]
+    return [] if doc is None else [path]
+
+
+def _json_type(value) -> str:
+    """JSON type name; int and float are one type, a boolean is its own."""
+    return {bool: "boolean", int: "number", float: "number", str: "string", list: "array",
+            dict: "object", type(None): "null"}[type(value)]
+
+
+# artifact: (its fixture file, the command that reads it)
+_MUTATED = {"weights": ("model.json", "calibrate"),
+            "thresholds": ("thresholds.json", "run"),
+            "reports": (_TRUNCATED["reports"][0], "report")}
+
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 300), st.floats(-1e3, 1e3), st.text(max_size=4),
+    st.lists(st.integers(0, 3), max_size=2), st.dictionaries(st.text(max_size=2), st.integers(),
+                                                            max_size=2),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(artifact=st.sampled_from(list(_MUTATED)), pick=st.integers(0, 2**16), value=_JSON_VALUES)
+@example(artifact="weights", pick=("hyper", "dtype"), value="int8")
+@example(artifact="weights", pick=("hyper", "dtype"), value="complex128")
+@example(artifact="thresholds", pick=("tau_euclidean",), value=True)
+@example(artifact="reports", pick=(0, "verdict", "reason"), value=5)
+@example(artifact="reports", pick=(0, "window_progressive"), value="false")
+@example(artifact="reports", pick=(0, "tampered"), value="no")
+def test_one_mutated_leaf_never_raises(workdir, fixture_reports, artifact, pick, value):
+    """A valid artifact with one leaf of another JSON type exits 0, 2 or 3, never 1.
+
+    ``pick`` chooses among the document's fields (leaf paths with list
+    indices dropped) and then among that field's leaves; an example gives
+    the leaf's path instead.
+    """
+    root, cfg = workdir
+    name, command = _MUTATED[artifact]
+    lines = (root / name).read_text().splitlines()
+    doc = [json.loads(line) for line in lines] if artifact == "reports" else json.loads(lines[0])
+    if isinstance(pick, tuple):
+        path = pick
+    else:
+        fields: dict[tuple, list] = {}
+        for leaf in _leaves(doc):
+            fields.setdefault(tuple(k for k in leaf if not isinstance(k, int)), []).append(leaf)
+        field = sorted(fields, key=repr)[pick % len(fields)]
+        path = fields[field][pick // len(fields) % len(fields[field])]
+        old = doc
+        for key in path:
+            old = old[key]
+        assume(_json_type(value) != _json_type(old))
+    _set(doc, path, value)
+    bad = root / f"mutated-{artifact}"
+    bad.write_text("".join(json.dumps(d) + "\n" for d in doc) if artifact == "reports"
+                   else json.dumps(doc))
+    argv = {"calibrate": ["calibrate", "--config", str(cfg), "--corpus", str(root / "corpus.ndjson"),
+                          "--model", str(bad), "--out", str(root / "mutated-out")],
+            "run": _argv("run", root, cfg, root / "mutated-out") + ["--thresholds", str(bad)],
+            "report": ["report", str(bad)]}[command]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()

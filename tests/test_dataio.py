@@ -1,5 +1,7 @@
 """Dataset preparation, chronological splits, and NDJSON round trips."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,8 +155,6 @@ def test_inconsistent_length_names_the_line(tmp_path):
     corpus = generate_lifecycle(GeneratorConfig(length=32, operations=4, seed=1))
     path = tmp_path / "corpus.ndjson"
     write_corpus(path, corpus)
-    import json
-
     lines = path.read_text().splitlines()
     rec = json.loads(lines[2])
     rec["samples"] = rec["samples"][:-3]
@@ -188,3 +188,30 @@ def test_non_increasing_op_index_names_the_line(tmp_path, op_index):
     write_corpus(path, corpus)
     with pytest.raises(CorpusFormatError, match="line 3.*op_index"):
         read_corpus(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("tampered", "no"), ("tampered", 0), ("op_index", 2.0), ("op_index", "2"), ("timestamp", True),
+])
+def test_corpus_value_of_the_wrong_json_type_names_line_and_key(tmp_path, key, value):
+    corpus = generate_lifecycle(GeneratorConfig(length=32, operations=3, seed=1))
+    path = tmp_path / "corpus.ndjson"
+    write_corpus(path, corpus)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[2])
+    rec[key] = value
+    lines[2] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusFormatError, match=f"line 3: {key} must be a JSON"):
+        read_corpus(path)
+
+
+def test_corpus_tamper_flag_may_be_null_or_absent(tmp_path):
+    corpus = generate_lifecycle(GeneratorConfig(length=32, operations=2, seed=1))
+    path = tmp_path / "corpus.ndjson"
+    write_corpus(path, corpus)
+    first, second = (json.loads(line) for line in path.read_text().splitlines())
+    first["tampered"] = None
+    del second["tampered"]
+    path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
+    assert [lc.tampered for lc in read_corpus(path)] == [False, False]

@@ -402,6 +402,19 @@ def test_minibatch_mode_trains_and_differs_from_full_batch():
     assert not np.array_equal(full.w_x, mini.w_x)
 
 
+@pytest.mark.parametrize("extra", [0, 7])
+def test_one_batch_of_every_pair_is_full_batch_training(extra):
+    """A batch of more than ``_CHUNK`` pairs accumulates its gradient by chunks too."""
+    pairs = make_dataset(random_curves(forecaster._CHUNK + 40, 6, seed=3), 2)
+    full, full_report = train(pairs, TrainConfig(hidden=3, epochs=2, seed=4))
+    one, one_report = train(pairs, TrainConfig(hidden=3, epochs=2, seed=4,
+                                               batch_size=len(pairs) + extra))
+    for k, p in full.params().items():
+        assert p.tobytes() == one.params()[k].tobytes()
+    assert full_report.train_losses == one_report.train_losses
+    assert full_report.grad_norms == one_report.grad_norms
+
+
 def test_validation_defaults_to_training_loss():
     corpus = generate_lifecycle(GeneratorConfig(length=16, operations=30, seed=9))
     pairs = make_dataset(corpus, 4)
@@ -412,8 +425,7 @@ def test_validation_defaults_to_training_loss():
 @pytest.mark.parametrize("bad", [
     {"hidden": 0}, {"epochs": 0}, {"batch_size": 0}, {"batch_size": -3},
     {"learning_rate": -1.0}, {"learning_rate": 0.0}, {"learning_rate": math.inf},
-    {"learning_rate": math.nan}, {"eps": 0.0}, {"beta1": 1.0}, {"beta2": -0.1},
-    {"beta2": math.nan}, {"clip_norm": -1.0}, {"dtype": "int8"}, {"target_val_mse": -1.0},
+    {"learning_rate": math.nan}, {"dtype": "int8"}, {"target_val_mse": -1.0},
 ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
 def test_train_config_rejects_values_training_cannot_use(bad):
     with pytest.raises(ValueError, match=next(iter(bad))):
@@ -429,9 +441,9 @@ def test_report_records_epoch_seconds_and_pre_clip_gradient_norms(monkeypatch, b
         return norms[-1]
 
     monkeypatch.setattr(forecaster, "clip_gradients", recording_clip)
+    monkeypatch.setattr(forecaster, "CLIP_NORM", 0.05)
     pairs = make_dataset(generate_lifecycle(GeneratorConfig(length=16, operations=60, seed=8)), 5)
-    _, report = train(pairs, TrainConfig(hidden=6, epochs=4, seed=0, batch_size=batch_size,
-                                         clip_norm=0.05))
+    _, report = train(pairs, TrainConfig(hidden=6, epochs=4, seed=0, batch_size=batch_size))
     per_epoch = math.ceil(len(pairs) / batch_size) if batch_size else 1
     epochs = [norms[k:k + per_epoch] for k in range(0, len(norms), per_epoch)]
     assert len(epochs) == 4
@@ -501,13 +513,11 @@ def test_bit_exactness_holds_per_blas_thread_count_and_forecasts_across_counts()
     assert single[1] == multi[1]
 
 
-def test_divergence_aborts_with_diagnostic():
+def test_divergence_aborts_with_diagnostic(monkeypatch):
+    monkeypatch.setattr(forecaster, "CLIP_NORM", 0.0)
     pairs = make_dataset(random_curves(8, 6, seed=0), 3)
     with pytest.raises(TrainingDiverged, match="epoch"):
-        train(
-            pairs,
-            TrainConfig(hidden=4, epochs=50, learning_rate=1e200, clip_norm=0.0, seed=1),
-        )
+        train(pairs, TrainConfig(hidden=4, epochs=50, learning_rate=1e200, seed=1))
 
 
 def test_mixed_window_sizes_rejected():
