@@ -26,7 +26,7 @@ from .curvegen import FAILURE_MODES, AttackKind, AttackScenario, GeneratorConfig
 from .dataio import CorpusFormatError
 from .forecaster import ModelFormatError, TrainConfig
 from .investigator import ReportFormatError, VerdictKind
-from .pipeline import REJECT_FREEZE, REJECT_SUBSTITUTE, Pipeline, PipelineConfig
+from .pipeline import Pipeline, PipelineConfig
 
 EXIT_OK = 0
 EXIT_SUSPICION = 1
@@ -92,7 +92,6 @@ SECTIONS = {
     },
     "pipeline": {
         "start": Key("start", int, help="first op index treated as field data"),
-        "policy": Key("policy", str, choices=(REJECT_FREEZE, REJECT_SUBSTITUTE)),
         "alarm_after": Key("alarm_after", int),
         "band": Key("band", int),
     },
@@ -296,8 +295,6 @@ def cmd_run(args, cfg) -> int:
     if "start" not in options:
         raise UsageError("--start (first field op index) is required for run")
     start = options.pop("start")
-    if "policy" in options:
-        options["rejected_curve_policy"] = options.pop("policy")
     corpus = dataio.read_corpus(_require_file(args.corpus, "generate or inject a corpus first"))
     model = forecaster.load_model(_require_file(args.model, "train a model first"))
     thresholds, ref_dict = comparator.load_thresholds(
@@ -446,7 +443,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args, _load_config(getattr(args, "config", None)))
     except (CorpusFormatError, ModelFormatError, ReportFormatError, ThresholdsFormatError,
-            OSError) as exc:
+            UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:   # UsageError included

@@ -23,7 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .classifier import ClassifierReference
 from .curvegen import PowerCurve
-from .dataio import NUMBER, SupervisedPair, json_field
+from .dataio import INTEGER, NUMBER, SupervisedPair, json_field
 from .forecaster import ForecastModel, forward_samples
 
 #: the warping kernel, recorded in run provenance
@@ -282,7 +282,8 @@ def load_thresholds(path) -> tuple[Thresholds, dict | None]:
         raise ThresholdsFormatError(f"not a valid thresholds file: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ThresholdsFormatError("not a thresholds file (expected a JSON object)")
-    version = doc.get("format_version")
+    version = json_field(doc.get("format_version"), INTEGER, "format_version",
+                         ThresholdsFormatError)
     if version != THRESHOLDS_FORMAT_VERSION:
         raise ThresholdsFormatError(
             f"unsupported thresholds format version {version} "

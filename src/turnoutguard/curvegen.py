@@ -16,7 +16,7 @@ and editing one phase of a plan never disturbs the curves of another.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -36,6 +36,17 @@ MIN_CURVE_LEN = 16
 
 FAILURE_MODES = ("truncate", "spike", "random")
 
+# isolated transient (minor anomaly): a gaussian bump of TRANSIENT_GAIN times
+# the plateau, sigma TRANSIENT_WIDTH, centered uniformly in TRANSIENT_SPAN
+TRANSIENT_GAIN = 0.5
+TRANSIENT_WIDTH = 0.02
+TRANSIENT_SPAN = (0.35, 0.65)
+
+# sudden failure: truncation drops to 0 W from a cut drawn in FAILURE_CUT_SPAN;
+# a spike multiplies the inrush by FAILURE_SPIKE_GAIN
+FAILURE_CUT_SPAN = (0.3, 0.7)
+FAILURE_SPIKE_GAIN = 2.0
+
 
 class CurveKind(str, Enum):
     EARLY_LIFE_NORMAL = "early_life_normal"
@@ -46,10 +57,16 @@ class CurveKind(str, Enum):
     END_OF_LIFE = "end_of_life"
 
 
+#: (plateau gain, bump widening) at severity 1, as fractions of the base
+#: values, of the kinds whose curves deform progressively with a severity
+DEFORMATION = {
+    CurveKind.PROGRESSIVE_PRE_FAULT: (0.30, 0.50),
+    CurveKind.AGING: (0.10, 0.0),
+    CurveKind.END_OF_LIFE: (0.40, 0.80),
+}
+
 #: kinds whose curves deform progressively with a severity in (0, 1]
-PROGRESSIVE_KINDS = frozenset(
-    {CurveKind.AGING, CurveKind.PROGRESSIVE_PRE_FAULT, CurveKind.END_OF_LIFE}
-)
+PROGRESSIVE_KINDS = frozenset(DEFORMATION)
 
 
 class AttackKind(str, Enum):
@@ -156,28 +173,11 @@ class GeneratorConfig:
     base_shape: BaseShape = field(default_factory=BaseShape)
     phase_plan: tuple[Phase, ...] | None = None  # default: all early life
 
-    # progressive deformation magnitudes (fraction of the base value at severity 1)
-    prefault_plateau_gain: float = 0.30
-    prefault_bump_widening: float = 0.50
-    aging_plateau_gain: float = 0.10
-    endoflife_plateau_gain: float = 0.40
-    endoflife_bump_widening: float = 0.80
-
-    # isolated transient (minor anomaly)
-    transient_amplitude: float | None = None   # W; default 50% of the plateau
-    transient_width: float = 0.02              # gaussian sigma, fraction of curve
-    transient_span: tuple[float, float] = (0.35, 0.65)  # center drawn here
-
-    # sudden failure
-    failure_mode: str = "truncate"             # "truncate" | "spike" | "random"
-    failure_cut_span: tuple[float, float] = (0.3, 0.7)
-    failure_spike_gain: float = 2.0
+    failure_mode: str = "truncate"     # "truncate" | "spike" | "random"
 
     def __post_init__(self):
         if self.noise_sigma is None:
             self.noise_sigma = 0.02 * self.base_shape.plateau_level
-        if self.transient_amplitude is None:
-            self.transient_amplitude = 0.5 * self.base_shape.plateau_level
         if self.phase_plan is None:
             self.phase_plan = (
                 Phase(CurveKind.EARLY_LIFE_NORMAL, 0, self.operations),
@@ -242,20 +242,11 @@ class GeneratorConfig:
                 return phase
         raise IndexError(f"op {op_index} not covered by the phase plan")
 
-    # -- JSON round trip (CLI config files) ---------------------------------
-
-    def to_dict(self) -> dict:
-        d = dict(zip(CONFIG_KEYS, asdict(self).values()))
-        d["phases"] = [
-            {"kind": p.kind.value, "start": p.start, "end": p.end,
-             "severity": [p.severity_start, p.severity_end]}
-            for p in self.phase_plan
-        ]
-        return d
+    # -- CLI config files ----------------------------------------------------
 
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorConfig":
-        """Inverse of ``to_dict``; ValueError on an unknown key or a bad value."""
+        """Config from a JSON object; ValueError on an unknown key or a bad value."""
         unknown = set(d) - set(CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown generator config keys: {sorted(unknown)}")
@@ -290,10 +281,8 @@ CONFIG_KEYS = tuple(
 # JSON value -> field value, by the field's annotation
 _FROM_JSON = {
     "int": int,
-    "float": float,
     "str": str,
     "float | None": lambda v: None if v is None else float(v),
-    "tuple[float, float]": _pair,
     "BaseShape": lambda v: BaseShape(**{k: float(x) for k, x in dict(v).items()}),
     "tuple[Phase, ...] | None": lambda v: None if v is None else tuple(map(_phase, v)),
 }
@@ -337,22 +326,6 @@ def nominal_shape(
     return curve
 
 
-def _deformation(config: GeneratorConfig, kind: CurveKind, severity: float):
-    if kind is CurveKind.PROGRESSIVE_PRE_FAULT:
-        return (
-            config.prefault_plateau_gain * severity,
-            config.prefault_bump_widening * severity,
-        )
-    if kind is CurveKind.AGING:
-        return config.aging_plateau_gain * severity, 0.0
-    if kind is CurveKind.END_OF_LIFE:
-        return (
-            config.endoflife_plateau_gain * severity,
-            config.endoflife_bump_widening * severity,
-        )
-    return 0.0, 0.0
-
-
 def synth_samples(
     config: GeneratorConfig,
     kind: CurveKind,
@@ -361,29 +334,27 @@ def synth_samples(
 ) -> np.ndarray:
     """One curve of the given kind, noise included, clipped at 0 W."""
     shape = config.base_shape
-    gain, widening = _deformation(config, kind, severity)
-    curve = nominal_shape(shape, config.length, gain, widening)
+    gain, widening = DEFORMATION.get(kind, (0.0, 0.0))
+    curve = nominal_shape(shape, config.length, gain * severity, widening * severity)
 
     if kind is CurveKind.MINOR_ANOMALY:
-        lo, hi = config.transient_span
-        center = rng.uniform(lo, hi)
+        center = rng.uniform(*TRANSIENT_SPAN)
         pos = (np.arange(config.length) + 0.5) / config.length
-        z = (pos - center) / config.transient_width
-        curve = curve + config.transient_amplitude * np.exp(-0.5 * z * z)
+        z = (pos - center) / TRANSIENT_WIDTH
+        curve = curve + TRANSIENT_GAIN * shape.plateau_level * np.exp(-0.5 * z * z)
     elif kind is CurveKind.SUDDEN_FAILURE:
         mode = config.failure_mode
         if mode == "random":
             mode = "truncate" if rng.uniform() < 0.5 else "spike"
         if mode == "truncate":
-            lo, hi = config.failure_cut_span
-            cut = int(rng.uniform(lo, hi) * config.length)
+            cut = int(rng.uniform(*FAILURE_CUT_SPAN) * config.length)
             curve = curve.copy()
             curve[cut:] = 0.0   # motor drops out mid-translation
         else:
             curve = curve.copy()
             pos = (np.arange(config.length) + 0.5) / config.length
             inrush = pos < INRUSH_END
-            curve[inrush] *= config.failure_spike_gain
+            curve[inrush] *= FAILURE_SPIKE_GAIN
 
     if config.noise_sigma > 0.0:
         curve = curve + rng.normal(0.0, config.noise_sigma, size=config.length)

@@ -34,16 +34,17 @@ BOOLEAN = ("boolean", (bool,))
 STRING = ("string", (str,))
 OPTIONAL_BOOLEAN = ("boolean or null", (bool, type(None)))
 OPTIONAL_STRING = ("string or null", (str, type(None)))
+OBJECT = ("object", (dict,))
 
 
-def json_field(value, kind: tuple[str, tuple], name: str):
+def json_field(value, kind: tuple[str, tuple], name: str, error=ValueError):
     """``value`` if json.load gave it one of ``kind``'s types (a boolean is no number).
 
-    ValueError naming ``name`` otherwise.
+    ``error`` (a ValueError) naming ``name`` otherwise.
     """
     wanted, types = kind
     if type(value) not in types:
-        raise ValueError(f"{name} must be a JSON {wanted}, got {value!r}")
+        raise error(f"{name} must be a JSON {wanted}, got {value!r}")
     return value
 
 
@@ -200,10 +201,10 @@ def read_corpus(path) -> list[LabeledCurve]:
 
 
 def _parse_record(rec: dict) -> LabeledCurve:
-    missing = {"op_index", "timestamp", "samples", "label"} - set(rec)
+    missing = {"op_index", "timestamp", "samples", "label"} - set(json_field(rec, OBJECT, "record"))
     if missing:
         raise ValueError(f"missing fields {sorted(missing)}")
-    label = rec["label"]
+    label = json_field(rec["label"], OBJECT, "label")
     curve = PowerCurve(
         samples=np.asarray(rec["samples"], dtype=np.float64),
         op_index=json_field(rec["op_index"], INTEGER, "op_index"),

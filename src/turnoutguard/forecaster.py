@@ -626,9 +626,10 @@ def load_model(path) -> ForecastModel:
         raise ModelFormatError(f"not a valid weights file: {exc.msg}") from exc
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise ModelFormatError("not a weights file (missing format_version)")
-    if doc["format_version"] != MODEL_FORMAT_VERSION:
+    version = json_field(doc["format_version"], INTEGER, "format_version", ModelFormatError)
+    if version != MODEL_FORMAT_VERSION:
         raise ModelFormatError(
-            f"unsupported weights format version {doc['format_version']} "
+            f"unsupported weights format version {version} "
             f"(expected {MODEL_FORMAT_VERSION})"
         )
     try:
@@ -643,6 +644,12 @@ def load_model(path) -> ForecastModel:
             name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
             for name, entry in doc["parameters"].items()
         }
+        # each per-gate block exactly as saved, so none can broadcast
+        for prefix, shape in {"w": (hidden, length), "u": (hidden, hidden), "b": (hidden,)}.items():
+            for name in (f"{prefix}_{gate}" for gate in GATES):
+                if raw[name].shape != shape:
+                    raise ValueError(f"parameters.{name} has shape {list(raw[name].shape)}, "
+                                     f"expected {list(shape)}")
         w_x = np.empty((length, 4 * hidden))
         w_h = np.empty((hidden, 4 * hidden))
         b = np.empty(4 * hidden)

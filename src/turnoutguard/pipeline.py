@@ -3,16 +3,16 @@
 The pipeline owns a sliding window of trusted curves.  Each incoming field
 curve is compared against the forecast made from that window; validated
 curves extend the window and the append-only store of accepted operations,
-rejected ones go through the investigation decision instead and (by
-default) never touch the window, so an attacker cannot steer future
-predictions through rejected data.  The whole loop is a deterministic fold:
-replaying the same stream from the same bootstrapped state reproduces the
-same reports bit for bit.
+rejected ones go through the investigation decision instead and never
+touch the window, so an attacker cannot steer future predictions through
+rejected data.  The whole loop is a deterministic fold: replaying the same
+stream from the same bootstrapped state reproduces the same reports bit for
+bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import comparator, forecaster
 from .classifier import ClassifierReference, classify
@@ -30,22 +30,14 @@ from .investigator import (
     window_shows_progression,
 )
 
-REJECT_FREEZE = "freeze"                  # rejected curve never enters the window
-REJECT_SUBSTITUTE = "substitute_prediction"  # push the prediction as a stand-in
-
 
 @dataclass
 class PipelineConfig:
-    rejected_curve_policy: str = REJECT_FREEZE
     alarm_after: int = 5   # consecutive rejections before a stream alert
     band: int | None = None
     investigator: InvestigatorParams = field(default_factory=InvestigatorParams)
 
     def __post_init__(self):
-        if self.rejected_curve_policy not in (REJECT_FREEZE, REJECT_SUBSTITUTE):
-            raise ValueError(
-                f"unknown rejected-curve policy {self.rejected_curve_policy!r}"
-            )
         if self.alarm_after < 1:
             raise ValueError("alarm_after must be >= 1")
 
@@ -140,20 +132,12 @@ class Pipeline:
                 self.config.investigator,
             )
             self._rejection_streak += 1
-            if self.config.rejected_curve_policy == REJECT_SUBSTITUTE:
-                # the stand-in takes the field op's place in the stream
-                self.window.push(replace(
-                    predicted, op_index=field_curve.op_index, timestamp=field_curve.timestamp
-                ))
 
         alert = None
         if self._rejection_streak >= self.config.alarm_after:
             alert = (
                 f"{self._rejection_streak} consecutive non-validated "
                 "operations; forecast window is no longer advancing"
-                if self.config.rejected_curve_policy == REJECT_FREEZE
-                else f"{self._rejection_streak} consecutive non-validated "
-                "operations; window is coasting on predictions"
             )
 
         report = InvestigationReport(

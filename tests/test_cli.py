@@ -1,15 +1,19 @@
 """End-to-end command-line behavior, exit codes, and idempotency."""
 
+import argparse
 import contextlib
 import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from turnoutguard.cli import main
+from turnoutguard.cli import SECTIONS, _load_config, _options, main
+from turnoutguard.curvegen import GeneratorConfig
 
 WINDOW = 10
 
@@ -290,7 +294,7 @@ def _argv(command, root, cfg, out):
     ("calibrate", {"calibrate": {"percentile": [1]}}),
     ("calibrate", {"calibrate": {"train_fraction": 0.8}}),
     ("run", {"pipeline": {"start": [140]}}),
-    ("run", {"pipeline": {"start": 200, "policy": "thaw"}}),
+    ("run", {"pipeline": {"start": 200, "policy": "freeze"}}),
     ("generate", {"generator": [1]}),
     ("generate", {"generator": {"base_shape": {"foo": 1}}}),
     ("generate", {"generator": {"phases": [{"kind": "aging"}]}}),
@@ -304,7 +308,7 @@ def _argv(command, root, cfg, out):
 ], ids=["list-for-int", "float-for-int", "bool-for-int", "section-not-object", "dtype-out-of-choices",
         "zero-epochs", "zero-hidden", "negative-learning-rate", "negative-batch-size", "unknown-key",
         "unknown-section", "list-for-float", "removed-calibrate-split", "list-for-start",
-        "policy-out-of-choices", "generator-not-object", "unknown-base-shape-key",
+        "removed-policy-key", "generator-not-object", "unknown-base-shape-key",
         "phase-without-range", "string-for-float", "unknown-phase-key", "unknown-failure-mode",
         "unknown-attack-kind"])
 def test_bad_config_is_a_usage_error(workdir, tmp_path, capsys, command, config):
@@ -316,6 +320,27 @@ def test_bad_config_is_a_usage_error(workdir, tmp_path, capsys, command, config)
     assert rc == 2
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_config_example_and_key_table_match_the_cli(tmp_path):
+    text = README.read_text(encoding="utf-8")
+    (example,) = [block for block in re.findall(r"```json\n(.*?)```", text, re.S)
+                  if '"generator"' in block]
+    path = tmp_path / "config.json"
+    path.write_text(example)
+    cfg = _load_config(path)
+    no_flags = argparse.Namespace()
+    for name in SECTIONS:
+        options = _options(no_flags, cfg, name)
+        assert set(options) == {k for k, v in cfg.get(name, {}).items() if v is not None}
+    GeneratorConfig.from_dict(_options(no_flags, cfg, "generator")).validate()
+    # the key table lists each section's keys, flags and choices in parentheses
+    for name, keys in SECTIONS.items():
+        (row,) = re.findall(rf"^\| `{name}` \| (.*) \|$", text, re.M)
+        assert re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", row)) == list(keys), name
 
 
 def test_calibrate_tests_on_the_curves_after_the_models_training_cut(workdir, tmp_path):
@@ -577,6 +602,73 @@ def test_boolean_threshold_is_a_schema_error(workdir, tmp_path, capsys, key):
     assert f"{key} must be a JSON number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("label", [[], "early_life_normal", None],
+                         ids=["array-label", "string-label", "null-label"])
+def test_corpus_label_that_is_not_an_object_names_line_and_key(workdir, tmp_path, capsys, label):
+    root, cfg = workdir
+    lines = (root / "corpus.ndjson").read_text().splitlines()
+    rec = json.loads(lines[4])
+    rec["label"] = label
+    lines[4] = json.dumps(rec)
+    bad = tmp_path / "corpus.ndjson"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = main(["train", "--config", str(cfg), "--corpus", str(bad),
+               "--out", str(tmp_path / "m.json")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: line 5: label must be a JSON object")
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("block, entry", [
+    ("b_input", {"shape": [1], "data": [0.5]}),
+    ("w_input", {"shape": [16, 1], "data": [0.0] * 16}),
+], ids=["bias-of-one", "weights-of-one-column"])
+def test_weights_block_that_would_broadcast_is_a_schema_error(
+        workdir, tmp_path, capsys, block, entry):
+    root, cfg = workdir
+    doc = json.loads((root / "model.json").read_text())
+    assert doc["hyper"]["hidden"] == 16
+    doc["parameters"][block] = entry
+    (tmp_path / "m.json").write_text(json.dumps(doc))
+    rc = main(["calibrate", "--config", str(cfg), "--corpus", str(root / "corpus.ndjson"),
+               "--model", str(tmp_path / "m.json"), "--out", str(tmp_path / "t.json")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert f"parameters.{block} has shape {entry['shape']}" in err
+    assert not (tmp_path / "t.json").exists()
+
+
+@pytest.mark.parametrize("artifact, flag", [("model.json", "--model"),
+                                            ("thresholds.json", "--thresholds")])
+@pytest.mark.parametrize("version", [True, 2.0, 1.0, "2"])
+def test_format_version_that_is_not_an_integer_is_a_schema_error(
+        workdir, tmp_path, capsys, artifact, flag, version):
+    root, cfg = workdir
+    doc = json.loads((root / artifact).read_text())
+    doc["format_version"] = version
+    bad = tmp_path / artifact
+    bad.write_text(json.dumps(doc))
+    rc = main(_argv("run", root, cfg, tmp_path / "r.ndjson") + [flag, str(bad)])
+    assert rc == 3
+    assert "format_version must be a JSON integer" in capsys.readouterr().err
+    assert not (tmp_path / "r.ndjson").exists()
+
+
+@pytest.mark.parametrize("artifact", list(_TRUNCATED))
+def test_file_that_is_not_utf8_is_an_io_error(workdir, fixture_reports, tmp_path, capsys,
+                                              artifact):
+    root, cfg = workdir
+    name, flag, _ = _TRUNCATED[artifact]
+    bad = tmp_path / name
+    bad.write_bytes((root / name).read_bytes() + b"\xff")
+    argv = (["report", str(bad)] if flag is None
+            else _argv("run", root, cfg, tmp_path / "r.ndjson") + [flag, str(bad)])
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "r.ndjson").exists()
+
+
 def _set(doc, path, value):
     for key in path[:-1]:
         doc = doc[key]
@@ -607,12 +699,14 @@ def test_report_value_of_the_wrong_json_type_names_line_and_key(
     assert err.startswith("error: line 2: ") and f"{path[-1]} must be a JSON" in err
 
 
-def _leaves(doc, path=()) -> list[tuple]:
-    """Paths to the non-null leaves of a JSON document."""
+def _nodes(doc, path=()) -> list[tuple]:
+    """Paths to the non-null nodes of a JSON document below its root: leaves,
+    objects and arrays."""
+    here = [] if doc is None or not path else [path]
     if isinstance(doc, (dict, list)):
         items = doc.items() if isinstance(doc, dict) else enumerate(doc)
-        return [leaf for key, value in items for leaf in _leaves(value, path + (key,))]
-    return [] if doc is None else [path]
+        return here + [node for key, value in items for node in _nodes(value, path + (key,))]
+    return here
 
 
 def _json_type(value) -> str:
@@ -621,10 +715,19 @@ def _json_type(value) -> str:
             dict: "object", type(None): "null"}[type(value)]
 
 
-# artifact: (its fixture file, the command that reads it)
-_MUTATED = {"weights": ("model.json", "calibrate"),
-            "thresholds": ("thresholds.json", "run"),
-            "reports": (_TRUNCATED["reports"][0], "report")}
+# artifact: its fixture file; NDJSON files are a list of documents
+_MUTATED = {"weights": "model.json", "thresholds": "thresholds.json",
+            "reports": _TRUNCATED["reports"][0], "corpus": "corpus.ndjson"}
+
+
+def _reading_argv(artifact, root, cfg, path, out) -> list[str]:
+    """The command line that reads ``path`` in place of the fixture's ``artifact``."""
+    calibrate = ["calibrate", "--config", str(cfg), "--corpus", str(root / "corpus.ndjson"),
+                 "--model", str(root / "model.json"), "--out", str(out)]
+    return {"weights": calibrate + ["--model", str(path)],
+            "corpus": calibrate + ["--corpus", str(path)],
+            "thresholds": _argv("run", root, cfg, out) + ["--thresholds", str(path)],
+            "reports": ["report", str(path)]}[artifact]
 
 _JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 300), st.floats(-1e3, 1e3), st.text(max_size=4),
@@ -641,23 +744,34 @@ _JSON_VALUES = st.one_of(
 @example(artifact="reports", pick=(0, "verdict", "reason"), value=5)
 @example(artifact="reports", pick=(0, "window_progressive"), value="false")
 @example(artifact="reports", pick=(0, "tampered"), value="no")
+@example(artifact="corpus", pick=(4, "label"), value=[])
+@example(artifact="corpus", pick=(4, "label"), value="early_life_normal")
+@example(artifact="corpus", pick=(4, "label"), value=None)
+@example(artifact="corpus", pick=(4,), value=5)
+@example(artifact="weights", pick=("parameters", "b_input"), value={"shape": [1], "data": [0.5]})
+@example(artifact="weights", pick=("parameters", "w_input"),
+         value={"shape": [16, 1], "data": [0.0] * 16})
+@example(artifact="weights", pick=("format_version",), value=True)
 def test_one_mutated_leaf_never_raises(workdir, fixture_reports, artifact, pick, value):
-    """A valid artifact with one leaf of another JSON type exits 0, 2 or 3, never 1.
+    """A valid artifact with one node replaced exits 0, 2 or 3, never 1.
 
-    ``pick`` chooses among the document's fields (leaf paths with list
-    indices dropped) and then among that field's leaves; an example gives
-    the leaf's path instead.
+    The node is a leaf given a value of another JSON type, or an object or
+    array given a scalar or a container of the other kind.  ``pick``
+    chooses among the document's fields (node paths with list indices
+    dropped) and then among that field's nodes; an example gives the
+    node's path instead.
     """
     root, cfg = workdir
-    name, command = _MUTATED[artifact]
+    name = _MUTATED[artifact]
+    ndjson = name.endswith(".ndjson")
     lines = (root / name).read_text().splitlines()
-    doc = [json.loads(line) for line in lines] if artifact == "reports" else json.loads(lines[0])
+    doc = [json.loads(line) for line in lines] if ndjson else json.loads(lines[0])
     if isinstance(pick, tuple):
         path = pick
     else:
         fields: dict[tuple, list] = {}
-        for leaf in _leaves(doc):
-            fields.setdefault(tuple(k for k in leaf if not isinstance(k, int)), []).append(leaf)
+        for node in _nodes(doc):
+            fields.setdefault(tuple(k for k in node if not isinstance(k, int)), []).append(node)
         field = sorted(fields, key=repr)[pick % len(fields)]
         path = fields[field][pick // len(fields) % len(fields[field])]
         old = doc
@@ -666,12 +780,8 @@ def test_one_mutated_leaf_never_raises(workdir, fixture_reports, artifact, pick,
         assume(_json_type(value) != _json_type(old))
     _set(doc, path, value)
     bad = root / f"mutated-{artifact}"
-    bad.write_text("".join(json.dumps(d) + "\n" for d in doc) if artifact == "reports"
-                   else json.dumps(doc))
-    argv = {"calibrate": ["calibrate", "--config", str(cfg), "--corpus", str(root / "corpus.ndjson"),
-                          "--model", str(bad), "--out", str(root / "mutated-out")],
-            "run": _argv("run", root, cfg, root / "mutated-out") + ["--thresholds", str(bad)],
-            "report": ["report", str(bad)]}[command]
+    bad.write_text("".join(json.dumps(d) + "\n" for d in doc) if ndjson else json.dumps(doc))
+    argv = _reading_argv(artifact, root, cfg, bad, root / "mutated-out")
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         rc = main(argv)

@@ -8,6 +8,8 @@ import pytest
 
 from turnoutguard.classifier import build_reference, classify
 from turnoutguard.curvegen import (
+    CONFIG_KEYS,
+    DEFORMATION,
     AttackKind,
     AttackScenario,
     BaseShape,
@@ -71,15 +73,16 @@ def test_prefault_ramp_raises_plateau_by_configured_gain():
     assert corpus[600].label.severity == 0.0
     assert corpus[899].label.severity == 1.0
 
+    gain, widening = DEFORMATION[CurveKind.PROGRESSIVE_PRE_FAULT]
+    assert (gain, widening) == (0.30, 0.50)
     lo, hi = int(0.2 * 200), int(0.8 * 200)
     mean_at = lambda op: corpus[op].curve.samples[lo:hi].mean()  # noqa: E731
-    gain_w = cfg.prefault_plateau_gain * cfg.base_shape.plateau_level
+    gain_w = gain * cfg.base_shape.plateau_level
     assert mean_at(899) - mean_at(600) >= gain_w - 1e-9
 
     expected_0 = nominal_shape(cfg.base_shape, 200)[lo:hi].mean()
     expected_1 = nominal_shape(
-        cfg.base_shape, 200, plateau_gain=cfg.prefault_plateau_gain,
-        bump_widening=cfg.prefault_bump_widening,
+        cfg.base_shape, 200, plateau_gain=gain, bump_widening=widening,
     )[lo:hi].mean()
     assert mean_at(600) == pytest.approx(expected_0, abs=1e-9)
     assert mean_at(899) == pytest.approx(expected_1, abs=1e-9)
@@ -160,28 +163,46 @@ def test_too_short_curve_rejected():
 
 
 def test_config_json_round_trip():
-    cfg = GeneratorConfig(
+    doc = {
+        "length": 56, "operations": 120, "seed": 8, "noise_sigma": 3.5,
+        "base_shape": {"peak_amplitude": 2000.0, "peak_position": 0.05, "plateau_level": 500.0,
+                       "bump_amplitude": 200.0, "bump_center": 0.93, "bump_width": 0.025},
+        "phases": [
+            {"kind": "early_life_normal", "start": 0, "end": 70},
+            {"kind": "progressive_pre_fault", "start": 70, "end": 120, "severity": [0.0, 0.9]},
+        ],
+        "failure_mode": "spike",
+    }
+    assert set(doc) == set(CONFIG_KEYS)
+    cfg = GeneratorConfig.from_dict(json.loads(json.dumps(doc)))
+    assert cfg == GeneratorConfig(
         length=56, operations=120, seed=8, noise_sigma=3.5,
         base_shape=BaseShape(2000.0, 0.05, 500.0, 200.0, 0.93, 0.025),
         phase_plan=plan(
             (CurveKind.EARLY_LIFE_NORMAL, 0, 70, 0.0, 0.0),
             (CurveKind.PROGRESSIVE_PRE_FAULT, 70, 120, 0.0, 0.9),
         ),
-        prefault_plateau_gain=0.25, prefault_bump_widening=0.45,
-        aging_plateau_gain=0.15, endoflife_plateau_gain=0.35,
-        endoflife_bump_widening=0.75, transient_amplitude=150.0,
-        transient_width=0.03, transient_span=(0.4, 0.6), failure_mode="spike",
-        failure_cut_span=(0.2, 0.8), failure_spike_gain=1.5,
+        failure_mode="spike",
     )
     default = GeneratorConfig()
     for f in fields(GeneratorConfig):
         assert getattr(cfg, f.name) != getattr(default, f.name), f.name
     for f in fields(BaseShape):
         assert getattr(cfg.base_shape, f.name) != getattr(default.base_shape, f.name), f.name
-    restored = GeneratorConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
-    assert restored == cfg
     with pytest.raises(ValueError, match="unknown generator config keys"):
         GeneratorConfig.from_dict({"lenght": 50})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("prefault_plateau_gain", 0.25), ("prefault_bump_widening", 0.45),
+    ("aging_plateau_gain", 0.15), ("endoflife_plateau_gain", 0.35),
+    ("endoflife_bump_widening", 0.75), ("transient_amplitude", 150.0),
+    ("transient_width", 0.03), ("transient_span", [0.4, 0.6]),
+    ("failure_cut_span", [0.2, 0.8]), ("failure_spike_gain", 1.5),
+])
+def test_removed_magnitude_keys_are_rejected(key, value):
+    with pytest.raises(ValueError, match="unknown generator config keys"):
+        GeneratorConfig.from_dict({key: value})
 
 
 # ---------------------------------------------------------------------------

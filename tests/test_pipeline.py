@@ -107,18 +107,6 @@ def test_rejected_curve_leaves_the_window_frozen(constant_world):
     assert pipe.validated_store == []
 
 
-def test_substitute_policy_pushes_the_prediction(constant_world):
-    pipe = fresh_pipeline(constant_world, rejected_curve_policy="substitute_prediction")
-    report = pipe.step(field_curve(constant_world, 50, bump=400.0))
-    assert report.verdict.kind is not VerdictKind.VALIDATED
-    # the window advanced with the model's own prediction, not the field curve,
-    # stamped with the field op it stands in for
-    assert pipe.window.last.op_index == 50
-    assert pipe.window.last.timestamp == 2_000_000_050.0
-    assert np.array_equal(pipe.window.last.samples, constant_world[1][0].curve.samples)
-    assert pipe.validated_store == []
-
-
 def test_window_purity_over_a_mixed_run(constant_world):
     pipe = fresh_pipeline(constant_world)
     bootstrap_ids = {id(c) for c in pipe.window}
