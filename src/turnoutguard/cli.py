@@ -101,7 +101,7 @@ SECTIONS = {
 def _load_config(path) -> dict:
     if path is None:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with dataio.open_text(path) as fh:
         try:
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -23,7 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .classifier import ClassifierReference
 from .curvegen import PowerCurve
-from .dataio import INTEGER, NUMBER, SupervisedPair, json_field
+from .dataio import INTEGER, NUMBER, SupervisedPair, json_field, open_text
 from .forecaster import ForecastModel, forward_samples
 
 #: the warping kernel, recorded in run provenance
@@ -276,7 +276,7 @@ def load_thresholds(path) -> tuple[Thresholds, dict | None]:
     the classifier baseline, so a corrupt file never reaches the pipeline.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_text(path) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ThresholdsFormatError(f"not a valid thresholds file: {exc.msg}") from exc

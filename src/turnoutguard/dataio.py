@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,7 @@ STRING = ("string", (str,))
 OPTIONAL_BOOLEAN = ("boolean or null", (bool, type(None)))
 OPTIONAL_STRING = ("string or null", (str, type(None)))
 OBJECT = ("object", (dict,))
+ARRAY = ("array", (list,))
 
 
 def json_field(value, kind: tuple[str, tuple], name: str, error=ValueError):
@@ -46,6 +48,21 @@ def json_field(value, kind: tuple[str, tuple], name: str, error=ValueError):
     if type(value) not in types:
         raise error(f"{name} must be a JSON {wanted}, got {value!r}")
     return value
+
+
+@contextmanager
+def open_text(path):
+    """``open(path)`` for reading UTF-8 text.
+
+    A byte that does not decode raises UnicodeDecodeError with the path
+    appended to its message, so the caller's error names the file.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            exc.reason = f"{exc.reason} in {path}"
+            raise
 
 
 class CurveWindow:
@@ -176,7 +193,7 @@ def write_corpus(path, corpus: list[LabeledCurve]):
 def read_corpus(path) -> list[LabeledCurve]:
     """Parse an NDJSON corpus; schema violations name the offending line."""
     corpus: list[LabeledCurve] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for n, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -205,8 +222,13 @@ def _parse_record(rec: dict) -> LabeledCurve:
     if missing:
         raise ValueError(f"missing fields {sorted(missing)}")
     label = json_field(rec["label"], OBJECT, "label")
+    samples = json_field(rec["samples"], ARRAY, "samples")
+    # one type test per value: a boolean, string, null or array is no number
+    if not set(map(type, samples)) <= set(NUMBER[1]):
+        bad = next(v for v in samples if type(v) not in NUMBER[1])
+        raise ValueError(f"samples must be a JSON array of numbers, got {bad!r}")
     curve = PowerCurve(
-        samples=np.asarray(rec["samples"], dtype=np.float64),
+        samples=np.asarray(samples, dtype=np.float64),
         op_index=json_field(rec["op_index"], INTEGER, "op_index"),
         timestamp=float(json_field(rec["timestamp"], NUMBER, "timestamp")),
     )

@@ -18,11 +18,12 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .curvegen import OP_PERIOD_S, PowerCurve
-from .dataio import INTEGER, CurveWindow, SupervisedPair, curves_digest, json_field
+from .dataio import INTEGER, CurveWindow, SupervisedPair, curves_digest, json_field, open_text
 
 MODEL_FORMAT_VERSION = 1
 GATES = ("input", "forget", "output", "candidate")
@@ -176,41 +177,87 @@ def mse(predicted, target) -> float:
     return float(np.mean(d * d))
 
 
-def _forward_seq(params: dict, x: np.ndarray, need_cache: bool = False):
-    """Run the recurrence over x (batch, steps, length).
+class _Chunk(NamedTuple):
+    """Up to ``_CHUNK`` pairs, with each curve of their windows stored once.
 
-    Returns (readout, last_hidden, caches); caches hold per-step gate
-    activations when requested (for backprop and for gate-range checks).
-    Every step writes its results into buffers: inference reuses one set for
-    all steps, while with ``need_cache`` each step gets fresh arrays that its
-    cache entry keeps.  The gate pre-activations ``a`` are scratch either way.
+    ``rows`` holds the distinct window curves and ``idx`` (pairs, steps)
+    indexes every window into them; ``target`` is the pairs' next curves.
+    ``passes[t]`` lists the (pair selector, row indices) scatters that add
+    position t's gradient into the rows.  A buffered ``d[cols] += v`` keeps
+    only the last of repeated indices, so no pass repeats a row: pairs whose
+    position t holds the same curve go to separate passes.
     """
-    batch, steps, length = x.shape
+
+    rows: np.ndarray
+    idx: np.ndarray
+    passes: list[list[tuple]]
+    target: np.ndarray
+
+
+def _scatter_passes(col: np.ndarray) -> list[tuple]:
+    """Split the pairs of one window position into passes without a repeated row."""
+    if np.unique(col).size == col.size:
+        return [(slice(None), col)]
+    # pass r takes the r-th pair of each row
+    rank = np.empty(col.size, dtype=np.intp)
+    seen: dict[int, int] = {}
+    for k, row in enumerate(col.tolist()):
+        rank[k] = seen[row] = seen.get(row, -1) + 1
+    return [(sel, col[sel]) for sel in (np.flatnonzero(rank == r) for r in range(rank.max() + 1))]
+
+
+def _chunks(matrix: np.ndarray, win_idx: np.ndarray, tgt_idx: np.ndarray) -> list[_Chunk]:
+    """The pairs ``win_idx``/``tgt_idx`` (indices into ``matrix``), in order,
+    as chunks of at most ``_CHUNK``."""
+    chunks = []
+    for lo in range(0, len(win_idx), _CHUNK):
+        windows = win_idx[lo:lo + _CHUNK]
+        unique, inverse = np.unique(windows.ravel(), return_inverse=True)
+        idx = inverse.reshape(windows.shape)
+        chunks.append(_Chunk(matrix[unique], idx, [_scatter_passes(col) for col in idx.T],
+                             matrix[tgt_idx[lo:lo + _CHUNK]]))
+    return chunks
+
+
+def _forward_seq(params: dict, rows: np.ndarray, idx: np.ndarray, need_cache: bool = False):
+    """Run the recurrence over the windows ``rows[idx]``.
+
+    ``rows`` (curves, length) holds each input curve once and ``idx``
+    (batch, steps) picks every window's curves from it, so each curve is
+    projected by ``w_x`` once however many windows share it.  Returns
+    (readout, last_hidden, caches); caches hold per-step gate activations
+    when requested (for backprop and for gate-range checks).  Every step
+    writes its results into buffers: inference reuses one set for all steps,
+    while with ``need_cache`` each step gets fresh arrays that its cache
+    entry keeps.  The gate pre-activations ``a`` are scratch either way.
+    """
+    batch, steps = idx.shape
+    dtype = rows.dtype
     w_h = params["w_h"]
     hidden = w_h.shape[0]
-    a_x = x.reshape(batch * steps, length) @ params["w_x"]
-    a_x += params["b"]
-    a_x = a_x.reshape(batch, steps, 4 * hidden)
+    proj = rows @ params["w_x"]
+    proj += params["b"]
+    a_x = proj[idx.T]   # (steps, batch, 4 * hidden)
 
     def step_buffers():
         # gate-major (3, batch, hidden) for the input, forget and output
         # sigmoids, so each gate is a contiguous block, with its three gate
         # views; then g, c, tanh(c), h
-        ifo = np.empty((3, batch, hidden), dtype=x.dtype)
-        return (ifo, *ifo, *np.empty((4, batch, hidden), dtype=x.dtype))
+        ifo = np.empty((3, batch, hidden), dtype=dtype)
+        return (ifo, *ifo, *np.empty((4, batch, hidden), dtype=dtype))
 
     # an array operand costs less per call than a Python scalar
-    ones = np.ones((3, batch, hidden), dtype=x.dtype)
-    a = np.empty((batch, 4 * hidden), dtype=x.dtype)
+    ones = np.ones((3, batch, hidden), dtype=dtype)
+    a = np.empty((batch, 4 * hidden), dtype=dtype)
     a_ifo = a[:, :3 * hidden].reshape(batch, 3, hidden).transpose(1, 0, 2)
     a_g = a[:, 3 * hidden:]
-    h = np.zeros((batch, hidden), dtype=x.dtype)
-    c = np.zeros((batch, hidden), dtype=x.dtype)
+    h = np.zeros((batch, hidden), dtype=dtype)
+    c = np.zeros((batch, hidden), dtype=dtype)
     reused = None if need_cache else step_buffers()
     caches = []
     # a saturated gate overflows exp() harmlessly: 1 / (1 + inf) is 0
     with np.errstate(over="ignore"):
-        for a_x_t in a_x.transpose(1, 0, 2):
+        for a_x_t in a_x:
             ifo, i, f, o, g, c_new, tc, h_new = reused or step_buffers()
             np.matmul(h, w_h, out=a)
             np.add(a_x_t, a, out=a)
@@ -234,16 +281,18 @@ def _forward_seq(params: dict, x: np.ndarray, need_cache: bool = False):
     return y, h, caches
 
 
-def _loss_and_grads(params: dict, x: np.ndarray, y_true: np.ndarray, scale: float):
+def _loss_and_grads(params: dict, chunk: _Chunk, scale: float):
     """Squared-error loss and gradients for one chunk.
 
     ``scale`` is 1 / (pairs in the batch * length); summing the batch's chunk
     contributions reproduces its mean loss and gradient.  Overflow is not
     trapped here; the train loop's finite checks abort a diverging run.
     """
-    batch, steps, length = x.shape
-    hidden = params["w_h"].shape[0]
-    y, h_last, caches = _forward_seq(params, x, need_cache=True)
+    rows, idx, passes, y_true = chunk
+    steps = idx.shape[1]
+    w_h = params["w_h"]
+    hidden = w_h.shape[0]
+    y, h_last, caches = _forward_seq(params, rows, idx, need_cache=True)
     diff = y - y_true
     loss = float(np.sum(diff * diff)) * scale
 
@@ -251,26 +300,30 @@ def _loss_and_grads(params: dict, x: np.ndarray, y_true: np.ndarray, scale: floa
     grads = {
         "v_out": d_y.T @ h_last,
         "b_out": d_y.sum(axis=0),
-        "w_h": np.zeros_like(params["w_h"]),
+        "w_h": np.zeros_like(w_h),
         "b": np.zeros_like(params["b"]),
     }
     dh = d_y @ params["v_out"]
-    dc = np.zeros((batch, hidden), dtype=x.dtype)
-    d_a = np.empty((batch, steps, 4 * hidden), dtype=x.dtype)
+    dc = np.zeros_like(h_last)
+    da = np.empty((len(idx), 4 * hidden), dtype=rows.dtype)
+    # gradient of each distinct curve's projection, summed over the windows
+    # and positions that hold it
+    d_rows = np.zeros((len(rows), 4 * hidden), dtype=rows.dtype)
     for t in reversed(range(steps)):
         i, f, o, g, c_prev, tc, h_prev = caches[t]
         do = dh * tc
         dc = dc + dh * o * (1.0 - tc * tc)
-        da = d_a[:, t, :]
         da[:, :hidden] = dc * g * i * (1.0 - i)
         da[:, hidden:2 * hidden] = dc * c_prev * f * (1.0 - f)
         da[:, 2 * hidden:3 * hidden] = do * o * (1.0 - o)
         da[:, 3 * hidden:] = dc * i * (1.0 - g * g)
         grads["w_h"] += h_prev.T @ da
         grads["b"] += da.sum(axis=0)
-        dh = da @ params["w_h"].T
+        for sel, cols in passes[t]:
+            d_rows[cols] += da[sel]
+        dh = da @ w_h.T
         dc = dc * f
-    grads["w_x"] = x.reshape(batch * steps, length).T @ d_a.reshape(batch * steps, 4 * hidden)
+    grads["w_x"] = rows.T @ d_rows
     # in parameter order, the order in which the clip sums the squares
     return loss, {k: grads[k] for k in params}
 
@@ -363,16 +416,13 @@ def _check_pairs(pairs: list[SupervisedPair]):
     return window, length
 
 
-def _dataset_loss(params, matrix, win_idx, tgt_idx, length) -> float:
+def _dataset_loss(params, chunks: list[_Chunk]) -> float:
     total = 0.0
-    n = win_idx.shape[0]
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        x = matrix[win_idx[lo:hi]]
-        y, _, _ = _forward_seq(params, x)
-        diff = y - matrix[tgt_idx[lo:hi]]
+    for chunk in chunks:
+        y, _, _ = _forward_seq(params, chunk.rows, chunk.idx)
+        diff = y - chunk.target
         total += float(np.sum(diff * diff))
-    return total / (n * length)
+    return total / sum(chunk.target.size for chunk in chunks)
 
 
 def train(
@@ -409,7 +459,7 @@ def train(
             raise ValueError("validation pairs do not match training dimensions")
         v_curves, v_win, v_tgt = _index_pairs(val_pairs)
         v_raw = np.stack([c.samples for c in v_curves])
-        val_set = (((v_raw - norm_mean) / norm_scale).astype(dtype), v_win, v_tgt)
+        val_set = _chunks(((v_raw - norm_mean) / norm_scale).astype(dtype), v_win, v_tgt)
 
     rng = np.random.default_rng(config.seed)
     params = _init_params(length, config.hidden, rng, dtype)
@@ -417,6 +467,10 @@ def train(
 
     n = len(pairs)
     batch = config.batch_size or n
+    # (pairs, chunks) of each batch, built once for every epoch
+    batches = [(min(batch, n - start),
+                _chunks(matrix, win_idx[start:start + batch], tgt_idx[start:start + batch]))
+               for start in range(0, n, batch)]
 
     train_losses: list[float] = []
     val_losses: list[float] = []
@@ -428,16 +482,12 @@ def train(
         for epoch in range(config.epochs):
             t_epoch = time.perf_counter()
             loss = norm = 0.0
-            for start in range(0, n, batch):
-                stop = min(start + batch, n)
-                scale = 1.0 / ((stop - start) * length)
+            for size, chunks in batches:
+                scale = 1.0 / (size * length)
                 acc = None
-                for lo in range(start, stop, _CHUNK):
-                    hi = min(lo + _CHUNK, stop)
-                    part, grads = _loss_and_grads(
-                        params, matrix[win_idx[lo:hi]], matrix[tgt_idx[lo:hi]], scale
-                    )
-                    loss += part * ((stop - start) / n)
+                for chunk in chunks:
+                    part, grads = _loss_and_grads(params, chunk, scale)
+                    loss += part * (size / n)
                     if acc is None:
                         acc = grads
                     else:
@@ -454,7 +504,7 @@ def train(
 
             train_losses.append(loss)
             if val_set is not None:
-                val_losses.append(_dataset_loss(params, *val_set, length))
+                val_losses.append(_dataset_loss(params, val_set))
             else:
                 val_losses.append(loss)
             grad_norms.append(norm)
@@ -508,8 +558,8 @@ def forward_samples(model: ForecastModel, window_matrix: np.ndarray) -> np.ndarr
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite value in forecaster input")
     dtype = np.dtype(model.meta.get("dtype", "float64"))
-    normed = model.normalize(x).astype(dtype)[np.newaxis]
-    y, _, _ = _forward_seq(model.params(), normed)
+    normed = model.normalize(x).astype(dtype)
+    y, _, _ = _forward_seq(model.params(), normed, np.arange(model.window)[np.newaxis])
     return model.denormalize(y[0].astype(np.float64))
 
 
@@ -549,15 +599,15 @@ def gradient_check(
     cost.  When ``tolerance`` is given, a failure raises AssertionError.
     """
     params = {k: p.astype(np.float64).copy() for k, p in model.params().items()}
-    x = model.normalize(pair.window.as_matrix())[np.newaxis]
-    y_true = model.normalize(pair.target.samples)[np.newaxis]
-    scale = 1.0 / y_true.size
+    curves, win_idx, tgt_idx = _index_pairs([pair])
+    (chunk,) = _chunks(model.normalize(np.stack([c.samples for c in curves])), win_idx, tgt_idx)
+    scale = 1.0 / chunk.target.size
 
-    _, analytic = _loss_and_grads(params, x, y_true, scale)
+    _, analytic = _loss_and_grads(params, chunk, scale)
 
     def loss_at() -> float:
-        y, _, _ = _forward_seq(params, x)
-        d = y - y_true
+        y, _, _ = _forward_seq(params, chunk.rows, chunk.idx)
+        d = y - chunk.target
         return float(np.sum(d * d)) * scale
 
     worst = 0.0
@@ -620,7 +670,7 @@ def save_model(model: ForecastModel, path):
 
 def load_model(path) -> ForecastModel:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_text(path) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"not a valid weights file: {exc.msg}") from exc
@@ -644,6 +694,14 @@ def load_model(path) -> ForecastModel:
             name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
             for name, entry in doc["parameters"].items()
         }
+        norm_mean = np.asarray(norm["mean"], dtype=np.float64)
+        norm_scale = np.asarray(norm["scale"], dtype=np.float64)
+        # json reads NaN and Infinity, which no trained model holds
+        blocks = {**{f"parameters.{name}": block for name, block in raw.items()},
+                  "normalization.mean": norm_mean, "normalization.scale": norm_scale}
+        for name, block in blocks.items():
+            if not np.all(np.isfinite(block)):
+                raise ValueError(f"{name} holds a non-finite value")
         # each per-gate block exactly as saved, so none can broadcast
         for prefix, shape in {"w": (hidden, length), "u": (hidden, hidden), "b": (hidden,)}.items():
             for name in (f"{prefix}_{gate}" for gate in GATES):
@@ -664,8 +722,8 @@ def load_model(path) -> ForecastModel:
             b=b.astype(dtype),
             v_out=raw["v_out"].astype(dtype),
             b_out=raw["b_out"].astype(dtype),
-            norm_mean=np.asarray(norm["mean"], dtype=np.float64),
-            norm_scale=np.asarray(norm["scale"], dtype=np.float64),
+            norm_mean=norm_mean,
+            norm_scale=norm_scale,
             window=window,
             meta={"format_version": MODEL_FORMAT_VERSION, **hyper,
                   "input_order": doc.get("input_order", "oldest_first")},

@@ -22,7 +22,7 @@ from .classifier import ClassifierReference, classify, decision_kind
 from .comparator import DistancePair, Thresholds
 from .curvegen import CurveKind
 from .dataio import (BOOLEAN, INTEGER, NUMBER, OPTIONAL_BOOLEAN, OPTIONAL_STRING, STRING,
-                     CurveWindow, json_field)
+                     CurveWindow, json_field, open_text)
 
 REASON_VALIDATED = "VALIDATED"
 REASON_UNEXPECTED_HEALTHY = "FIG4_1"
@@ -210,7 +210,7 @@ def write_reports(path, reports: list[InvestigationReport]):
 def read_reports(path) -> list[InvestigationReport]:
     """Parse an NDJSON report stream; a bad line raises ReportFormatError."""
     reports = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for n, line in enumerate(fh, start=1):
             if line.strip():
                 try:

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import re
 from pathlib import Path
 
@@ -665,8 +666,27 @@ def test_file_that_is_not_utf8_is_an_io_error(workdir, fixture_reports, tmp_path
     argv = (["report", str(bad)] if flag is None
             else _argv("run", root, cfg, tmp_path / "r.ndjson") + [flag, str(bad)])
     assert main(argv) == 3
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
     assert not (tmp_path / "r.ndjson").exists()
+
+
+@pytest.mark.parametrize("path, value", [
+    (("parameters", "b_out", "data", 3), math.nan),
+    (("parameters", "w_forget", "data", 0), math.inf),
+    (("normalization", "scale", 7), -math.inf),
+    (("normalization", "mean", 0), math.nan),
+], ids=["nan-b_out", "inf-w_forget", "neg-inf-scale", "nan-mean"])
+def test_non_finite_weight_is_a_schema_error_naming_its_block(workdir, tmp_path, capsys,
+                                                             path, value):
+    root, cfg = workdir
+    doc = json.loads((root / "model.json").read_text())
+    _set(doc, path, value)
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    assert main(_reading_argv("weights", root, cfg, bad, tmp_path / "t.json")) == 3
+    assert f"{path[0]}.{path[1]} holds a non-finite value" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
 
 
 def _set(doc, path, value):
@@ -710,7 +730,10 @@ def _nodes(doc, path=()) -> list[tuple]:
 
 
 def _json_type(value) -> str:
-    """JSON type name; int and float are one type, a boolean is its own."""
+    """JSON type name; int and float are one type, a boolean is its own, and
+    NaN and the infinities, which Python's json reads and writes, are another."""
+    if type(value) is float and not math.isfinite(value):
+        return "non-finite"
     return {bool: "boolean", int: "number", float: "number", str: "string", list: "array",
             dict: "object", type(None): "null"}[type(value)]
 
@@ -731,6 +754,7 @@ def _reading_argv(artifact, root, cfg, path, out) -> list[str]:
 
 _JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 300), st.floats(-1e3, 1e3), st.text(max_size=4),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
     st.lists(st.integers(0, 3), max_size=2), st.dictionaries(st.text(max_size=2), st.integers(),
                                                             max_size=2),
 )
@@ -752,6 +776,10 @@ _JSON_VALUES = st.one_of(
 @example(artifact="weights", pick=("parameters", "w_input"),
          value={"shape": [16, 1], "data": [0.0] * 16})
 @example(artifact="weights", pick=("format_version",), value=True)
+@example(artifact="weights", pick=("parameters", "b_out", "data", 3), value=math.nan)
+@example(artifact="weights", pick=("parameters", "w_forget", "data", 0), value=math.inf)
+@example(artifact="weights", pick=("normalization", "scale", 7), value=-math.inf)
+@example(artifact="weights", pick=("normalization", "mean", 0), value=math.nan)
 def test_one_mutated_leaf_never_raises(workdir, fixture_reports, artifact, pick, value):
     """A valid artifact with one node replaced exits 0, 2 or 3, never 1.
 

@@ -206,6 +206,21 @@ def test_corpus_value_of_the_wrong_json_type_names_line_and_key(tmp_path, key, v
         read_corpus(path)
 
 
+@pytest.mark.parametrize("sample", ["600.5", True, None, [600.5]],
+                         ids=["string", "boolean", "null", "nested-array"])
+def test_corpus_sample_that_is_not_a_number_names_line_and_samples(tmp_path, sample):
+    corpus = generate_lifecycle(GeneratorConfig(length=32, operations=3, seed=1))
+    path = tmp_path / "corpus.ndjson"
+    write_corpus(path, corpus)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[2])
+    rec["samples"][5] = sample
+    lines[2] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusFormatError, match="line 3: samples must be a JSON array of numbers"):
+        read_corpus(path)
+
+
 def test_corpus_tamper_flag_may_be_null_or_absent(tmp_path):
     corpus = generate_lifecycle(GeneratorConfig(length=32, operations=2, seed=1))
     path = tmp_path / "corpus.ndjson"

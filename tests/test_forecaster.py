@@ -11,7 +11,7 @@ import pytest
 
 from turnoutguard import forecaster
 from turnoutguard.curvegen import GeneratorConfig, PowerCurve, generate_lifecycle
-from turnoutguard.dataio import CurveWindow, curves_digest, make_dataset
+from turnoutguard.dataio import CurveWindow, SupervisedPair, curves_digest, make_dataset
 from turnoutguard.forecaster import (
     GATES,
     AdamState,
@@ -19,8 +19,11 @@ from turnoutguard.forecaster import (
     ModelFormatError,
     TrainConfig,
     TrainingDiverged,
+    _chunks,
     _forward_seq,
+    _index_pairs,
     _init_params,
+    _loss_and_grads,
     clip_gradients,
     forward,
     forward_samples,
@@ -62,6 +65,12 @@ def zero_model(length, hidden, window, bias=None, mean=None, scale=None):
         norm_scale=np.ones(length) if scale is None else scale,
         window=window,
     )
+
+
+def chunks_of(normalize, pairs):
+    """The training chunks of ``pairs``, their curves mapped through ``normalize``."""
+    curves, win_idx, tgt_idx = _index_pairs(pairs)
+    return _chunks(normalize(np.stack([c.samples for c in curves])), win_idx, tgt_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +197,10 @@ def test_forward_seq_equals_per_gate_reference_bit_for_bit(dtype, batch):
     rng = np.random.default_rng(3)
     x = rng.normal(0.0, 2.0, size=(batch, 9, 24)).astype(dtype)
     want_y, want_h, want_caches = per_gate_forward_seq(model.params(), x)
+    rows, idx = x.reshape(batch * 9, 24), np.arange(batch * 9).reshape(batch, 9)
     # without caches every step reuses one set of buffers
     for need_cache in (True, False):
-        y, h, caches = _forward_seq(model.params(), x, need_cache=need_cache)
+        y, h, caches = _forward_seq(model.params(), rows, idx, need_cache=need_cache)
         assert same_bits(y, want_y) and same_bits(h, want_h)
         for got, want in zip(caches, want_caches if need_cache else [], strict=True):
             assert all(same_bits(g, w) for g, w in zip(got, want, strict=True))
@@ -198,8 +208,8 @@ def test_forward_seq_equals_per_gate_reference_bit_for_bit(dtype, batch):
 
 def test_gate_activations_stay_in_range():
     model = small_model(length=5, hidden=4, window=3, seed=2)
-    x = model.normalize(np.random.default_rng(0).uniform(0, 9, (3, 5)))[np.newaxis]
-    _, _, caches = _forward_seq(model.params(), x, need_cache=True)
+    rows = model.normalize(np.random.default_rng(0).uniform(0, 9, (3, 5)))
+    _, _, caches = _forward_seq(model.params(), rows, np.arange(3)[np.newaxis], need_cache=True)
     for i, f, o, g, c_prev, tc, h_prev in caches:
         for gate in (i, f, o):
             assert np.all(gate > 0.0) and np.all(gate < 1.0)
@@ -329,18 +339,92 @@ def test_perturbation_matches_first_order_taylor():
     curves = random_curves(3, 3, seed=14)
     pair = make_dataset(curves, 2)[0]
 
-    from turnoutguard.forecaster import _loss_and_grads
-
     params = {k: p.copy() for k, p in model.params().items()}
-    x = model.normalize(pair.window.as_matrix())[np.newaxis]
-    y = model.normalize(pair.target.samples)[np.newaxis]
-    scale = 1.0 / y.size
-    loss0, grads = _loss_and_grads(params, x, y, scale)
+    (chunk,) = chunks_of(model.normalize, [pair])
+    scale = 1.0 / chunk.target.size
+    loss0, grads = _loss_and_grads(params, chunk, scale)
 
     step = 1e-5
     params["v_out"][1, 1] += step
-    loss1, _ = _loss_and_grads(params, x, y, scale)
+    loss1, _ = _loss_and_grads(params, chunk, scale)
     assert loss1 - loss0 == pytest.approx(grads["v_out"][1, 1] * step, rel=1e-3)
+
+
+def gathered_reference_grads(params, x, y_true, scale):
+    """Gradients by BPTT over the gathered windows x (pairs, steps, length).
+
+    Every window position is its own input row, so the w_x gradient is the
+    product ``X.T @ dA`` of the gathered inputs and pre-activation gradients.
+    """
+    batch, steps, length = x.shape
+    hidden = params["w_h"].shape[0]
+    y, h_last, caches = per_gate_forward_seq(params, x)
+    d_y = (2.0 * scale) * (y - y_true)
+    grads = {"v_out": d_y.T @ h_last, "b_out": d_y.sum(axis=0),
+             "w_h": np.zeros_like(params["w_h"]), "b": np.zeros_like(params["b"])}
+    dh = d_y @ params["v_out"]
+    dc = np.zeros((batch, hidden), dtype=x.dtype)
+    d_a = np.empty((batch, steps, 4 * hidden), dtype=x.dtype)
+    for t in reversed(range(steps)):
+        i, f, o, g, c_prev, tc, h_prev = caches[t]
+        dc = dc + dh * o * (1.0 - tc * tc)
+        d_a[:, t] = np.concatenate([dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
+                                    dh * tc * o * (1.0 - o), dc * i * (1.0 - g * g)], axis=1)
+        grads["w_h"] += h_prev.T @ d_a[:, t]
+        grads["b"] += d_a[:, t].sum(axis=0)
+        dh = d_a[:, t] @ params["w_h"].T
+        dc = dc * f
+    grads["w_x"] = x.reshape(batch * steps, length).T @ d_a.reshape(batch * steps, 4 * hidden)
+    return grads
+
+
+def scattered_windows(n_pairs, window, seed):
+    """Pairs whose windows are not runs of consecutive curves and share curves
+    at the same position: each window draws its first curves from a pool of 8."""
+    rng = np.random.default_rng(seed)
+    pool = random_curves(70, 6, seed=seed)
+    pairs = []
+    for last in rng.integers(8, 69, n_pairs):
+        head = [pool[j] for j in rng.integers(0, 8, window - 1)]
+        pairs.append(SupervisedPair(CurveWindow(head + [pool[last]]), pool[last + 1]))
+    return pairs
+
+
+def duplicated_pair(n_pairs, window, seed):
+    pairs = make_dataset(random_curves(n_pairs + window, 6, seed=seed), window)
+    return pairs[:5] + [pairs[2]] * 3 + pairs[5:]
+
+
+def consecutive(n_pairs, window, seed):
+    return make_dataset(random_curves(n_pairs + window, 6, seed=seed), window)
+
+
+@pytest.mark.parametrize("dtype, rtol", [("float64", 1e-12), ("float32", 1e-5)])
+@pytest.mark.parametrize("pairs_of, n_pairs, n_chunks", [
+    (consecutive, 40, 1), (duplicated_pair, 30, 1), (scattered_windows, 40, 1),
+    (consecutive, forecaster._CHUNK + 27, 2),
+], ids=["make_dataset", "duplicated_pair", "not_consecutive", "chunk_boundary"])
+def test_deduplicated_w_x_gradient_matches_the_gathered_product(pairs_of, n_pairs, n_chunks,
+                                                                 dtype, rtol):
+    pairs = pairs_of(n_pairs, 5, seed=21)
+    chunks = chunks_of(lambda m: ((m - 5.0) / 2.3).astype(dtype), pairs)
+    assert len(chunks) == n_chunks
+    # make_dataset windows never repeat a curve at one position; the others do
+    single_pass = all(len(passes) == 1 for chunk in chunks for passes in chunk.passes)
+    assert single_pass == (pairs_of is consecutive)
+    params = _init_params(6, 3, np.random.default_rng(4), np.dtype(dtype))
+    scale = 1.0 / (len(pairs) * 6)
+    got = None
+    for chunk in chunks:
+        _, grads = _loss_and_grads(params, chunk, scale)
+        got = grads if got is None else {k: got[k] + grads[k] for k in got}
+    x = np.stack([p.window.as_matrix() for p in pairs])
+    y = np.stack([p.target.samples for p in pairs])
+    want = gathered_reference_grads(params, ((x - 5.0) / 2.3).astype(dtype),
+                                    ((y - 5.0) / 2.3).astype(dtype), scale)
+    for k, g in got.items():
+        assert g.dtype == want[k].dtype == np.dtype(dtype)
+        assert np.max(np.abs(g - want[k])) <= rtol * np.max(np.abs(want[k])), k
 
 
 def test_gradient_check_tolerance_raises():
@@ -382,15 +466,19 @@ def test_training_loss_decreases_on_structured_data():
     assert report.wall_seconds > 0.0
 
 
-def test_training_is_deterministic():
+def test_training_is_deterministic(tmp_path):
     corpus = generate_lifecycle(GeneratorConfig(length=16, operations=40, seed=6))
     pairs = make_dataset(corpus, 5)
-    config = TrainConfig(hidden=6, epochs=8, seed=42)
-    model_a, report_a = train(pairs, config)
-    model_b, report_b = train(pairs, config)
-    for k in model_a.params():
-        assert np.array_equal(model_a.params()[k], model_b.params()[k])
-    assert report_a.train_losses == report_b.train_losses
+    for k, extra in enumerate([{}, {"dtype": "float32", "batch_size": 16}]):
+        config = TrainConfig(hidden=6, epochs=8, seed=42, **extra)
+        model_a, report_a = train(pairs, config)
+        model_b, report_b = train(pairs, config)
+        for name in model_a.params():
+            assert np.array_equal(model_a.params()[name], model_b.params()[name])
+        assert report_a.train_losses == report_b.train_losses
+        save_model(model_a, tmp_path / f"a{k}.json")
+        save_model(model_b, tmp_path / f"b{k}.json")
+        assert (tmp_path / f"a{k}.json").read_bytes() == (tmp_path / f"b{k}.json").read_bytes()
 
 
 def test_minibatch_mode_trains_and_differs_from_full_batch():
