@@ -390,13 +390,13 @@ def scattered_windows(n_pairs, window, seed):
     return pairs
 
 
-def duplicated_pair(n_pairs, window, seed):
-    pairs = make_dataset(random_curves(n_pairs + window, 6, seed=seed), window)
-    return pairs[:5] + [pairs[2]] * 3 + pairs[5:]
-
-
 def consecutive(n_pairs, window, seed):
     return make_dataset(random_curves(n_pairs + window, 6, seed=seed), window)
+
+
+def duplicated_pair(n_pairs, window, seed):
+    pairs = consecutive(n_pairs, window, seed)
+    return pairs[:5] + [pairs[2]] * 3 + pairs[5:]
 
 
 @pytest.mark.parametrize("dtype, rtol", [("float64", 1e-12), ("float32", 1e-5)])
