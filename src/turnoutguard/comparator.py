@@ -23,7 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .classifier import ClassifierReference
 from .curvegen import PowerCurve
-from .dataio import INTEGER, NUMBER, SupervisedPair, json_field, open_text
+from .dataio import INTEGER, SupervisedPair, json_field, json_number, open_text
 from .forecaster import ForecastModel, forward_samples
 
 #: the warping kernel, recorded in run provenance
@@ -292,8 +292,8 @@ def load_thresholds(path) -> tuple[Thresholds, dict | None]:
     reference = doc.get("classifier_reference")
     try:
         th = Thresholds(
-            tau_euclidean=float(json_field(doc["tau_euclidean"], NUMBER, "tau_euclidean")),
-            tau_dtw=float(json_field(doc["tau_dtw"], NUMBER, "tau_dtw")),
+            tau_euclidean=json_number(doc["tau_euclidean"], "tau_euclidean"),
+            tau_dtw=json_number(doc["tau_dtw"], "tau_dtw"),
             calibration=doc.get("calibration", {}),
         )
         if not isinstance(th.calibration, dict):
@@ -301,6 +301,11 @@ def load_thresholds(path) -> tuple[Thresholds, dict | None]:
         band = th.calibration.get("band")
         if band is not None and (type(band) is not int or band < 0):
             raise ValueError(f"calibration band must be null or an integer >= 0, got {band!r}")
+        if "test_size" in th.calibration:
+            json_field(th.calibration["test_size"], INTEGER, "calibration test_size")
+        for key in ("percentile", "safety_factor"):
+            if key in th.calibration:
+                json_number(th.calibration[key], f"calibration {key}")
         digest = th.calibration.get("model_sha256")
         if digest is not None and not isinstance(digest, str):
             raise ValueError(f"calibration model_sha256 must be a string, got {digest!r}")

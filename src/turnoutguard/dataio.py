@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -48,6 +49,18 @@ def json_field(value, kind: tuple[str, tuple], name: str, error=ValueError):
     if type(value) not in types:
         raise error(f"{name} must be a JSON {wanted}, got {value!r}")
     return value
+
+
+def json_number(value, name: str) -> float:
+    """``value`` as a float if json.load gave it a finite number.
+
+    json.load also reads NaN, Infinity and -Infinity, which no file written
+    here holds; ValueError naming ``name`` for them as for a wrong type.
+    """
+    number = float(json_field(value, NUMBER, name))
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return number
 
 
 @contextmanager

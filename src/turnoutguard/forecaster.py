@@ -101,7 +101,13 @@ class TrainReport:
 
 @dataclass
 class ForecastModel:
-    """Single-layer LSTM plus linear readout and normalization stats."""
+    """Single-layer LSTM plus linear readout and normalization stats.
+
+    The seven arrays are read-only once wrapped, so a forecast can be kept
+    with the model: ``last_forecast`` holds the latest one of
+    ``forward_samples``, and ``dataclasses.replace`` starts a new model
+    without it.
+    """
 
     w_x: np.ndarray        # (length, 4*hidden) input weights, gate-stacked
     w_h: np.ndarray        # (hidden, 4*hidden) recurrent weights
@@ -112,6 +118,8 @@ class ForecastModel:
     norm_scale: np.ndarray # (length,) per-position scale, > 0
     window: int            # curves per input sequence
     meta: dict = field(default_factory=dict)
+    # (dtype and arrays it was made with, input window bytes, forecast)
+    last_forecast: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.norm_mean = np.asarray(self.norm_mean, dtype=np.float64)
@@ -126,6 +134,16 @@ class ForecastModel:
             raise ValueError("inconsistent readout shapes")
         if self.norm_mean.shape != (length,) or self.norm_scale.shape != (length,):
             raise ValueError("normalization stats do not match the curve length")
+        self._arrays()
+
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        """Every array a forecast reads, made read-only (one assigned after
+        construction too)."""
+        arrays = (self.w_x, self.w_h, self.b, self.v_out, self.b_out,
+                  self.norm_mean, self.norm_scale)
+        for array in arrays:
+            array.flags.writeable = False
+        return arrays
 
     @property
     def length(self) -> int:
@@ -548,7 +566,13 @@ def train(
 # ---------------------------------------------------------------------------
 
 def forward_samples(model: ForecastModel, window_matrix: np.ndarray) -> np.ndarray:
-    """Predict the next curve (raw watts) from a (window, length) matrix."""
+    """Predict the next curve (raw watts) from a (window, length) matrix.
+
+    The model keeps its latest forecast in ``last_forecast``.  An input equal
+    byte for byte to the latest one (a window frozen by rejections), read
+    through the same arrays and dtype, gets a copy of that forecast instead
+    of a second run of the recurrence.
+    """
     x = np.asarray(window_matrix, dtype=np.float64)
     if x.ndim != 2 or x.shape != (model.window, model.length):
         raise ValueError(
@@ -557,10 +581,18 @@ def forward_samples(model: ForecastModel, window_matrix: np.ndarray) -> np.ndarr
         )
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite value in forecaster input")
-    dtype = np.dtype(model.meta.get("dtype", "float64"))
-    normed = model.normalize(x).astype(dtype)
-    y, _, _ = _forward_seq(model.params(), normed, np.arange(model.window)[np.newaxis])
-    return model.denormalize(y[0].astype(np.float64))
+    dtype = model.meta.get("dtype", "float64")
+    arrays = model._arrays()
+    data = x.tobytes()
+    # bytes, not values: -0.0 equals 0.0 but may not forecast the same
+    memo = model.last_forecast
+    if (memo is None or memo[0] != dtype or memo[2] != data
+            or any(a is not b for a, b in zip(memo[1], arrays))):
+        normed = model.normalize(x).astype(np.dtype(dtype))
+        y, _, _ = _forward_seq(model.params(), normed, np.arange(model.window)[np.newaxis])
+        memo = model.last_forecast = (dtype, arrays, data,
+                                      model.denormalize(y[0].astype(np.float64)))
+    return memo[3].copy()
 
 
 def forward(model: ForecastModel, window: CurveWindow) -> PowerCurve:

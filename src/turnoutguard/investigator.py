@@ -21,8 +21,8 @@ from enum import Enum
 from .classifier import ClassifierReference, classify, decision_kind
 from .comparator import DistancePair, Thresholds
 from .curvegen import CurveKind
-from .dataio import (BOOLEAN, INTEGER, NUMBER, OPTIONAL_BOOLEAN, OPTIONAL_STRING, STRING,
-                     CurveWindow, json_field, open_text)
+from .dataio import (BOOLEAN, INTEGER, OPTIONAL_BOOLEAN, OPTIONAL_STRING, STRING,
+                     CurveWindow, json_field, json_number, open_text)
 
 REASON_VALIDATED = "VALIDATED"
 REASON_UNEXPECTED_HEALTHY = "FIG4_1"
@@ -181,10 +181,10 @@ class InvestigationReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "InvestigationReport":
-        """Inverse of ``to_dict``; ValueError names a field of the wrong JSON type."""
+        """Inverse of ``to_dict``; ValueError names a field of the wrong JSON type
+        or a non-finite number."""
         v = d["verdict"]
-        number = {k: float(json_field(d[k], NUMBER, k))
-                  for k in ("euclidean", "dtw", "tau_euclidean", "tau_dtw")}
+        number = {k: json_number(d[k], k) for k in ("euclidean", "dtw", "tau_euclidean", "tau_dtw")}
         return cls(
             op_index=json_field(d["op_index"], INTEGER, "op_index"),
             distances=DistancePair(number["euclidean"], number["dtw"]),

@@ -695,6 +695,33 @@ def _set(doc, path, value):
     doc[path[-1]] = value
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "neg-inf"])
+@pytest.mark.parametrize("artifact, path", [
+    ("reports", (1, "euclidean")),
+    ("reports", (1, "dtw")),
+    ("reports", (1, "tau_euclidean")),
+    ("reports", (1, "tau_dtw")),
+    ("thresholds", (0, "tau_euclidean")),
+    ("thresholds", (0, "tau_dtw")),
+    ("thresholds", (0, "calibration", "test_size")),
+    ("thresholds", (0, "calibration", "percentile")),
+    ("thresholds", (0, "calibration", "safety_factor")),
+], ids=lambda p: p if isinstance(p, str) else p[-1])
+def test_non_finite_report_or_threshold_number_is_a_schema_error(
+        workdir, fixture_reports, tmp_path, capsys, artifact, path, value):
+    """json.load reads NaN and the infinities, which no written file holds."""
+    root, cfg = workdir
+    docs = [json.loads(line) for line in (root / _MUTATED[artifact]).read_text().splitlines()]
+    _set(docs, path, value)
+    bad = tmp_path / "bad"
+    bad.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    assert main(_reading_argv(artifact, root, cfg, bad, tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{path[-1]} must be a" in err
+    assert artifact != "reports" or "line 2" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("path, value", [
     (("verdict", "reason"), 5),
     (("verdict", "rationale"), ["healthy"]),

@@ -1,5 +1,6 @@
 """Forecaster contracts: recurrence math, training, gradients, persistence."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -13,6 +14,7 @@ from turnoutguard import forecaster
 from turnoutguard.curvegen import GeneratorConfig, PowerCurve, generate_lifecycle
 from turnoutguard.dataio import CurveWindow, SupervisedPair, curves_digest, make_dataset
 from turnoutguard.forecaster import (
+    DTYPES,
     GATES,
     AdamState,
     ForecastModel,
@@ -699,3 +701,104 @@ def test_loaded_model_rejects_wrong_window(tmp_path):
     loaded = load_model(path)
     with pytest.raises(ValueError, match="expected window of 3"):
         forward(loaded, CurveWindow(random_curves(2, 4)))
+
+
+# ---------------------------------------------------------------------------
+# forecast of the latest window
+# ---------------------------------------------------------------------------
+
+ARRAYS = ("w_x", "w_h", "b", "v_out", "b_out", "norm_mean", "norm_scale")
+
+
+@pytest.fixture
+def recurrences(monkeypatch):
+    """Counts the recurrence runs behind forward_samples."""
+    calls = []
+    real = forecaster._forward_seq
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(forecaster, "_forward_seq", counting)
+    return calls
+
+
+def saved_model(tmp_path, dtype="float64"):
+    """A random model with normalization, written to and read back from a file."""
+    model = small_model(6, 3, 4, seed=2, dtype=dtype)
+    model = dataclasses.replace(model, norm_mean=np.linspace(-1.0, 2.0, 6),
+                                norm_scale=np.linspace(0.5, 3.0, 6))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    return path
+
+
+def a_window(seed=4):
+    x = np.random.default_rng(seed).normal(size=(4, 6))
+    x[1, 2] = 0.0
+    return x
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_repeated_window_gets_the_forecast_of_a_fresh_model(tmp_path, recurrences, dtype):
+    path = saved_model(tmp_path, dtype)
+    model = load_model(path)
+    first = forward_samples(model, a_window())
+    again = forward_samples(model, a_window())
+    assert len(recurrences) == 1
+    fresh = forward_samples(load_model(path), a_window())
+    assert again.tobytes() == first.tobytes() == fresh.tobytes()
+    assert dataclasses.replace(model).last_forecast is None
+
+
+@pytest.mark.parametrize("edit", [
+    lambda x: x.__setitem__((3, 5), np.nextafter(x[3, 5], np.inf)),
+    lambda x: x.__setitem__((0, 0), x[0, 0] + 1.0),
+    lambda x: x.__setitem__((1, 2), -0.0),
+], ids=["one-ulp", "first-sample", "zero-to-negative-zero"])
+def test_window_that_differs_in_one_sample_is_forecast_again(tmp_path, recurrences, edit):
+    path = saved_model(tmp_path)
+    model = load_model(path)
+    forward_samples(model, a_window())
+    other = a_window()
+    edit(other)
+    got = forward_samples(model, other)
+    assert len(recurrences) == 2
+    assert got.tobytes() == forward_samples(load_model(path), other).tobytes()
+
+
+@pytest.mark.parametrize("name", ARRAYS)
+def test_model_arrays_are_read_only(name):
+    model = small_model(6, 3, 4)
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(model, name)[0] = 1.0
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: setattr(m, "norm_mean", m.norm_mean + 1.0),
+    lambda m: setattr(m, "v_out", -m.v_out),
+    lambda m: m.meta.__setitem__("dtype", "float32"),
+], ids=["norm_mean", "v_out", "dtype"])
+def test_reassigned_array_or_dtype_is_forecast_again(tmp_path, recurrences, edit):
+    model = load_model(saved_model(tmp_path))
+    forward_samples(model, a_window())
+    edit(model)
+    got = forward_samples(model, a_window())
+    assert len(recurrences) == 2
+    rebuilt = dataclasses.replace(model, meta=dict(model.meta))
+    assert got.tobytes() == forward_samples(rebuilt, a_window()).tobytes()
+    # an array assigned after construction is read-only once it forecasts
+    assert not any(getattr(model, name).flags.writeable for name in ARRAYS)
+
+
+def test_returned_forecast_is_the_callers_to_change(tmp_path, recurrences):
+    model = load_model(saved_model(tmp_path))
+    first = forward_samples(model, a_window())
+    want = first.tobytes()
+    first[:] = -1.0
+    second = forward_samples(model, a_window())
+    assert second.tobytes() == want
+    second[0] = 5.0
+    assert forward_samples(model, a_window()).tobytes() == want
+    assert len(recurrences) == 1

@@ -1,19 +1,26 @@
 """Operation-phase loop: bootstrap, stepping, policies, determinism."""
 
+import json
+
 import numpy as np
 import pytest
 
+from turnoutguard import forecaster
 from turnoutguard.classifier import build_reference
-from turnoutguard.comparator import Thresholds
+from turnoutguard.comparator import Thresholds, calibrate
 from turnoutguard.curvegen import (
+    AttackKind,
+    AttackScenario,
     CurveKind,
     CurveLabel,
     GeneratorConfig,
     LabeledCurve,
     PowerCurve,
     generate_lifecycle,
+    inject_attack,
 )
-from turnoutguard.forecaster import ForecastModel
+from turnoutguard.dataio import make_dataset
+from turnoutguard.forecaster import ForecastModel, TrainConfig, load_model, save_model, train
 from turnoutguard.investigator import VerdictKind
 from turnoutguard.pipeline import Pipeline, PipelineConfig
 
@@ -207,3 +214,43 @@ def test_minor_transient_gets_no_suspicion(constant_world):
     report = pipe.step(lc)
     assert report.field_kind is CurveKind.MINOR_ANOMALY
     assert report.verdict.kind is VerdictKind.NO_SUSPICION
+
+
+def test_reused_forecasts_replay_a_model_reloaded_before_every_step(tmp_path, monkeypatch):
+    """A frozen window is forecast once; the reports equal, byte for byte,
+    those of a pipeline that reads its model from the weights file anew
+    before every step."""
+    cfg = GeneratorConfig(length=LENGTH, operations=160, seed=8)
+    corpus = generate_lifecycle(cfg)
+    for kind, start, end in [(AttackKind.SPURIOUS_FAILURE, 110, 117),
+                             (AttackKind.SPURIOUS_PRE_FAULT, 125, 134),
+                             (AttackKind.SPURIOUS_FAILURE, 145, 149)]:
+        corpus = inject_attack(corpus, AttackScenario(kind, start, end, seed=start), cfg)
+    model, _ = train(make_dataset(corpus[:80], WINDOW),
+                     TrainConfig(hidden=8, epochs=30, seed=2, dtype="float32"))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    thresholds = calibrate(load_model(path), make_dataset(corpus[80:100], WINDOW))
+    reference = build_reference(corpus[:80])
+    stream = corpus[100:]
+
+    recurrences = []
+    real = forecaster._forward_seq
+    monkeypatch.setattr(forecaster, "_forward_seq",
+                        lambda *args: recurrences.append(args) or real(*args))
+    one = Pipeline(load_model(path), thresholds, reference).bootstrap(corpus[:100])
+    reused = [json.dumps(one.step(lc).to_dict()) for lc in stream]
+
+    reloaded = Pipeline(load_model(path), thresholds, reference).bootstrap(corpus[:100])
+    replayed = []
+    for lc in stream:
+        reloaded.model = load_model(path)
+        replayed.append(json.dumps(reloaded.step(lc).to_dict()))
+    assert reused == replayed
+
+    # the window moves only on a validated step, so only the step after one
+    # (and the first) runs the recurrence
+    validated = [r.verdict.kind is VerdictKind.VALIDATED for r in one.reports]
+    assert len(recurrences) - len(stream) == 1 + sum(validated[:-1])
+    streaks = "".join(".x"[not v] for v in validated).split(".")
+    assert max(map(len, streaks)) >= 4 and sum(validated) >= 10
