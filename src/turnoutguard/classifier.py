@@ -121,8 +121,12 @@ class ClassifierReference:
                     "classifier reference mean and std must map each of "
                     f"{', '.join(FEATURE_NAMES)} to a finite number"
                 )
-        if not _finite(ref.n_reference):
-            raise ValueError("classifier reference n_reference must be a finite number")
+        for name, value in ref.std.items():
+            if value < 0.0:
+                raise ValueError(f"classifier reference std {name} must be >= 0, got {value}")
+        if type(ref.n_reference) is not int or ref.n_reference < 1:
+            raise ValueError("classifier reference n_reference must be an integer >= 1, "
+                             f"got {ref.n_reference!r}")
         return ref
 
 

@@ -302,10 +302,18 @@ def load_thresholds(path) -> tuple[Thresholds, dict | None]:
         if band is not None and (type(band) is not int or band < 0):
             raise ValueError(f"calibration band must be null or an integer >= 0, got {band!r}")
         if "test_size" in th.calibration:
-            json_field(th.calibration["test_size"], INTEGER, "calibration test_size")
-        for key in ("percentile", "safety_factor"):
-            if key in th.calibration:
-                json_number(th.calibration[key], f"calibration {key}")
+            test_size = json_field(th.calibration["test_size"], INTEGER, "calibration test_size")
+            if test_size < 1:
+                raise ValueError(f"calibration test_size must be >= 1, got {test_size}")
+        # the ranges calibrate() accepts
+        if "percentile" in th.calibration:
+            percentile = json_number(th.calibration["percentile"], "calibration percentile")
+            if not 0.0 < percentile <= 100.0:
+                raise ValueError(f"calibration percentile must lie in (0, 100], got {percentile}")
+        if "safety_factor" in th.calibration:
+            factor = json_number(th.calibration["safety_factor"], "calibration safety_factor")
+            if factor <= 0.0:
+                raise ValueError(f"calibration safety_factor must be > 0, got {factor}")
         digest = th.calibration.get("model_sha256")
         if digest is not None and not isinstance(digest, str):
             raise ValueError(f"calibration model_sha256 must be a string, got {digest!r}")

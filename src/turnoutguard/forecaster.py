@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .curvegen import OP_PERIOD_S, PowerCurve
 from .dataio import INTEGER, CurveWindow, SupervisedPair, curves_digest, json_field, open_text
@@ -198,16 +199,17 @@ def mse(predicted, target) -> float:
 class _Chunk(NamedTuple):
     """Up to ``_CHUNK`` pairs, with each curve of their windows stored once.
 
-    ``rows`` holds the distinct window curves and ``idx`` (pairs, steps)
-    indexes every window into them; ``target`` is the pairs' next curves.
-    ``passes[t]`` lists the (pair selector, row indices) scatters that add
-    position t's gradient into the rows.  A buffered ``d[cols] += v`` keeps
-    only the last of repeated indices, so no pass repeats a row: pairs whose
-    position t holds the same curve go to separate passes.
+    ``rows`` holds the distinct window curves and ``windows`` places every
+    window in them (see ``_forward_seq``); ``target`` is the pairs' next
+    curves.  ``passes[t]`` lists the (pair selector, row selector) scatters
+    that add position t's gradient into the rows.  A buffered
+    ``d[cols] += v`` keeps only the last of repeated indices, so no pass
+    repeats a row: pairs whose position t holds the same curve go to
+    separate passes.
     """
 
     rows: np.ndarray
-    idx: np.ndarray
+    windows: np.ndarray | int
     passes: list[list[tuple]]
     target: np.ndarray
 
@@ -229,54 +231,80 @@ def _chunks(matrix: np.ndarray, win_idx: np.ndarray, tgt_idx: np.ndarray) -> lis
     as chunks of at most ``_CHUNK``."""
     chunks = []
     for lo in range(0, len(win_idx), _CHUNK):
-        windows = win_idx[lo:lo + _CHUNK]
-        unique, inverse = np.unique(windows.ravel(), return_inverse=True)
-        idx = inverse.reshape(windows.shape)
-        chunks.append(_Chunk(matrix[unique], idx, [_scatter_passes(col) for col in idx.T],
-                             matrix[tgt_idx[lo:lo + _CHUNK]]))
+        unique, inverse = np.unique(win_idx[lo:lo + _CHUNK].ravel(), return_inverse=True)
+        idx = inverse.reshape(-1, win_idx.shape[1])
+        batch, steps = idx.shape
+        if np.array_equal(idx, np.arange(batch)[:, np.newaxis] + np.arange(steps)):
+            # window k is rows k ... k + steps - 1, as make_dataset gives them
+            windows = steps
+            passes = [[(slice(None), slice(t, t + batch))] for t in range(steps)]
+        else:
+            windows = idx
+            passes = [_scatter_passes(col) for col in idx.T]
+        chunks.append(_Chunk(matrix[unique], windows, passes, matrix[tgt_idx[lo:lo + _CHUNK]]))
     return chunks
 
 
-def _forward_seq(params: dict, rows: np.ndarray, idx: np.ndarray, need_cache: bool = False):
-    """Run the recurrence over the windows ``rows[idx]``.
+# per step and pair, the BPTT workspace keeps the gates i, f, o, g, then c, h
+_KEPT = 6
 
-    ``rows`` (curves, length) holds each input curve once and ``idx``
-    (batch, steps) picks every window's curves from it, so each curve is
-    projected by ``w_x`` once however many windows share it.  Returns
-    (readout, last_hidden, caches); caches hold per-step gate activations
-    when requested (for backprop and for gate-range checks).  Every step
-    writes its results into buffers: inference reuses one set for all steps,
-    while with ``need_cache`` each step gets fresh arrays that its cache
-    entry keeps.  The gate pre-activations ``a`` are scratch either way.
+
+def _workspace(steps: int, batch: int, hidden: int, dtype) -> np.ndarray:
+    """Flat buffer for the step values of a chunk of up to ``batch`` pairs."""
+    return np.empty(steps * _KEPT * batch * hidden, dtype=dtype)
+
+
+def _step_views(kept: np.ndarray) -> tuple:
+    """(ifo, i, f, o, g, c, h) of one step's (6, batch, hidden) values.
+
+    Gate-major, so the three sigmoid gates ifo are one contiguous block.
     """
-    batch, steps = idx.shape
+    return (kept[:3], *kept)
+
+
+def _forward_seq(params: dict, rows: np.ndarray, windows: np.ndarray | int,
+                 cache: np.ndarray | None = None):
+    """Run the recurrence over windows of the curves ``rows``.
+
+    ``rows`` (curves, length) holds each input curve once, so each curve is
+    projected by ``w_x`` once however many windows share it.  ``windows``
+    is a (batch, steps) index array into ``rows``, or the int ``steps``
+    when window k is rows k ... k + steps - 1; step t then reads its
+    pre-activations as a view of consecutive projected rows, not a gather.
+    Returns (readout, last_hidden).  With ``cache``, a (steps, 6, batch,
+    hidden) view of a BPTT workspace, step t writes its gates i, f, o, g,
+    its cell state c and its hidden state h into ``cache[t]`` for backprop;
+    otherwise every step reuses one set of buffers.  The gate
+    pre-activations ``a`` and tanh(c) are scratch either way.
+    """
     dtype = rows.dtype
     w_h = params["w_h"]
     hidden = w_h.shape[0]
     proj = rows @ params["w_x"]
     proj += params["b"]
-    a_x = proj[idx.T]   # (steps, batch, 4 * hidden)
-
-    def step_buffers():
-        # gate-major (3, batch, hidden) for the input, forget and output
-        # sigmoids, so each gate is a contiguous block, with its three gate
-        # views; then g, c, tanh(c), h
-        ifo = np.empty((3, batch, hidden), dtype=dtype)
-        return (ifo, *ifo, *np.empty((4, batch, hidden), dtype=dtype))
+    if isinstance(windows, np.ndarray):
+        batch, steps = windows.shape
+        a_x = (proj[col] for col in windows.T)
+    else:
+        steps, batch = windows, len(rows) - windows + 1
+        row, item = proj.strides
+        a_x = as_strided(proj, (steps, batch, 4 * hidden), (row, row, item), writeable=False)
 
     # an array operand costs less per call than a Python scalar
     ones = np.ones((3, batch, hidden), dtype=dtype)
     a = np.empty((batch, 4 * hidden), dtype=dtype)
     a_ifo = a[:, :3 * hidden].reshape(batch, 3, hidden).transpose(1, 0, 2)
     a_g = a[:, 3 * hidden:]
+    tc = np.empty((batch, hidden), dtype=dtype)
     h = np.zeros((batch, hidden), dtype=dtype)
     c = np.zeros((batch, hidden), dtype=dtype)
-    reused = None if need_cache else step_buffers()
-    caches = []
+    reused = None
+    if cache is None:
+        reused = _step_views(np.empty((_KEPT, batch, hidden), dtype=dtype))
     # a saturated gate overflows exp() harmlessly: 1 / (1 + inf) is 0
     with np.errstate(over="ignore"):
-        for a_x_t in a_x:
-            ifo, i, f, o, g, c_new, tc, h_new = reused or step_buffers()
+        for t, a_x_t in enumerate(a_x):
+            ifo, i, f, o, g, c_new, h_new = reused or _step_views(cache[t])
             np.matmul(h, w_h, out=a)
             np.add(a_x_t, a, out=a)
             # sigmoid 1 / (1 + exp(-a)) for three gates in one pass
@@ -292,25 +320,31 @@ def _forward_seq(params: dict, rows: np.ndarray, idx: np.ndarray, need_cache: bo
             np.add(c_new, tc, out=c_new)
             np.tanh(c_new, out=tc)
             np.multiply(o, tc, out=h_new)
-            if need_cache:
-                caches.append((i, f, o, g, c, tc, h))
             c, h = c_new, h_new
     y = h @ params["v_out"].T + params["b_out"]
-    return y, h, caches
+    return y, h
 
 
-def _loss_and_grads(params: dict, chunk: _Chunk, scale: float):
+def _loss_and_grads(params: dict, chunk: _Chunk, scale: float,
+                    workspace: np.ndarray | None = None):
     """Squared-error loss and gradients for one chunk.
 
     ``scale`` is 1 / (pairs in the batch * length); summing the batch's chunk
-    contributions reproduces its mean loss and gradient.  Overflow is not
-    trapped here; the train loop's finite checks abort a diverging run.
+    contributions reproduces its mean loss and gradient.  The step values go
+    into ``workspace`` (from ``_workspace``, for at least this many pairs;
+    a fresh one when None), and the backward pass recomputes tanh(c) from
+    the kept c.  Overflow is not trapped here; the train loop's finite
+    checks abort a diverging run.
     """
-    rows, idx, passes, y_true = chunk
-    steps = idx.shape[1]
+    rows, windows, passes, y_true = chunk
+    steps, batch = len(passes), len(y_true)
     w_h = params["w_h"]
     hidden = w_h.shape[0]
-    y, h_last, caches = _forward_seq(params, rows, idx, need_cache=True)
+    dtype = rows.dtype
+    if workspace is None:
+        workspace = _workspace(steps, batch, hidden, dtype)
+    cache = workspace[:steps * _KEPT * batch * hidden].reshape(steps, _KEPT, batch, hidden)
+    y, h_last = _forward_seq(params, rows, windows, cache)
     diff = y - y_true
     loss = float(np.sum(diff * diff)) * scale
 
@@ -322,25 +356,51 @@ def _loss_and_grads(params: dict, chunk: _Chunk, scale: float):
         "b": np.zeros_like(params["b"]),
     }
     dh = d_y @ params["v_out"]
-    dc = np.zeros_like(h_last)
-    da = np.empty((len(idx), 4 * hidden), dtype=rows.dtype)
+    dc = np.zeros((batch, hidden), dtype=dtype)
+    zero = np.zeros((batch, hidden), dtype=dtype)   # c and h before step 0
+    ones = np.ones((3, batch, hidden), dtype=dtype)
+    one_minus = np.empty((3, batch, hidden), dtype=dtype)
+    tc = np.empty((batch, hidden), dtype=dtype)
+    da = np.empty((batch, 4 * hidden), dtype=dtype)
+    # the input, forget and output blocks of da, gate-major like the cache
+    da_ifo = da[:, :3 * hidden].reshape(batch, 3, hidden).transpose(1, 0, 2)
+    da_i, da_f, da_o = da_ifo
+    da_g = da[:, 3 * hidden:]
+    d_w_h = np.empty_like(w_h)
     # gradient of each distinct curve's projection, summed over the windows
     # and positions that hold it
-    d_rows = np.zeros((len(rows), 4 * hidden), dtype=rows.dtype)
+    d_rows = np.zeros((len(rows), 4 * hidden), dtype=dtype)
     for t in reversed(range(steps)):
-        i, f, o, g, c_prev, tc, h_prev = caches[t]
-        do = dh * tc
-        dc = dc + dh * o * (1.0 - tc * tc)
-        da[:, :hidden] = dc * g * i * (1.0 - i)
-        da[:, hidden:2 * hidden] = dc * c_prev * f * (1.0 - f)
-        da[:, 2 * hidden:3 * hidden] = do * o * (1.0 - o)
-        da[:, 3 * hidden:] = dc * i * (1.0 - g * g)
-        grads["w_h"] += h_prev.T @ da
+        ifo, i, f, o, g, c, _ = _step_views(cache[t])
+        c_prev, h_prev = cache[t - 1, 4:] if t else (zero, zero)
+        # each gradient is multiplied left to right as it is written here,
+        # so it rounds the same whatever buffer holds it:
+        # do = dh * tanh(c), dc += dh * o * (1 - tanh(c)^2),
+        # da_i = dc * g * i * (1 - i), da_f = dc * c_prev * f * (1 - f),
+        # da_o = do * o * (1 - o), da_g = dc * i * (1 - g^2)
+        np.tanh(c, out=tc)
+        np.multiply(dh, tc, out=da_o)
+        np.multiply(tc, tc, out=tc)
+        np.subtract(ones[0], tc, out=tc)
+        np.multiply(dh, o, out=dh)   # dh is scratch until the step's last line
+        np.multiply(dh, tc, out=dh)
+        np.add(dc, dh, out=dc)
+        np.multiply(dc, g, out=da_i)
+        np.multiply(dc, c_prev, out=da_f)
+        np.multiply(da_ifo, ifo, out=da_ifo)
+        np.subtract(ones, ifo, out=one_minus)
+        np.multiply(da_ifo, one_minus, out=da_ifo)
+        np.multiply(g, g, out=tc)
+        np.subtract(ones[0], tc, out=tc)
+        np.multiply(dc, i, out=da_g)
+        np.multiply(da_g, tc, out=da_g)
+        np.matmul(h_prev.T, da, out=d_w_h)
+        grads["w_h"] += d_w_h
         grads["b"] += da.sum(axis=0)
-        for sel, cols in passes[t]:
-            d_rows[cols] += da[sel]
-        dh = da @ w_h.T
-        dc = dc * f
+        for sel, row_sel in passes[t]:
+            d_rows[row_sel] += da[sel]
+        np.matmul(da, w_h.T, out=dh)
+        np.multiply(dc, f, out=dc)
     grads["w_x"] = rows.T @ d_rows
     # in parameter order, the order in which the clip sums the squares
     return loss, {k: grads[k] for k in params}
@@ -368,12 +428,13 @@ class AdamState:
         bc1 = 1.0 - BETA1 ** self.t
         bc2 = 1.0 - BETA2 ** self.t
         for k, p in params.items():
-            g = grads[k]
-            self.m[k] = BETA1 * self.m[k] + (1.0 - BETA1) * g
-            self.v[k] = BETA2 * self.v[k] + (1.0 - BETA2) * (g * g)
-            m_hat = self.m[k] / bc1
-            v_hat = self.v[k] / bc2
-            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
+            g, m, v = grads[k], self.m[k], self.v[k]
+            # in place, in the order of m = BETA1 * m + (1 - BETA1) * g
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            p -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
@@ -437,7 +498,7 @@ def _check_pairs(pairs: list[SupervisedPair]):
 def _dataset_loss(params, chunks: list[_Chunk]) -> float:
     total = 0.0
     for chunk in chunks:
-        y, _, _ = _forward_seq(params, chunk.rows, chunk.idx)
+        y, _ = _forward_seq(params, chunk.rows, chunk.windows)
         diff = y - chunk.target
         total += float(np.sum(diff * diff))
     return total / sum(chunk.target.size for chunk in chunks)
@@ -489,6 +550,8 @@ def train(
     batches = [(min(batch, n - start),
                 _chunks(matrix, win_idx[start:start + batch], tgt_idx[start:start + batch]))
                for start in range(0, n, batch)]
+    # one BPTT workspace for every chunk, sized for the largest
+    workspace = _workspace(window, min(batch, n, _CHUNK), config.hidden, dtype)
 
     train_losses: list[float] = []
     val_losses: list[float] = []
@@ -504,7 +567,7 @@ def train(
                 scale = 1.0 / (size * length)
                 acc = None
                 for chunk in chunks:
-                    part, grads = _loss_and_grads(params, chunk, scale)
+                    part, grads = _loss_and_grads(params, chunk, scale, workspace)
                     loss += part * (size / n)
                     if acc is None:
                         acc = grads
@@ -589,7 +652,7 @@ def forward_samples(model: ForecastModel, window_matrix: np.ndarray) -> np.ndarr
     if (memo is None or memo[0] != dtype or memo[2] != data
             or any(a is not b for a, b in zip(memo[1], arrays))):
         normed = model.normalize(x).astype(np.dtype(dtype))
-        y, _, _ = _forward_seq(model.params(), normed, np.arange(model.window)[np.newaxis])
+        y, _ = _forward_seq(model.params(), normed, model.window)
         memo = model.last_forecast = (dtype, arrays, data,
                                       model.denormalize(y[0].astype(np.float64)))
     return memo[3].copy()
@@ -638,7 +701,7 @@ def gradient_check(
     _, analytic = _loss_and_grads(params, chunk, scale)
 
     def loss_at() -> float:
-        y, _, _ = _forward_seq(params, chunk.rows, chunk.idx)
+        y, _ = _forward_seq(params, chunk.rows, chunk.windows)
         d = y - chunk.target
         return float(np.sum(d * d)) * scale
 
@@ -718,6 +781,9 @@ def load_model(path) -> ForecastModel:
         hyper = doc["hyper"]
         window, length, hidden = (json_field(hyper[k], INTEGER, f"hyper.{k}")
                                    for k in ("window", "length", "hidden"))
+        for key, value in (("window", window), ("length", length), ("hidden", hidden)):
+            if value < 1:
+                raise ValueError(f"hyper.{key} must be >= 1, got {value}")
         dtype = hyper.get("dtype", "float64")
         if dtype not in DTYPES:
             raise ValueError(f"hyper.dtype must be one of {list(DTYPES)}, got {dtype!r}")

@@ -126,6 +126,9 @@ def test_reference_round_trip(reference):
     lambda d: d["std"].update(peak_amplitude="wide"),
     lambda d: d.update(n_reference=float("nan")),
     lambda d: d.update(mean=[1.0]),
+    lambda d: d["std"].update(peak_amplitude=-0.5),
+    lambda d: d.update(n_reference=0),
+    lambda d: d.update(n_reference=40.5),
 ])
 def test_reference_from_dict_rejects_a_bad_entry(reference, edit):
     d = reference.to_dict()

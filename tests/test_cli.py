@@ -576,6 +576,7 @@ def test_thresholds_of_format_version_1_is_a_schema_error(workdir, tmp_path, cap
 @pytest.mark.parametrize("key, value", [
     ("dtype", "int8"), ("dtype", "bool"), ("dtype", "float16"), ("dtype", "complex128"),
     ("window", "10"), ("hidden", 16.9), ("length", True),
+    ("window", 0), ("window", -3), ("length", 0), ("hidden", -1),
 ])
 def test_calibrate_refuses_a_weights_hyper_value_training_never_writes(
         workdir, tmp_path, capsys, key, value):
@@ -720,6 +721,31 @@ def test_non_finite_report_or_threshold_number_is_a_schema_error(
     assert err.startswith("error: ") and f"{path[-1]} must be a" in err
     assert artifact != "reports" or "line 2" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("classifier_reference", "std", "peak_amplitude"), -0.5, "std peak_amplitude must be >= 0"),
+    (("classifier_reference", "n_reference"), 0, "n_reference must be an integer >= 1"),
+    (("classifier_reference", "n_reference"), 40.5, "n_reference must be an integer >= 1"),
+    (("calibration", "percentile"), 0.0, "percentile must lie in (0, 100]"),
+    (("calibration", "percentile"), 100.5, "percentile must lie in (0, 100]"),
+    (("calibration", "safety_factor"), 0.0, "safety_factor must be > 0"),
+    (("calibration", "safety_factor"), -1.0, "safety_factor must be > 0"),
+    (("calibration", "test_size"), 0, "test_size must be >= 1"),
+], ids=["negative-std", "zero-n-reference", "fractional-n-reference", "zero-percentile",
+        "percentile-above-100", "zero-safety-factor", "negative-safety-factor", "zero-test-size"])
+def test_threshold_value_out_of_range_is_a_schema_error(workdir, tmp_path, capsys,
+                                                        path, value, message):
+    """Values of the right JSON type that calibrate never writes."""
+    root, cfg = workdir
+    doc = json.loads((root / "thresholds.json").read_text())
+    _set(doc, path, value)
+    bad = tmp_path / "t.json"
+    bad.write_text(json.dumps(doc))
+    assert main(_reading_argv("thresholds", root, cfg, bad, tmp_path / "r.ndjson")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "r.ndjson").exists()
 
 
 @pytest.mark.parametrize("path, value", [

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from turnoutguard.forecaster import (
     _index_pairs,
     _init_params,
     _loss_and_grads,
+    _scatter_passes,
     clip_gradients,
     forward,
     forward_samples,
@@ -159,6 +161,13 @@ def test_forward_matches_oracle_on_random_models():
         )
 
 
+def test_window_count_of_a_numpy_integer_forecasts_the_same():
+    model = small_model(length=5, hidden=3, window=4, seed=6)
+    numpy_window = dataclasses.replace(model, window=np.int64(4))
+    matrix = np.random.default_rng(7).uniform(0.0, 5.0, size=(4, 5))
+    assert forward_samples(numpy_window, matrix).tobytes() == forward_samples(model, matrix).tobytes()
+
+
 def per_gate_forward_seq(params, x):
     """Reference recurrence with one sigmoid call per gate."""
     hidden = params["w_h"].shape[0]
@@ -192,6 +201,12 @@ def same_bits(a, b):
         np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
 
 
+def kept_steps(steps, batch, hidden, dtype):
+    """A (steps, 6, batch, hidden) step cache, filled with NaN so no step goes unwritten."""
+    cache = np.full(steps * forecaster._KEPT * batch * hidden, np.nan, dtype=dtype)
+    return cache.reshape(steps, forecaster._KEPT, batch, hidden)
+
+
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("batch", [1, 7])
 def test_forward_seq_equals_per_gate_reference_bit_for_bit(dtype, batch):
@@ -200,23 +215,35 @@ def test_forward_seq_equals_per_gate_reference_bit_for_bit(dtype, batch):
     x = rng.normal(0.0, 2.0, size=(batch, 9, 24)).astype(dtype)
     want_y, want_h, want_caches = per_gate_forward_seq(model.params(), x)
     rows, idx = x.reshape(batch * 9, 24), np.arange(batch * 9).reshape(batch, 9)
-    # without caches every step reuses one set of buffers
-    for need_cache in (True, False):
-        y, h, caches = _forward_seq(model.params(), rows, idx, need_cache=need_cache)
+    # window k of a batch of one is rows k ... k + 8, so it can also be given
+    # as the step count; without a cache every step reuses one set of buffers
+    for windows, cache in [(idx, kept_steps(9, batch, 16, dtype)), (idx, None)] + (
+            [(9, kept_steps(9, batch, 16, dtype)), (9, None)] if batch == 1 else []):
+        y, h = _forward_seq(model.params(), rows, windows, cache)
         assert same_bits(y, want_y) and same_bits(h, want_h)
-        for got, want in zip(caches, want_caches if need_cache else [], strict=True):
+        if cache is None:
+            continue
+        # step t keeps i, f, o, g, c and h; c and h before step 0 are zero,
+        # and backprop recomputes tanh(c) from the kept c
+        zero = np.zeros((batch, 16), dtype=dtype)
+        for t, want in enumerate(want_caches):
+            i, f, o, g, c, _ = cache[t]
+            c_prev, h_prev = cache[t - 1, 4:] if t else (zero, zero)
+            got = (i, f, o, g, c_prev, np.tanh(c), h_prev)
             assert all(same_bits(g, w) for g, w in zip(got, want, strict=True))
+        assert same_bits(cache[-1, 5], want_h)
 
 
 def test_gate_activations_stay_in_range():
     model = small_model(length=5, hidden=4, window=3, seed=2)
     rows = model.normalize(np.random.default_rng(0).uniform(0, 9, (3, 5)))
-    _, _, caches = _forward_seq(model.params(), rows, np.arange(3)[np.newaxis], need_cache=True)
-    for i, f, o, g, c_prev, tc, h_prev in caches:
+    cache = kept_steps(3, 1, 4, rows.dtype)
+    _forward_seq(model.params(), rows, np.arange(3)[np.newaxis], cache)
+    for i, f, o, g, c, _ in cache:
         for gate in (i, f, o):
             assert np.all(gate > 0.0) and np.all(gate < 1.0)
         assert np.all(np.abs(g) < 1.0)
-        assert np.all(np.abs(tc) < 1.0)
+        assert np.all(np.abs(np.tanh(c)) < 1.0)
 
 
 def test_forward_rejects_bad_windows():
@@ -427,6 +454,83 @@ def test_deduplicated_w_x_gradient_matches_the_gathered_product(pairs_of, n_pair
     for k, g in got.items():
         assert g.dtype == want[k].dtype == np.dtype(dtype)
         assert np.max(np.abs(g - want[k])) <= rtol * np.max(np.abs(want[k])), k
+
+
+def chunk_as_index_arrays(chunk):
+    """``chunk`` of consecutive windows, read and scattered through index arrays."""
+    steps = len(chunk.passes)
+    idx = np.arange(len(chunk.target))[:, np.newaxis] + np.arange(steps)
+    return chunk._replace(windows=idx, passes=[_scatter_passes(col) for col in idx.T])
+
+
+def same_loss_and_grads(got, want):
+    (loss, grads), (want_loss, want_grads) = got, want
+    assert loss == want_loss
+    assert list(grads) == list(want_grads)
+    assert all(same_bits(grads[k], want_grads[k]) for k in grads)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_slice_and_index_paths_give_identical_gradients(dtype):
+    pairs = consecutive(forecaster._CHUNK + 27, 5, seed=8)
+    chunks = chunks_of(lambda m: ((m - 5.0) / 2.3).astype(dtype), pairs)
+    params = _init_params(6, 3, np.random.default_rng(4), np.dtype(dtype))
+    scale = 1.0 / (len(pairs) * 6)
+    for chunk in chunks:
+        # make_dataset windows read every position's rows through one slice
+        assert chunk.windows == 5
+        assert all(isinstance(rows, slice) for (_, rows), in chunk.passes)
+        indexed = chunk_as_index_arrays(chunk)
+        same_loss_and_grads(_loss_and_grads(params, chunk, scale),
+                            _loss_and_grads(params, indexed, scale))
+        y, h = _forward_seq(params, chunk.rows, chunk.windows)
+        y_idx, h_idx = _forward_seq(params, indexed.rows, indexed.windows)
+        assert same_bits(y, y_idx) and same_bits(h, h_idx)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("pairs_of", [consecutive, scattered_windows])
+def test_workspace_reused_from_a_larger_chunk_gives_a_fresh_workspaces_results(pairs_of, dtype):
+    """The last, shorter chunk of a batch runs in the front of the workspace."""
+    pairs = pairs_of(forecaster._CHUNK + 27, 5, seed=9)
+    big, small = chunks_of(lambda m: ((m - 5.0) / 2.3).astype(dtype), pairs)
+    params = _init_params(6, 3, np.random.default_rng(5), np.dtype(dtype))
+    scale = 1.0 / (len(pairs) * 6)
+    workspace = forecaster._workspace(5, forecaster._CHUNK, 3, dtype)
+    workspace[:] = np.nan
+    _loss_and_grads(params, big, scale, workspace)
+    same_loss_and_grads(_loss_and_grads(params, small, scale, workspace),
+                        _loss_and_grads(params, small, scale))
+    # and the larger chunk after the shorter one
+    same_loss_and_grads(_loss_and_grads(params, big, scale, workspace),
+                        _loss_and_grads(params, big, scale))
+
+
+def test_training_peak_memory_is_the_workspace_and_the_chunk_tables():
+    """Per-step caches or a (steps, batch, 4 * hidden) gather would exceed the bound.
+
+    Full-batch float64 training on 300 pairs of window 50 keeps its step
+    values in one workspace for the 256-pair chunk (4.9 MB) and its curves
+    in chunk tables built once.  Everything else a chunk allocates (the
+    projection and its gradient, the gate and gradient buffers, the
+    parameter-sized arrays) comes to about a sixth of the workspace; the
+    bound allows a quarter.  Fresh step arrays that the backward pass keeps
+    plus the gathered pre-activations add about 1.25 workspaces instead.
+    """
+    window, length, hidden = 50, 16, 8
+    pairs = make_dataset(random_curves(300 + window, length, seed=5), window)
+    tracemalloc.start()
+    try:
+        train(pairs, TrainConfig(hidden=hidden, epochs=1, seed=0), val_pairs=pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    workspace = forecaster._workspace(window, forecaster._CHUNK, hidden, np.float64).nbytes
+    curves = np.stack([c.samples for c in _index_pairs(pairs)[0]])
+    # raw and normalized curves, then the training and the validation chunks
+    tables = 2 * curves.nbytes + 2 * sum(chunk.rows.nbytes + chunk.target.nbytes
+                                         for chunk in chunks_of(lambda m: m, pairs))
+    assert peak <= workspace + tables + workspace // 4, (peak, workspace, tables)
 
 
 def test_gradient_check_tolerance_raises():
