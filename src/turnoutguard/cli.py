@@ -197,11 +197,14 @@ def cmd_calibrate(args, cfg) -> int:
     corpus = dataio.read_corpus(_require_file(args.corpus, "generate a corpus first"))
     model = forecaster.load_model(_require_file(args.model, "train a model first"))
     training_pairs = model.meta.get("training_pairs")
-    if not isinstance(training_pairs, int) or training_pairs < 1:
+    if training_pairs is None:
         raise ModelFormatError("weights file records no training_pairs; train the model again")
 
     # the test split starts where the model's training curves ended
     cut = training_pairs + model.window
+    if len(corpus) < cut:
+        raise UsageError(f"--corpus holds {len(corpus)} curves, fewer than the {cut} "
+                         "(training_pairs + window) the model was trained on")
     train_part, test_part = corpus[:cut], corpus[cut:]
     recorded = (("corpus_sha256", "corpus", train_part, f"its first {cut} curves"),
                 ("validation_sha256", "validation", test_part, f"its curves after the first {cut}"))

@@ -197,51 +197,24 @@ def mse(predicted, target) -> float:
 
 
 class _Chunk(NamedTuple):
-    """Up to ``_CHUNK`` pairs, with each curve of their windows stored once.
+    """Up to ``_CHUNK`` consecutive pairs, as views of the normalized curves.
 
-    ``rows`` holds the distinct window curves and ``windows`` places every
-    window in them (see ``_forward_seq``); ``target`` is the pairs' next
-    curves.  ``passes[t]`` lists the (pair selector, row selector) scatters
-    that add position t's gradient into the rows.  A buffered
-    ``d[cols] += v`` keeps only the last of repeated indices, so no pass
-    repeats a row: pairs whose position t holds the same curve go to
-    separate passes.
+    Window k is rows k ... k + steps - 1 and ``target`` row k the curve
+    after it, so each curve of the windows is stored once.
     """
 
     rows: np.ndarray
-    windows: np.ndarray | int
-    passes: list[list[tuple]]
+    steps: int
     target: np.ndarray
 
 
-def _scatter_passes(col: np.ndarray) -> list[tuple]:
-    """Split the pairs of one window position into passes without a repeated row."""
-    if np.unique(col).size == col.size:
-        return [(slice(None), col)]
-    # pass r takes the r-th pair of each row
-    rank = np.empty(col.size, dtype=np.intp)
-    seen: dict[int, int] = {}
-    for k, row in enumerate(col.tolist()):
-        rank[k] = seen[row] = seen.get(row, -1) + 1
-    return [(sel, col[sel]) for sel in (np.flatnonzero(rank == r) for r in range(rank.max() + 1))]
-
-
-def _chunks(matrix: np.ndarray, win_idx: np.ndarray, tgt_idx: np.ndarray) -> list[_Chunk]:
-    """The pairs ``win_idx``/``tgt_idx`` (indices into ``matrix``), in order,
-    as chunks of at most ``_CHUNK``."""
+def _chunks(matrix: np.ndarray, steps: int, start: int, stop: int) -> list[_Chunk]:
+    """Pairs ``start`` ... ``stop - 1`` of the consecutive curves ``matrix``,
+    in order, as chunks of at most ``_CHUNK``."""
     chunks = []
-    for lo in range(0, len(win_idx), _CHUNK):
-        unique, inverse = np.unique(win_idx[lo:lo + _CHUNK].ravel(), return_inverse=True)
-        idx = inverse.reshape(-1, win_idx.shape[1])
-        batch, steps = idx.shape
-        if np.array_equal(idx, np.arange(batch)[:, np.newaxis] + np.arange(steps)):
-            # window k is rows k ... k + steps - 1, as make_dataset gives them
-            windows = steps
-            passes = [[(slice(None), slice(t, t + batch))] for t in range(steps)]
-        else:
-            windows = idx
-            passes = [_scatter_passes(col) for col in idx.T]
-        chunks.append(_Chunk(matrix[unique], windows, passes, matrix[tgt_idx[lo:lo + _CHUNK]]))
+    for lo in range(start, stop, _CHUNK):
+        hi = min(lo + _CHUNK, stop)
+        chunks.append(_Chunk(matrix[lo:hi + steps - 1], steps, matrix[lo + steps:hi + steps]))
     return chunks
 
 
@@ -262,33 +235,28 @@ def _step_views(kept: np.ndarray) -> tuple:
     return (kept[:3], *kept)
 
 
-def _forward_seq(params: dict, rows: np.ndarray, windows: np.ndarray | int,
+def _forward_seq(params: dict, rows: np.ndarray, steps: int,
                  cache: np.ndarray | None = None):
-    """Run the recurrence over windows of the curves ``rows``.
+    """Run the recurrence over every window of ``steps`` consecutive curves.
 
-    ``rows`` (curves, length) holds each input curve once, so each curve is
-    projected by ``w_x`` once however many windows share it.  ``windows``
-    is a (batch, steps) index array into ``rows``, or the int ``steps``
-    when window k is rows k ... k + steps - 1; step t then reads its
-    pre-activations as a view of consecutive projected rows, not a gather.
-    Returns (readout, last_hidden).  With ``cache``, a (steps, 6, batch,
-    hidden) view of a BPTT workspace, step t writes its gates i, f, o, g,
-    its cell state c and its hidden state h into ``cache[t]`` for backprop;
-    otherwise every step reuses one set of buffers.  The gate
-    pre-activations ``a`` and tanh(c) are scratch either way.
+    Window k is rows k ... k + steps - 1 of ``rows`` (curves, length), so
+    each curve is projected by ``w_x`` once however many windows share it,
+    and step t reads its pre-activations as a view of consecutive projected
+    rows, not a gather.  Returns (readout, last_hidden).  With ``cache``, a
+    (steps, 6, batch, hidden) view of a BPTT workspace, step t writes its
+    gates i, f, o, g, its cell state c and its hidden state h into
+    ``cache[t]`` for backprop; otherwise every step reuses one set of
+    buffers.  The gate pre-activations ``a`` and tanh(c) are scratch either
+    way.
     """
     dtype = rows.dtype
     w_h = params["w_h"]
     hidden = w_h.shape[0]
     proj = rows @ params["w_x"]
     proj += params["b"]
-    if isinstance(windows, np.ndarray):
-        batch, steps = windows.shape
-        a_x = (proj[col] for col in windows.T)
-    else:
-        steps, batch = windows, len(rows) - windows + 1
-        row, item = proj.strides
-        a_x = as_strided(proj, (steps, batch, 4 * hidden), (row, row, item), writeable=False)
+    batch = len(rows) - steps + 1
+    row, item = proj.strides
+    a_x = as_strided(proj, (steps, batch, 4 * hidden), (row, row, item), writeable=False)
 
     # an array operand costs less per call than a Python scalar
     ones = np.ones((3, batch, hidden), dtype=dtype)
@@ -336,15 +304,15 @@ def _loss_and_grads(params: dict, chunk: _Chunk, scale: float,
     the kept c.  Overflow is not trapped here; the train loop's finite
     checks abort a diverging run.
     """
-    rows, windows, passes, y_true = chunk
-    steps, batch = len(passes), len(y_true)
+    rows, steps, y_true = chunk
+    batch = len(y_true)
     w_h = params["w_h"]
     hidden = w_h.shape[0]
     dtype = rows.dtype
     if workspace is None:
         workspace = _workspace(steps, batch, hidden, dtype)
     cache = workspace[:steps * _KEPT * batch * hidden].reshape(steps, _KEPT, batch, hidden)
-    y, h_last = _forward_seq(params, rows, windows, cache)
+    y, h_last = _forward_seq(params, rows, steps, cache)
     diff = y - y_true
     loss = float(np.sum(diff * diff)) * scale
 
@@ -367,8 +335,8 @@ def _loss_and_grads(params: dict, chunk: _Chunk, scale: float,
     da_i, da_f, da_o = da_ifo
     da_g = da[:, 3 * hidden:]
     d_w_h = np.empty_like(w_h)
-    # gradient of each distinct curve's projection, summed over the windows
-    # and positions that hold it
+    # gradient of each curve's projection, summed over the windows and
+    # positions that hold it: position t of window k is row t + k
     d_rows = np.zeros((len(rows), 4 * hidden), dtype=dtype)
     for t in reversed(range(steps)):
         ifo, i, f, o, g, c, _ = _step_views(cache[t])
@@ -397,8 +365,7 @@ def _loss_and_grads(params: dict, chunk: _Chunk, scale: float,
         np.matmul(h_prev.T, da, out=d_w_h)
         grads["w_h"] += d_w_h
         grads["b"] += da.sum(axis=0)
-        for sel, row_sel in passes[t]:
-            d_rows[row_sel] += da[sel]
+        d_rows[t:t + batch] += da
         np.matmul(da, w_h.T, out=dh)
         np.multiply(dc, f, out=dc)
     grads["w_x"] = rows.T @ d_rows
@@ -467,38 +434,33 @@ def _init_params(length: int, hidden: int, rng: np.random.Generator, dtype) -> d
     return {k: v.astype(dtype) for k, v in params.items()}
 
 
-def _index_pairs(pairs: list[SupervisedPair]):
-    """Deduplicate the curves behind the pairs into an op-ordered list plus indices."""
-    unique: dict[int, PowerCurve] = {}
-    for pair in pairs:
-        for curve in list(pair.window) + [pair.target]:
-            unique.setdefault(curve.op_index, curve)
-    curves = [unique[op] for op in sorted(unique)]
-    lookup = {c.op_index: k for k, c in enumerate(curves)}
-    win_idx = np.array(
-        [[lookup[c.op_index] for c in pair.window] for pair in pairs], dtype=np.intp
-    )
-    tgt_idx = np.array([lookup[pair.target.op_index] for pair in pairs], dtype=np.intp)
-    return curves, win_idx, tgt_idx
+def _curves(pairs: list[SupervisedPair]) -> list[PowerCurve]:
+    """The curves behind consecutive pairs of one corpus, in order.
 
-
-def _check_pairs(pairs: list[SupervisedPair]):
+    Pair k's window must be curves k ... k + window - 1 and its target
+    curve k + window, as ``make_dataset`` gives them.  Curves compare by
+    identity: pairs of two corpora never continue one another, whatever
+    their op indices.  ValueError otherwise, naming the pair.
+    """
     if not pairs:
         raise ValueError("no training pairs")
     window = pairs[0].window.size
-    length = len(pairs[0].target)
-    for pair in pairs:
+    curves = pairs[0].window.curves + [pair.target for pair in pairs]
+    for k, pair in enumerate(pairs):
         if pair.window.size != window:
             raise ValueError("pairs mix window sizes")
-        if len(pair.target) != length:
-            raise ValueError("pairs mix curve lengths")
-    return window, length
+        if any(a is not b for a, b in zip(pair.window, curves[k:k + window])):
+            raise ValueError(f"pair {k} does not follow pair {k - 1}: training takes "
+                             "consecutive windows of one corpus, as make_dataset gives them")
+    if any(len(c) != len(curves[0]) for c in curves):
+        raise ValueError("pairs mix curve lengths")
+    return curves
 
 
 def _dataset_loss(params, chunks: list[_Chunk]) -> float:
     total = 0.0
     for chunk in chunks:
-        y, _ = _forward_seq(params, chunk.rows, chunk.windows)
+        y, _ = _forward_seq(params, chunk.rows, chunk.steps)
         diff = y - chunk.target
         total += float(np.sum(diff * diff))
     return total / sum(chunk.target.size for chunk in chunks)
@@ -509,36 +471,39 @@ def train(
     config: TrainConfig | None = None,
     val_pairs: list[SupervisedPair] | None = None,
 ) -> tuple[ForecastModel, TrainReport]:
-    """Fit the forecaster on supervised pairs.
+    """Fit the forecaster on consecutive supervised pairs of one corpus.
 
-    Deterministic for a fixed seed: fixed initialization, fixed chunk and
-    batch order, no shuffling.  Each consecutive batch of ``batch_size``
-    pairs (all pairs with ``batch_size=None``) accumulates its gradient over
-    chunks of at most ``_CHUNK`` pairs, in fixed order, and then takes one
-    clipped Adam step.  When no validation pairs are given the reported
-    validation losses repeat the training losses.
+    ``pairs`` and ``val_pairs`` each are the windows of one run of curves,
+    as ``make_dataset`` gives them; a pair that does not follow the one
+    before it raises ValueError.  Deterministic for a fixed seed: fixed
+    initialization, fixed chunk and batch order, no shuffling.  Each
+    consecutive batch of ``batch_size`` pairs (all pairs with
+    ``batch_size=None``) accumulates its gradient over chunks of at most
+    ``_CHUNK`` pairs, in fixed order, and then takes one clipped Adam step.
+    When no validation pairs are given the reported validation losses
+    repeat the training losses.
     """
     config = config or TrainConfig()
-    window, length = _check_pairs(pairs)
     dtype = np.dtype(config.dtype)
     t0 = time.perf_counter()
 
-    curves, win_idx, tgt_idx = _index_pairs(pairs)
+    curves = _curves(pairs)
+    window, length = pairs[0].window.size, len(curves[0])
     raw = np.stack([c.samples for c in curves])
     norm_mean = raw.mean(axis=0)
     std = raw.std(axis=0)
     tol = _SCALE_RTOL * np.maximum(np.abs(norm_mean), 1.0)
     norm_scale = np.where(std <= tol, 1.0, std)
     matrix = ((raw - norm_mean) / norm_scale).astype(dtype)
+    del raw   # every epoch reads the normalized copy only
 
     val_set = None
     if val_pairs is not None:
-        v_window, v_length = _check_pairs(val_pairs)
-        if (v_window, v_length) != (window, length):
+        v_curves = _curves(val_pairs)
+        if (val_pairs[0].window.size, len(v_curves[0])) != (window, length):
             raise ValueError("validation pairs do not match training dimensions")
-        v_curves, v_win, v_tgt = _index_pairs(val_pairs)
-        v_raw = np.stack([c.samples for c in v_curves])
-        val_set = _chunks(((v_raw - norm_mean) / norm_scale).astype(dtype), v_win, v_tgt)
+        v_matrix = ((np.stack([c.samples for c in v_curves]) - norm_mean) / norm_scale).astype(dtype)
+        val_set = _chunks(v_matrix, window, 0, len(val_pairs))
 
     rng = np.random.default_rng(config.seed)
     params = _init_params(length, config.hidden, rng, dtype)
@@ -547,8 +512,7 @@ def train(
     n = len(pairs)
     batch = config.batch_size or n
     # (pairs, chunks) of each batch, built once for every epoch
-    batches = [(min(batch, n - start),
-                _chunks(matrix, win_idx[start:start + batch], tgt_idx[start:start + batch]))
+    batches = [(min(batch, n - start), _chunks(matrix, window, start, min(start + batch, n)))
                for start in range(0, n, batch)]
     # one BPTT workspace for every chunk, sized for the largest
     workspace = _workspace(window, min(batch, n, _CHUNK), config.hidden, dtype)
@@ -694,14 +658,14 @@ def gradient_check(
     cost.  When ``tolerance`` is given, a failure raises AssertionError.
     """
     params = {k: p.astype(np.float64).copy() for k, p in model.params().items()}
-    curves, win_idx, tgt_idx = _index_pairs([pair])
-    (chunk,) = _chunks(model.normalize(np.stack([c.samples for c in curves])), win_idx, tgt_idx)
+    matrix = model.normalize(np.stack([c.samples for c in _curves([pair])]))
+    (chunk,) = _chunks(matrix, pair.window.size, 0, 1)
     scale = 1.0 / chunk.target.size
 
     _, analytic = _loss_and_grads(params, chunk, scale)
 
     def loss_at() -> float:
-        y, _ = _forward_seq(params, chunk.rows, chunk.windows)
+        y, _ = _forward_seq(params, chunk.rows, chunk.steps)
         d = y - chunk.target
         return float(np.sum(d * d)) * scale
 
@@ -779,11 +743,13 @@ def load_model(path) -> ForecastModel:
         )
     try:
         hyper = doc["hyper"]
-        window, length, hidden = (json_field(hyper[k], INTEGER, f"hyper.{k}")
-                                   for k in ("window", "length", "hidden"))
-        for key, value in (("window", window), ("length", length), ("hidden", hidden)):
-            if value < 1:
-                raise ValueError(f"hyper.{key} must be >= 1, got {value}")
+        counts = ["window", "length", "hidden"]
+        if "training_pairs" in hyper:   # calibrate says so when it is missing
+            counts.append("training_pairs")
+        for key in counts:
+            if json_field(hyper[key], INTEGER, f"hyper.{key}") < 1:
+                raise ValueError(f"hyper.{key} must be >= 1, got {hyper[key]}")
+        window, length, hidden = (hyper[k] for k in ("window", "length", "hidden"))
         dtype = hyper.get("dtype", "float64")
         if dtype not in DTYPES:
             raise ValueError(f"hyper.dtype must be one of {list(DTYPES)}, got {dtype!r}")

@@ -21,7 +21,7 @@ from turnoutguard.forecaster import AdamState, TrainConfig
 from turnoutguard.investigator import VerdictKind
 from turnoutguard.pipeline import Pipeline
 
-from test_forecaster import random_check_instance
+from gradient_cases import random_check_instance
 
 WINDOW = 50
 

@@ -417,6 +417,26 @@ def test_calibrate_refuses_a_corpus_that_differs_after_the_training_curves(
     assert not (tmp_path / "t.json").exists()
 
 
+@pytest.mark.parametrize("training_pairs, lines", [(100000, None), (None, 100)],
+                         ids=["model-trained-on-more", "corpus-cut-short"])
+def test_calibrate_refuses_a_corpus_shorter_than_the_models_training_curves(
+        workdir, tmp_path, capsys, training_pairs, lines):
+    root, cfg = workdir
+    doc = json.loads((root / "model.json").read_text())
+    doc["hyper"]["training_pairs"] = training_pairs or doc["hyper"]["training_pairs"]
+    (tmp_path / "m.json").write_text(json.dumps(doc))
+    corpus = (root / "corpus.ndjson").read_text().splitlines(keepends=True)
+    (tmp_path / "c.ndjson").write_text("".join(corpus[:lines]))
+    rc = main(["calibrate", "--config", str(cfg), "--corpus", str(tmp_path / "c.ndjson"),
+               "--model", str(tmp_path / "m.json"), "--out", str(tmp_path / "t.json")])
+    err = capsys.readouterr().err
+    cut = doc["hyper"]["training_pairs"] + WINDOW
+    assert rc == 2
+    assert err.startswith(f"error: --corpus holds {len(corpus[:lines])} curves, "
+                          f"fewer than the {cut} (training_pairs + window)")
+    assert not (tmp_path / "t.json").exists()
+
+
 def _calibrate_without(workdir, tmp_path, capsys, key, message):
     root, cfg = workdir
     doc = json.loads((root / "model.json").read_text())
@@ -577,6 +597,8 @@ def test_thresholds_of_format_version_1_is_a_schema_error(workdir, tmp_path, cap
     ("dtype", "int8"), ("dtype", "bool"), ("dtype", "float16"), ("dtype", "complex128"),
     ("window", "10"), ("hidden", 16.9), ("length", True),
     ("window", 0), ("window", -3), ("length", 0), ("hidden", -1),
+    ("training_pairs", True), ("training_pairs", "200"), ("training_pairs", 200.0),
+    ("training_pairs", 0), ("training_pairs", -5),
 ])
 def test_calibrate_refuses_a_weights_hyper_value_training_never_writes(
         workdir, tmp_path, capsys, key, value):

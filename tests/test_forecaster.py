@@ -23,11 +23,10 @@ from turnoutguard.forecaster import (
     TrainConfig,
     TrainingDiverged,
     _chunks,
+    _curves,
     _forward_seq,
-    _index_pairs,
     _init_params,
     _loss_and_grads,
-    _scatter_passes,
     clip_gradients,
     forward,
     forward_samples,
@@ -37,6 +36,8 @@ from turnoutguard.forecaster import (
     save_model,
     train,
 )
+
+from gradient_cases import random_check_instance
 
 
 def random_curves(n, length, seed=0, lo=1.0, hi=9.0):
@@ -73,8 +74,8 @@ def zero_model(length, hidden, window, bias=None, mean=None, scale=None):
 
 def chunks_of(normalize, pairs):
     """The training chunks of ``pairs``, their curves mapped through ``normalize``."""
-    curves, win_idx, tgt_idx = _index_pairs(pairs)
-    return _chunks(normalize(np.stack([c.samples for c in curves])), win_idx, tgt_idx)
+    matrix = normalize(np.stack([c.samples for c in _curves(pairs)]))
+    return _chunks(matrix, pairs[0].window.size, 0, len(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +213,13 @@ def kept_steps(steps, batch, hidden, dtype):
 def test_forward_seq_equals_per_gate_reference_bit_for_bit(dtype, batch):
     model = small_model(length=24, hidden=16, window=9, seed=batch, dtype=dtype)
     rng = np.random.default_rng(3)
-    x = rng.normal(0.0, 2.0, size=(batch, 9, 24)).astype(dtype)
+    # window k is rows k ... k + 8: the windows overlap in all but one row
+    rows = rng.normal(0.0, 2.0, size=(batch + 8, 24)).astype(dtype)
+    x = np.stack([rows[k:k + 9] for k in range(batch)])
     want_y, want_h, want_caches = per_gate_forward_seq(model.params(), x)
-    rows, idx = x.reshape(batch * 9, 24), np.arange(batch * 9).reshape(batch, 9)
-    # window k of a batch of one is rows k ... k + 8, so it can also be given
-    # as the step count; without a cache every step reuses one set of buffers
-    for windows, cache in [(idx, kept_steps(9, batch, 16, dtype)), (idx, None)] + (
-            [(9, kept_steps(9, batch, 16, dtype)), (9, None)] if batch == 1 else []):
-        y, h = _forward_seq(model.params(), rows, windows, cache)
+    # without a cache every step reuses one set of buffers
+    for cache in [kept_steps(9, batch, 16, dtype), None]:
+        y, h = _forward_seq(model.params(), rows, 9, cache)
         assert same_bits(y, want_y) and same_bits(h, want_h)
         if cache is None:
             continue
@@ -238,7 +238,7 @@ def test_gate_activations_stay_in_range():
     model = small_model(length=5, hidden=4, window=3, seed=2)
     rows = model.normalize(np.random.default_rng(0).uniform(0, 9, (3, 5)))
     cache = kept_steps(3, 1, 4, rows.dtype)
-    _forward_seq(model.params(), rows, np.arange(3)[np.newaxis], cache)
+    _forward_seq(model.params(), rows, 3, cache)
     for i, f, o, g, c, _ in cache:
         for gate in (i, f, o):
             assert np.all(gate > 0.0) and np.all(gate < 1.0)
@@ -321,35 +321,6 @@ def test_gradient_clipping_scales_to_the_norm():
 # gradient check
 # ---------------------------------------------------------------------------
 
-def random_check_instance(seed):
-    """Random small model plus a pair whose initial loss is ~1e-2.
-
-    Targets sit near the untrained prediction: the finite-difference noise
-    scales with the loss, so a moderate loss keeps the comparison above the
-    noise floor for every parameter element while still driving gradients
-    through all blocks.
-    """
-    rng = np.random.default_rng(seed)
-    length = int(rng.integers(2, 9))
-    hidden = int(rng.integers(1, 9))
-    window = int(rng.integers(1, 5))
-    params = _init_params(length, hidden, rng, np.float64)
-    model = ForecastModel(
-        **params,
-        norm_mean=np.full(length, 5.0),
-        norm_scale=np.full(length, 8.0 / math.sqrt(12.0)),
-        window=window,
-        meta={"dtype": "float64"},
-    )
-    curves = [
-        PowerCurve(rng.uniform(1.0, 9.0, length), k, 10.0 + k) for k in range(window)
-    ]
-    predicted = forward_samples(model, np.stack([c.samples for c in curves]))
-    target_raw = model.denormalize(model.normalize(predicted) + 0.1 * rng.normal(size=length))
-    curves.append(PowerCurve(np.clip(target_raw, 0.0, None), window, 10.0 + window))
-    return model, make_dataset(curves, window)[0]
-
-
 def test_gradient_check_on_random_small_models():
     for seed in range(5):
         model, pair = random_check_instance(seed)
@@ -428,19 +399,28 @@ def duplicated_pair(n_pairs, window, seed):
     return pairs[:5] + [pairs[2]] * 3 + pairs[5:]
 
 
+def two_corpora(n_pairs, window, seed):
+    """The pairs of two corpora whose op indices are the same, one after the other."""
+    return consecutive(n_pairs, window, seed) + consecutive(n_pairs, window, seed + 1)
+
+
 @pytest.mark.parametrize("dtype, rtol", [("float64", 1e-12), ("float32", 1e-5)])
 @pytest.mark.parametrize("pairs_of, n_pairs, n_chunks", [
-    (consecutive, 40, 1), (duplicated_pair, 30, 1), (scattered_windows, 40, 1),
-    (consecutive, forecaster._CHUNK + 27, 2),
-], ids=["make_dataset", "duplicated_pair", "not_consecutive", "chunk_boundary"])
+    (consecutive, 40, 1), (duplicated_pair, 30, None), (scattered_windows, 40, None),
+    (two_corpora, 20, None), (consecutive, forecaster._CHUNK + 27, 2),
+], ids=["make_dataset", "duplicated_pair", "not_consecutive", "two_corpora", "chunk_boundary"])
 def test_deduplicated_w_x_gradient_matches_the_gathered_product(pairs_of, n_pairs, n_chunks,
                                                                  dtype, rtol):
     pairs = pairs_of(n_pairs, 5, seed=21)
+    if n_chunks is None:
+        # windows that repeat or skip curves, or that start another corpus,
+        # are refused for training and for validation alike
+        for sets in ({"pairs": pairs}, {"pairs": consecutive(20, 5, seed=3), "val_pairs": pairs}):
+            with pytest.raises(ValueError, match=r"pair \d+ does not follow pair \d+"):
+                train(config=TrainConfig(hidden=3, epochs=1, dtype=dtype), **sets)
+        return
     chunks = chunks_of(lambda m: ((m - 5.0) / 2.3).astype(dtype), pairs)
     assert len(chunks) == n_chunks
-    # make_dataset windows never repeat a curve at one position; the others do
-    single_pass = all(len(passes) == 1 for chunk in chunks for passes in chunk.passes)
-    assert single_pass == (pairs_of is consecutive)
     params = _init_params(6, 3, np.random.default_rng(4), np.dtype(dtype))
     scale = 1.0 / (len(pairs) * 6)
     got = None
@@ -456,13 +436,6 @@ def test_deduplicated_w_x_gradient_matches_the_gathered_product(pairs_of, n_pair
         assert np.max(np.abs(g - want[k])) <= rtol * np.max(np.abs(want[k])), k
 
 
-def chunk_as_index_arrays(chunk):
-    """``chunk`` of consecutive windows, read and scattered through index arrays."""
-    steps = len(chunk.passes)
-    idx = np.arange(len(chunk.target))[:, np.newaxis] + np.arange(steps)
-    return chunk._replace(windows=idx, passes=[_scatter_passes(col) for col in idx.T])
-
-
 def same_loss_and_grads(got, want):
     (loss, grads), (want_loss, want_grads) = got, want
     assert loss == want_loss
@@ -471,28 +444,9 @@ def same_loss_and_grads(got, want):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-def test_slice_and_index_paths_give_identical_gradients(dtype):
-    pairs = consecutive(forecaster._CHUNK + 27, 5, seed=8)
-    chunks = chunks_of(lambda m: ((m - 5.0) / 2.3).astype(dtype), pairs)
-    params = _init_params(6, 3, np.random.default_rng(4), np.dtype(dtype))
-    scale = 1.0 / (len(pairs) * 6)
-    for chunk in chunks:
-        # make_dataset windows read every position's rows through one slice
-        assert chunk.windows == 5
-        assert all(isinstance(rows, slice) for (_, rows), in chunk.passes)
-        indexed = chunk_as_index_arrays(chunk)
-        same_loss_and_grads(_loss_and_grads(params, chunk, scale),
-                            _loss_and_grads(params, indexed, scale))
-        y, h = _forward_seq(params, chunk.rows, chunk.windows)
-        y_idx, h_idx = _forward_seq(params, indexed.rows, indexed.windows)
-        assert same_bits(y, y_idx) and same_bits(h, h_idx)
-
-
-@pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("pairs_of", [consecutive, scattered_windows])
-def test_workspace_reused_from_a_larger_chunk_gives_a_fresh_workspaces_results(pairs_of, dtype):
+def test_workspace_reused_from_a_larger_chunk_gives_a_fresh_workspaces_results(dtype):
     """The last, shorter chunk of a batch runs in the front of the workspace."""
-    pairs = pairs_of(forecaster._CHUNK + 27, 5, seed=9)
+    pairs = consecutive(forecaster._CHUNK + 27, 5, seed=9)
     big, small = chunks_of(lambda m: ((m - 5.0) / 2.3).astype(dtype), pairs)
     params = _init_params(6, 3, np.random.default_rng(5), np.dtype(dtype))
     scale = 1.0 / (len(pairs) * 6)
@@ -526,7 +480,7 @@ def test_training_peak_memory_is_the_workspace_and_the_chunk_tables():
     finally:
         tracemalloc.stop()
     workspace = forecaster._workspace(window, forecaster._CHUNK, hidden, np.float64).nbytes
-    curves = np.stack([c.samples for c in _index_pairs(pairs)[0]])
+    curves = np.stack([c.samples for c in _curves(pairs)])
     # raw and normalized curves, then the training and the validation chunks
     tables = 2 * curves.nbytes + 2 * sum(chunk.rows.nbytes + chunk.target.nbytes
                                          for chunk in chunks_of(lambda m: m, pairs))
