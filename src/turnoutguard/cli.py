@@ -78,7 +78,7 @@ SECTIONS = {
         "dtype": Key("dtype", str, choices=forecaster.DTYPES),
     },
     "calibrate": {
-        "percentile": Key("percentile", float, help="residual percentile (default: max)"),
+        "percentile": Key("percentile", float, help="residual percentile (default 100: the max)"),
         "safety_factor": Key("safety", float, help="safety factor on thresholds"),
         "band": Key("band", int, help="warping band radius"),
     },
@@ -93,7 +93,6 @@ SECTIONS = {
     "pipeline": {
         "start": Key("start", int, help="first op index treated as field data"),
         "alarm_after": Key("alarm_after", int),
-        "band": Key("band", int),
     },
 }
 
@@ -171,7 +170,11 @@ def cmd_train(args, cfg) -> int:
 
     train_part, test_part = dataio.split(corpus, fraction)
     train_pairs = dataio.make_dataset(train_part, window)
-    val_pairs = dataio.make_dataset(test_part, window) if len(test_part) > window else None
+    # calibrate tests on these curves, so a model must record their digest
+    if len(test_part) <= window:
+        raise UsageError(f"the test split holds {len(test_part)} curves, too few for a window "
+                         f"of {window} plus a target; lower --train-fraction or --window")
+    val_pairs = dataio.make_dataset(test_part, window)
 
     print(
         f"training on {len(train_pairs)} pairs (window {window}, hidden "
@@ -323,9 +326,9 @@ def cmd_run(args, cfg) -> int:
         raise UsageError(f"no operation with op_index >= {start} in the corpus")
     history, stream = corpus[:cut], corpus[cut:]
 
-    # default to the band the thresholds were calibrated with
-    options.setdefault("band", thresholds.calibration.get("band"))
-    pipe = Pipeline(model, thresholds, reference, PipelineConfig(**options)).bootstrap(history)
+    # distances compare against thresholds only under the band they were calibrated with
+    config = PipelineConfig(band=thresholds.calibration.get("band"), **options)
+    pipe = Pipeline(model, thresholds, reference, config).bootstrap(history)
 
     plot_dir = Path(args.plot_dir) if args.plot_dir else None
     if plot_dir:

@@ -193,19 +193,19 @@ def distance_pair(a, b, band: int | None = None) -> DistancePair:
 def calibrate(
     model: ForecastModel,
     test_pairs: list[SupervisedPair],
-    percentile: float | None = None,
+    percentile: float = 100.0,
     safety_factor: float = 1.0,
     band: int | None = None,
 ) -> Thresholds:
     """Derive acceptance thresholds from prediction residuals on test data.
 
     Runs the forecaster over every test window, measures both distances
-    between prediction and the true next curve, and takes the maximum of
-    each (or the given percentile), times the safety factor.
+    between prediction and the true next curve, and takes the given
+    percentile of each (by default 100, the maximum), times the safety factor.
     """
     if not test_pairs:
         raise ValueError("cannot calibrate on an empty test set")
-    if percentile is not None and not 0.0 < percentile <= 100.0:
+    if not 0.0 < percentile <= 100.0:
         raise ValueError("percentile must lie in (0, 100]")
     if safety_factor <= 0.0:
         raise ValueError("safety factor must be > 0")
@@ -217,13 +217,8 @@ def calibrate(
         eucl[k] = euclidean(predicted, pair.target)
         warp[k] = dtw(predicted, pair.target, band=band)
 
-    if percentile is None:
-        tau_e, tau_d = float(eucl.max()), float(warp.max())
-    else:
-        tau_e = float(np.percentile(eucl, percentile))
-        tau_d = float(np.percentile(warp, percentile))
-    tau_e *= safety_factor
-    tau_d *= safety_factor
+    tau_e = float(np.percentile(eucl, percentile)) * safety_factor
+    tau_d = float(np.percentile(warp, percentile)) * safety_factor
     if tau_e == 0.0 or tau_d == 0.0:
         warnings.warn(
             "calibrated threshold is zero; only exact matches will validate",
@@ -235,7 +230,7 @@ def calibrate(
         tau_dtw=tau_d,
         calibration={
             "test_size": len(test_pairs),
-            "percentile": 100.0 if percentile is None else percentile,
+            "percentile": percentile,
             "safety_factor": safety_factor,
             "band": band,
         },

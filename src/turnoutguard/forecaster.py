@@ -100,14 +100,19 @@ class TrainReport:
         }
 
 
-@dataclass
+# provenance a model carries in ``meta`` and its weights file in ``hyper``
+META_KEYS = ("seed", "epochs", "training_pairs", "corpus_sha256", "validation_sha256")
+
+
+@dataclass(frozen=True)
 class ForecastModel:
     """Single-layer LSTM plus linear readout and normalization stats.
 
-    The seven arrays are read-only once wrapped, so a forecast can be kept
-    with the model: ``last_forecast`` holds the latest one of
-    ``forward_samples``, and ``dataclasses.replace`` starts a new model
-    without it.
+    Immutable: no field can be reassigned and the seven arrays are read-only,
+    so ``last_forecast`` can hold the latest forecast of ``forward_samples``
+    keyed on its input alone; ``dataclasses.replace`` starts a new model
+    without it.  The forecasts run in the dtype of the weight arrays, and
+    ``meta`` records provenance only (the keys of ``META_KEYS``).
     """
 
     w_x: np.ndarray        # (length, 4*hidden) input weights, gate-stacked
@@ -119,12 +124,12 @@ class ForecastModel:
     norm_scale: np.ndarray # (length,) per-position scale, > 0
     window: int            # curves per input sequence
     meta: dict = field(default_factory=dict)
-    # (dtype and arrays it was made with, input window bytes, forecast)
-    last_forecast: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # [input window bytes, forecast] of the latest forward_samples call
+    last_forecast: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.norm_mean = np.asarray(self.norm_mean, dtype=np.float64)
-        self.norm_scale = np.asarray(self.norm_scale, dtype=np.float64)
+        for name in ("norm_mean", "norm_scale"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         if np.any(self.norm_scale <= 0.0):
             raise ValueError("normalization scale must be > 0")
         length, four_h = self.w_x.shape
@@ -135,16 +140,11 @@ class ForecastModel:
             raise ValueError("inconsistent readout shapes")
         if self.norm_mean.shape != (length,) or self.norm_scale.shape != (length,):
             raise ValueError("normalization stats do not match the curve length")
-        self._arrays()
-
-    def _arrays(self) -> tuple[np.ndarray, ...]:
-        """Every array a forecast reads, made read-only (one assigned after
-        construction too)."""
-        arrays = (self.w_x, self.w_h, self.b, self.v_out, self.b_out,
-                  self.norm_mean, self.norm_scale)
-        for array in arrays:
+        params = self.params().values()
+        if self.w_x.dtype.name not in DTYPES or any(p.dtype != self.w_x.dtype for p in params):
+            raise ValueError(f"parameters must share one dtype of {list(DTYPES)}")
+        for array in (*params, self.norm_mean, self.norm_scale):
             array.flags.writeable = False
-        return arrays
 
     @property
     def length(self) -> int:
@@ -557,26 +557,16 @@ def train(
             if config.target_val_mse is not None and val_losses[-1] < config.target_val_mse:
                 break
 
+    provenance = [config.seed, len(train_losses), n, curves_digest(curves)]
+    if val_set is not None:
+        provenance.append(curves_digest(v_curves))
     model = ForecastModel(
         **params,
         norm_mean=norm_mean,
         norm_scale=norm_scale,
         window=window,
-        meta={
-            "format_version": MODEL_FORMAT_VERSION,
-            "window": window,
-            "length": length,
-            "hidden": config.hidden,
-            "seed": config.seed,
-            "epochs": len(train_losses),
-            "dtype": config.dtype,
-            "input_order": "oldest_first",
-            "training_pairs": n,
-            "corpus_sha256": curves_digest(curves),
-        },
+        meta=dict(zip(META_KEYS, provenance)),
     )
-    if val_set is not None:
-        model.meta["validation_sha256"] = curves_digest(v_curves)
     report = TrainReport(
         train_losses=train_losses,
         val_losses=val_losses,
@@ -596,9 +586,8 @@ def forward_samples(model: ForecastModel, window_matrix: np.ndarray) -> np.ndarr
     """Predict the next curve (raw watts) from a (window, length) matrix.
 
     The model keeps its latest forecast in ``last_forecast``.  An input equal
-    byte for byte to the latest one (a window frozen by rejections), read
-    through the same arrays and dtype, gets a copy of that forecast instead
-    of a second run of the recurrence.
+    byte for byte to the latest one (a window frozen by rejections) gets a
+    copy of that forecast instead of a second run of the recurrence.
     """
     x = np.asarray(window_matrix, dtype=np.float64)
     if x.ndim != 2 or x.shape != (model.window, model.length):
@@ -608,18 +597,14 @@ def forward_samples(model: ForecastModel, window_matrix: np.ndarray) -> np.ndarr
         )
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite value in forecaster input")
-    dtype = model.meta.get("dtype", "float64")
-    arrays = model._arrays()
     data = x.tobytes()
-    # bytes, not values: -0.0 equals 0.0 but may not forecast the same
     memo = model.last_forecast
-    if (memo is None or memo[0] != dtype or memo[2] != data
-            or any(a is not b for a, b in zip(memo[1], arrays))):
-        normed = model.normalize(x).astype(np.dtype(dtype))
+    # bytes, not values: -0.0 equals 0.0 but may not forecast the same
+    if not memo or memo[0] != data:
+        normed = model.normalize(x).astype(model.w_x.dtype)
         y, _ = _forward_seq(model.params(), normed, model.window)
-        memo = model.last_forecast = (dtype, arrays, data,
-                                      model.denormalize(y[0].astype(np.float64)))
-    return memo[3].copy()
+        memo[:] = data, model.denormalize(y[0].astype(np.float64))
+    return memo[1].copy()
 
 
 def forward(model: ForecastModel, window: CurveWindow) -> PowerCurve:
@@ -705,11 +690,9 @@ def save_model(model: ForecastModel, path):
         "window": model.window,
         "length": model.length,
         "hidden": model.hidden,
-        "dtype": model.meta.get("dtype", str(model.w_x.dtype)),
+        "dtype": model.w_x.dtype.name,
     }
-    for key in ("seed", "epochs", "training_pairs", "corpus_sha256", "validation_sha256"):
-        if key in model.meta:
-            hyper[key] = model.meta[key]
+    hyper.update((key, model.meta[key]) for key in META_KEYS if key in model.meta)
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "hyper": hyper,
@@ -789,8 +772,7 @@ def load_model(path) -> ForecastModel:
             norm_mean=norm_mean,
             norm_scale=norm_scale,
             window=window,
-            meta={"format_version": MODEL_FORMAT_VERSION, **hyper,
-                  "input_order": doc.get("input_order", "oldest_first")},
+            meta={key: hyper[key] for key in META_KEYS if key in hyper},
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed weights file: {exc}") from exc

@@ -31,7 +31,6 @@ def random_check_instance(seed):
         norm_mean=np.full(length, 5.0),
         norm_scale=np.full(length, 8.0 / math.sqrt(12.0)),
         window=window,
-        meta={"dtype": "float64"},
     )
     curves = [
         PowerCurve(rng.uniform(1.0, 9.0, length), k, 10.0 + k) for k in range(window)

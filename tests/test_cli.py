@@ -296,6 +296,7 @@ def _argv(command, root, cfg, out):
     ("calibrate", {"calibrate": {"train_fraction": 0.8}}),
     ("run", {"pipeline": {"start": [140]}}),
     ("run", {"pipeline": {"start": 200, "policy": "freeze"}}),
+    ("run", {"pipeline": {"start": 200, "band": 3}}),
     ("generate", {"generator": [1]}),
     ("generate", {"generator": {"base_shape": {"foo": 1}}}),
     ("generate", {"generator": {"phases": [{"kind": "aging"}]}}),
@@ -309,7 +310,7 @@ def _argv(command, root, cfg, out):
 ], ids=["list-for-int", "float-for-int", "bool-for-int", "section-not-object", "dtype-out-of-choices",
         "zero-epochs", "zero-hidden", "negative-learning-rate", "negative-batch-size", "unknown-key",
         "unknown-section", "list-for-float", "removed-calibrate-split", "list-for-start",
-        "removed-policy-key", "generator-not-object", "unknown-base-shape-key",
+        "removed-policy-key", "removed-pipeline-band", "generator-not-object", "unknown-base-shape-key",
         "phase-without-range", "string-for-float", "unknown-phase-key", "unknown-failure-mode",
         "unknown-attack-kind"])
 def test_bad_config_is_a_usage_error(workdir, tmp_path, capsys, command, config):
@@ -454,6 +455,18 @@ def test_calibrate_needs_the_models_corpus_digest(workdir, tmp_path, capsys):
 
 def test_calibrate_needs_the_models_validation_digest(workdir, tmp_path, capsys):
     _calibrate_without(workdir, tmp_path, capsys, "validation_sha256", "validation digest")
+
+
+def test_train_refuses_a_test_split_too_short_to_calibrate_on(tmp_path, capsys):
+    corpus, model = tmp_path / "corpus.ndjson", tmp_path / "model.json"
+    assert main(["generate", "--operations", "60", "--length", "20",
+                 "--out", str(corpus)]) == 0
+    rc = main(["train", "--corpus", str(corpus), "--window", "12", "--epochs", "1",
+               "--out", str(model)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "12 curves" in err and "window of 12" in err
+    assert not model.exists()
 
 
 def test_run_refuses_a_model_the_thresholds_were_not_calibrated_for(workdir, tmp_path, capsys):

@@ -193,6 +193,16 @@ def test_calibrate_single_pair_returns_its_distances(trained_bundle):
     assert th.calibration["percentile"] == 100.0
 
 
+def test_default_thresholds_are_the_largest_residuals_bit_for_bit(trained_bundle):
+    model, pairs = trained_bundle
+    from turnoutguard.forecaster import forward_samples
+
+    predicted = [np.clip(forward_samples(model, p.window.as_matrix()), 0.0, None) for p in pairs]
+    th = calibrate(model, pairs)
+    assert th.tau_euclidean == max(euclidean(y, p.target) for y, p in zip(predicted, pairs))
+    assert th.tau_dtw == max(dtw(y, p.target) for y, p in zip(predicted, pairs))
+
+
 def test_calibrated_thresholds_validate_their_own_test_set(trained_bundle):
     model, pairs = trained_bundle
     th = calibrate(model, pairs)
