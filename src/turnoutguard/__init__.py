@@ -38,7 +38,6 @@ from .forecaster import (
     forward,
     gradient_check,
     load_model,
-    mse,
     save_model,
     train,
 )

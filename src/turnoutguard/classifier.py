@@ -15,12 +15,12 @@ smaller than the noise bands and is healthy by construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curvegen import CurveKind, LabeledCurve, PowerCurve
+from .dataio import json_integer, json_number
 
 # feature windows as fractions of the curve
 PEAK_REGION = 0.2      # first 20%: unlocking inrush
@@ -115,24 +115,18 @@ class ClassifierReference:
         except TypeError as exc:   # a key missing or unknown
             raise ValueError(f"classifier reference: {exc}") from None
         for table in (ref.mean, ref.std):
-            if not (isinstance(table, dict) and set(table) == set(FEATURE_NAMES)
-                    and all(_finite(v) for v in table.values())):
+            if not (isinstance(table, dict) and set(table) == set(FEATURE_NAMES)):
                 raise ValueError(
                     "classifier reference mean and std must map each of "
                     f"{', '.join(FEATURE_NAMES)} to a finite number"
                 )
-        for name, value in ref.std.items():
-            if value < 0.0:
-                raise ValueError(f"classifier reference std {name} must be >= 0, got {value}")
-        if type(ref.n_reference) is not int or ref.n_reference < 1:
-            raise ValueError("classifier reference n_reference must be an integer >= 1, "
-                             f"got {ref.n_reference!r}")
+        for name in FEATURE_NAMES:
+            json_number(ref.mean[name], f"classifier reference mean {name}")
+            if json_number(ref.std[name], f"classifier reference std {name}") < 0.0:
+                raise ValueError(f"classifier reference std {name} must be >= 0, "
+                                 f"got {ref.std[name]}")
+        json_integer(ref.n_reference, "classifier reference n_reference", 1)
         return ref
-
-
-def _finite(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
 
 
 def build_reference(corpus: list[LabeledCurve]) -> ClassifierReference:

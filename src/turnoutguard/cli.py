@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
@@ -100,11 +101,7 @@ SECTIONS = {
 def _load_config(path) -> dict:
     if path is None:
         return {}
-    with dataio.open_text(path) as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"config file: invalid JSON ({exc.msg})") from exc
+    cfg = dataio.read_json(path, "config file", CorpusFormatError)
     if not isinstance(cfg, dict):
         raise UsageError("config file must hold a JSON object")
     for name, section in cfg.items():
@@ -190,7 +187,7 @@ def cmd_train(args, cfg) -> int:
     print(f"wrote weights to {out}")
     if args.report_out:
         with open(args.report_out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh)
+            json.dump(dataclasses.asdict(report), fh)
         print(f"wrote training report to {args.report_out}")
     return EXIT_OK
 
@@ -213,7 +210,7 @@ def cmd_calibrate(args, cfg) -> int:
                 ("validation_sha256", "validation", test_part, f"its curves after the first {cut}"))
     for key, name, part, which in recorded:
         expected = model.meta.get(key)
-        if not isinstance(expected, str):
+        if expected is None:
             raise ModelFormatError(f"weights file records no {name} digest; train the model again")
         digest = dataio.curves_digest(part)
         if digest != expected:

@@ -23,7 +23,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .classifier import ClassifierReference
 from .curvegen import PowerCurve
-from .dataio import INTEGER, SupervisedPair, json_field, json_number, open_text
+from .dataio import (STRING, SupervisedPair, json_field, json_integer, json_number,
+                     read_document)
 from .forecaster import ForecastModel, forward_samples
 
 #: the warping kernel, recorded in run provenance
@@ -205,10 +206,7 @@ def calibrate(
     """
     if not test_pairs:
         raise ValueError("cannot calibrate on an empty test set")
-    if not 0.0 < percentile <= 100.0:
-        raise ValueError("percentile must lie in (0, 100]")
-    if safety_factor <= 0.0:
-        raise ValueError("safety factor must be > 0")
+    _check_calibration(percentile, safety_factor)
 
     eucl = np.empty(len(test_pairs))
     warp = np.empty(len(test_pairs))
@@ -235,6 +233,14 @@ def calibrate(
             "band": band,
         },
     )
+
+
+def _check_calibration(percentile: float, safety_factor: float):
+    """ValueError for a percentile or safety factor ``calibrate`` cannot use."""
+    if not 0.0 < percentile <= 100.0:
+        raise ValueError(f"percentile must lie in (0, 100], got {percentile}")
+    if not safety_factor > 0.0:
+        raise ValueError(f"safety_factor must be > 0, got {safety_factor}")
 
 
 def validate(field, predicted, thresholds: Thresholds, band: int | None = None) -> ValidationResult:
@@ -270,20 +276,7 @@ def load_thresholds(path) -> tuple[Thresholds, dict | None]:
     Raises ThresholdsFormatError on every schema violation, including one in
     the classifier baseline, so a corrupt file never reaches the pipeline.
     """
-    try:
-        with open_text(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ThresholdsFormatError(f"not a valid thresholds file: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ThresholdsFormatError("not a thresholds file (expected a JSON object)")
-    version = json_field(doc.get("format_version"), INTEGER, "format_version",
-                         ThresholdsFormatError)
-    if version != THRESHOLDS_FORMAT_VERSION:
-        raise ThresholdsFormatError(
-            f"unsupported thresholds format version {version} "
-            f"(expected {THRESHOLDS_FORMAT_VERSION})"
-        )
+    doc = read_document(path, "thresholds file", THRESHOLDS_FORMAT_VERSION, ThresholdsFormatError)
     reference = doc.get("classifier_reference")
     try:
         th = Thresholds(
@@ -293,25 +286,17 @@ def load_thresholds(path) -> tuple[Thresholds, dict | None]:
         )
         if not isinstance(th.calibration, dict):
             raise ValueError("calibration must be a JSON object")
-        band = th.calibration.get("band")
-        if band is not None and (type(band) is not int or band < 0):
-            raise ValueError(f"calibration band must be null or an integer >= 0, got {band!r}")
-        if "test_size" in th.calibration:
-            test_size = json_field(th.calibration["test_size"], INTEGER, "calibration test_size")
-            if test_size < 1:
-                raise ValueError(f"calibration test_size must be >= 1, got {test_size}")
-        # the ranges calibrate() accepts
-        if "percentile" in th.calibration:
-            percentile = json_number(th.calibration["percentile"], "calibration percentile")
-            if not 0.0 < percentile <= 100.0:
-                raise ValueError(f"calibration percentile must lie in (0, 100], got {percentile}")
-        if "safety_factor" in th.calibration:
-            factor = json_number(th.calibration["safety_factor"], "calibration safety_factor")
-            if factor <= 0.0:
-                raise ValueError(f"calibration safety_factor must be > 0, got {factor}")
-        digest = th.calibration.get("model_sha256")
-        if digest is not None and not isinstance(digest, str):
-            raise ValueError(f"calibration model_sha256 must be a string, got {digest!r}")
+        cal = th.calibration
+        if "test_size" in cal:
+            json_integer(cal["test_size"], "calibration test_size", 1)
+        if cal.get("band") is not None:
+            json_integer(cal["band"], "calibration band", 0)
+        if "model_sha256" in cal:
+            json_field(cal["model_sha256"], STRING, "calibration model_sha256")
+        _check_calibration(
+            json_number(cal.get("percentile", 100.0), "calibration percentile"),
+            json_number(cal.get("safety_factor", 1.0), "calibration safety_factor"),
+        )
         if reference is not None:
             ClassifierReference.from_dict(reference)
     except KeyError as exc:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import sys
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -54,13 +54,42 @@ def json_field(value, kind: tuple[str, tuple], name: str, error=ValueError):
 def json_number(value, name: str) -> float:
     """``value`` as a float if json.load gave it a finite number.
 
-    json.load also reads NaN, Infinity and -Infinity, which no file written
-    here holds; ValueError naming ``name`` for them as for a wrong type.
+    json.load also reads NaN, Infinity and -Infinity, and integers too large
+    for a float, which no file written here holds; ValueError naming
+    ``name`` for them as for a wrong type.
     """
-    number = float(json_field(value, NUMBER, name))
-    if not math.isfinite(number):
+    # false for NaN, the infinities and an integer too large for a float
+    if not abs(json_field(value, NUMBER, name)) <= sys.float_info.max:
         raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return number
+    return float(value)
+
+
+def json_integer(value, name: str, minimum: int) -> int:
+    """``value`` if json.load gave it an integer of at least ``minimum``."""
+    if type(value) is not int or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def json_numbers(value, name: str) -> np.ndarray:
+    """``value`` as a float64 array if json.load gave it an array of finite numbers.
+
+    A boolean, string, null or array in it is no number; ValueError naming
+    ``name`` for it as for a non-finite number.
+    """
+    json_field(value, ARRAY, name)
+    # one type test per value
+    if not set(map(type, value)) <= set(NUMBER[1]):
+        bad = next(v for v in value if type(v) not in NUMBER[1])
+        raise ValueError(f"{name} must be a JSON array of numbers, got {bad!r}")
+    try:
+        array = np.asarray(value, dtype=np.float64)
+        finite = np.all(np.isfinite(array))
+    except OverflowError:   # an integer too large for a float
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} holds a non-finite value")
+    return array
 
 
 @contextmanager
@@ -76,6 +105,31 @@ def open_text(path):
         except UnicodeDecodeError as exc:
             exc.reason = f"{exc.reason} in {path}"
             raise
+
+
+def read_json(path, what: str, error):
+    """The JSON value of the UTF-8 file ``path``; ``error`` (a ValueError) if
+    it is not JSON, naming ``what`` the file should be."""
+    with open_text(path) as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except ValueError as exc:   # JSONDecodeError, or an integer of over 4300 digits
+        raise error(f"not a valid {what}: {exc}") from exc
+
+
+def read_document(path, what: str, version: int, error) -> dict:
+    """The JSON object of ``path`` if its ``format_version`` is the integer ``version``.
+
+    ``error`` (a ValueError) otherwise, naming ``what`` the file should be.
+    """
+    doc = read_json(path, what, error)
+    if not isinstance(doc, dict):
+        raise error(f"not a {what} (expected a JSON object)")
+    found = json_field(doc.get("format_version"), INTEGER, "format_version", error)
+    if found != version:
+        raise error(f"unsupported {what} format version {found} (expected {version})")
+    return doc
 
 
 class CurveWindow:
@@ -211,11 +265,9 @@ def read_corpus(path) -> list[LabeledCurve]:
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
+                lc = _parse_record(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(f"invalid JSON ({exc.msg})", n) from exc
-            try:
-                lc = _parse_record(rec)
             except (KeyError, TypeError, ValueError) as exc:
                 raise CorpusFormatError(str(exc), n) from exc
             if corpus and len(lc.curve) != len(corpus[0].curve):
@@ -235,19 +287,14 @@ def _parse_record(rec: dict) -> LabeledCurve:
     if missing:
         raise ValueError(f"missing fields {sorted(missing)}")
     label = json_field(rec["label"], OBJECT, "label")
-    samples = json_field(rec["samples"], ARRAY, "samples")
-    # one type test per value: a boolean, string, null or array is no number
-    if not set(map(type, samples)) <= set(NUMBER[1]):
-        bad = next(v for v in samples if type(v) not in NUMBER[1])
-        raise ValueError(f"samples must be a JSON array of numbers, got {bad!r}")
     curve = PowerCurve(
-        samples=np.asarray(samples, dtype=np.float64),
+        samples=json_numbers(rec["samples"], "samples"),
         op_index=json_field(rec["op_index"], INTEGER, "op_index"),
-        timestamp=float(json_field(rec["timestamp"], NUMBER, "timestamp")),
+        timestamp=json_number(rec["timestamp"], "timestamp"),
     )
-    severity = json_field(label.get("severity", 0.0), NUMBER, "label severity")
     return LabeledCurve(
         curve=curve,
-        label=CurveLabel(CurveKind(label["kind"]), float(severity)),
+        label=CurveLabel(CurveKind(label["kind"]), json_number(label.get("severity", 0.0),
+                                                               "label severity")),
         tampered=bool(json_field(rec.get("tampered"), OPTIONAL_BOOLEAN, "tampered")),
     )

@@ -6,10 +6,10 @@ readout of the final hidden state yields the next expected curve.  Training
 is mean-squared error with full backpropagation through time and Adam
 updates; everything is plain numpy, seeded and bit-reproducible.
 
-Gate blocks are stored stacked side by side, columns ordered
-``[input | forget | output | candidate]``, which keeps the hot path in a
-few large matmuls.  The persisted weights file exposes the conventional
-per-gate matrices.
+Gate blocks are stored stacked side by side, which keeps the hot path in a
+few large matmuls; the persisted weights file exposes the conventional
+per-gate matrices, and only ``save_model`` and ``load_model`` know the
+order of the gates.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .curvegen import OP_PERIOD_S, PowerCurve
-from .dataio import INTEGER, CurveWindow, SupervisedPair, curves_digest, json_field, open_text
+from .dataio import (OBJECT, STRING, CurveWindow, SupervisedPair, curves_digest, json_field,
+                     json_integer, json_numbers, read_document)
 
 MODEL_FORMAT_VERSION = 1
-GATES = ("input", "forget", "output", "candidate")
 DTYPES = ("float32", "float64")
 
 # chunk of pairs processed per pass; bounds memory, order is fixed so
@@ -89,19 +89,11 @@ class TrainReport:
     wall_seconds: float
     epochs_run: int
 
-    def to_dict(self) -> dict:
-        return {
-            "train_losses": self.train_losses,
-            "val_losses": self.val_losses,
-            "epoch_seconds": self.epoch_seconds,
-            "grad_norms": self.grad_norms,
-            "wall_seconds": self.wall_seconds,
-            "epochs_run": self.epochs_run,
-        }
 
-
-# provenance a model carries in ``meta`` and its weights file in ``hyper``
-META_KEYS = ("seed", "epochs", "training_pairs", "corpus_sha256", "validation_sha256")
+# provenance a model carries in ``meta`` and its weights file in ``hyper``,
+# each with the least integer it may hold, or None for a sha256 string
+META_KEYS = {"seed": 0, "epochs": 1, "training_pairs": 1,
+             "corpus_sha256": None, "validation_sha256": None}
 
 
 @dataclass(frozen=True)
@@ -111,8 +103,10 @@ class ForecastModel:
     Immutable: no field can be reassigned and the seven arrays are read-only,
     so ``last_forecast`` can hold the latest forecast of ``forward_samples``
     keyed on its input alone; ``dataclasses.replace`` starts a new model
-    without it.  The forecasts run in the dtype of the weight arrays, and
-    ``meta`` records provenance only (the keys of ``META_KEYS``).
+    without it.  The five weight arrays are stored row-major, so a forecast
+    does not depend on the layout they were given in.  The forecasts run in
+    the dtype of the weight arrays, and ``meta`` records provenance only
+    (the keys of ``META_KEYS``).
     """
 
     w_x: np.ndarray        # (length, 4*hidden) input weights, gate-stacked
@@ -130,6 +124,8 @@ class ForecastModel:
     def __post_init__(self):
         for name in ("norm_mean", "norm_scale"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        for name in self.params():
+            object.__setattr__(self, name, np.ascontiguousarray(getattr(self, name)))
         if np.any(self.norm_scale <= 0.0):
             raise ValueError("normalization scale must be > 0")
         length, four_h = self.w_x.shape
@@ -160,21 +156,6 @@ class ForecastModel:
             "v_out": self.v_out, "b_out": self.b_out,
         }
 
-    def _gate_slice(self, gate: str) -> slice:
-        k = GATES.index(gate)
-        return slice(k * self.hidden, (k + 1) * self.hidden)
-
-    def gate_weights(self, gate: str) -> np.ndarray:
-        """(hidden, length) input weight matrix of one gate."""
-        return self.w_x[:, self._gate_slice(gate)].T
-
-    def recurrent_weights(self, gate: str) -> np.ndarray:
-        """(hidden, hidden) recurrent weight matrix of one gate."""
-        return self.w_h[:, self._gate_slice(gate)].T
-
-    def gate_bias(self, gate: str) -> np.ndarray:
-        return self.b[self._gate_slice(gate)]
-
     def normalize(self, raw: np.ndarray) -> np.ndarray:
         return (raw - self.norm_mean) / self.norm_scale
 
@@ -185,16 +166,6 @@ class ForecastModel:
 # ---------------------------------------------------------------------------
 # numerics
 # ---------------------------------------------------------------------------
-
-def mse(predicted, target) -> float:
-    """Mean over the curve of squared pointwise differences."""
-    a = predicted.samples if isinstance(predicted, PowerCurve) else np.asarray(predicted, dtype=np.float64)
-    b = target.samples if isinstance(target, PowerCurve) else np.asarray(target, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"curve lengths differ: {a.shape} vs {b.shape}")
-    d = a - b
-    return float(np.mean(d * d))
-
 
 class _Chunk(NamedTuple):
     """Up to ``_CHUNK`` consecutive pairs, as views of the normalized curves.
@@ -677,13 +648,16 @@ def gradient_check(
 # persistence
 # ---------------------------------------------------------------------------
 
+# the gate blocks side by side in w_x, w_h and b, and by name in a weights file
+GATES = ("input", "forget", "output", "candidate")
+
+
 def save_model(model: ForecastModel, path):
     """Write a versioned JSON weights file (full-precision decimal floats)."""
     blocks = {}
-    for gate in GATES:
-        blocks[f"w_{gate}"] = model.gate_weights(gate)
-        blocks[f"u_{gate}"] = model.recurrent_weights(gate)
-        blocks[f"b_{gate}"] = model.gate_bias(gate)
+    per_gate = zip(GATES, np.hsplit(model.w_x, 4), np.hsplit(model.w_h, 4), np.split(model.b, 4))
+    for gate, w, u, b in per_gate:
+        blocks |= {f"w_{gate}": w.T, f"u_{gate}": u.T, f"b_{gate}": b}
     blocks["v_out"] = model.v_out
     blocks["b_out"] = model.b_out
     hyper = {
@@ -711,69 +685,54 @@ def save_model(model: ForecastModel, path):
 
 
 def load_model(path) -> ForecastModel:
+    """The model ``save_model`` wrote to ``path``.
+
+    ModelFormatError naming the key of any value it would not write: a
+    wrong JSON type, a non-finite number, a count below 1 or a block of
+    another shape.
+    """
+    doc = read_document(path, "weights file", MODEL_FORMAT_VERSION, ModelFormatError)
     try:
-        with open_text(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"not a valid weights file: {exc.msg}") from exc
-    if not isinstance(doc, dict) or "format_version" not in doc:
-        raise ModelFormatError("not a weights file (missing format_version)")
-    version = json_field(doc["format_version"], INTEGER, "format_version", ModelFormatError)
-    if version != MODEL_FORMAT_VERSION:
-        raise ModelFormatError(
-            f"unsupported weights format version {version} "
-            f"(expected {MODEL_FORMAT_VERSION})"
-        )
-    try:
-        hyper = doc["hyper"]
-        counts = ["window", "length", "hidden"]
-        if "training_pairs" in hyper:   # calibrate says so when it is missing
-            counts.append("training_pairs")
-        for key in counts:
-            if json_field(hyper[key], INTEGER, f"hyper.{key}") < 1:
-                raise ValueError(f"hyper.{key} must be >= 1, got {hyper[key]}")
-        window, length, hidden = (hyper[k] for k in ("window", "length", "hidden"))
+        hyper = json_field(doc["hyper"], OBJECT, "hyper")
+        window, length, hidden = (json_integer(hyper[key], f"hyper.{key}", 1)
+                                  for key in ("window", "length", "hidden"))
         dtype = hyper.get("dtype", "float64")
         if dtype not in DTYPES:
             raise ValueError(f"hyper.dtype must be one of {list(DTYPES)}, got {dtype!r}")
-        norm = doc["normalization"]
-        raw = {
-            name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-            for name, entry in doc["parameters"].items()
-        }
-        norm_mean = np.asarray(norm["mean"], dtype=np.float64)
-        norm_scale = np.asarray(norm["scale"], dtype=np.float64)
-        # json reads NaN and Infinity, which no trained model holds
-        blocks = {**{f"parameters.{name}": block for name, block in raw.items()},
-                  "normalization.mean": norm_mean, "normalization.scale": norm_scale}
-        for name, block in blocks.items():
-            if not np.all(np.isfinite(block)):
-                raise ValueError(f"{name} holds a non-finite value")
-        # each per-gate block exactly as saved, so none can broadcast
-        for prefix, shape in {"w": (hidden, length), "u": (hidden, hidden), "b": (hidden,)}.items():
-            for name in (f"{prefix}_{gate}" for gate in GATES):
-                if raw[name].shape != shape:
-                    raise ValueError(f"parameters.{name} has shape {list(raw[name].shape)}, "
-                                     f"expected {list(shape)}")
-        w_x = np.empty((length, 4 * hidden))
-        w_h = np.empty((hidden, 4 * hidden))
-        b = np.empty(4 * hidden)
-        for k, gate in enumerate(GATES):
-            sl = slice(k * hidden, (k + 1) * hidden)
-            w_x[:, sl] = raw[f"w_{gate}"].T
-            w_h[:, sl] = raw[f"u_{gate}"].T
-            b[sl] = raw[f"b_{gate}"]
-        model = ForecastModel(
-            w_x=w_x.astype(dtype),
-            w_h=w_h.astype(dtype),
-            b=b.astype(dtype),
-            v_out=raw["v_out"].astype(dtype),
-            b_out=raw["b_out"].astype(dtype),
-            norm_mean=norm_mean,
-            norm_scale=norm_scale,
+        if doc["input_order"] != "oldest_first":
+            raise ValueError(f"input_order must be 'oldest_first', got {doc['input_order']!r}")
+        meta = {key: json_field(hyper[key], STRING, f"hyper.{key}") if least is None
+                else json_integer(hyper[key], f"hyper.{key}", least)
+                for key, least in META_KEYS.items() if key in hyper}
+        shapes = {}
+        for gate in GATES:
+            shapes |= {f"w_{gate}": [hidden, length], f"u_{gate}": [hidden, hidden],
+                       f"b_{gate}": [hidden]}
+        shapes |= {"v_out": [length, hidden], "b_out": [length]}
+        parameters = json_field(doc["parameters"], OBJECT, "parameters")
+        blocks = {}
+        # each block exactly as saved, so none can broadcast
+        for name, shape in shapes.items():
+            entry = json_field(parameters[name], OBJECT, f"parameters.{name}")
+            if entry["shape"] != shape or not all(type(n) is int for n in entry["shape"]):
+                raise ValueError(f"parameters.{name} has shape {entry['shape']}, expected {shape}")
+            data = json_numbers(entry["data"], f"parameters.{name}")
+            if data.size != math.prod(shape):
+                raise ValueError(f"parameters.{name} holds {data.size} numbers, "
+                                 f"expected {math.prod(shape)}")
+            blocks[name] = data.reshape(shape).astype(dtype)
+        w, u, b = (np.concatenate([blocks[f"{key}_{gate}"] for gate in GATES]) for key in "wub")
+        norm = json_field(doc["normalization"], OBJECT, "normalization")
+        return ForecastModel(
+            w_x=w.T,
+            w_h=u.T,
+            b=b,
+            v_out=blocks["v_out"],
+            b_out=blocks["b_out"],
+            norm_mean=json_numbers(norm["mean"], "normalization.mean"),
+            norm_scale=json_numbers(norm["scale"], "normalization.scale"),
             window=window,
-            meta={key: hyper[key] for key in META_KEYS if key in hyper},
+            meta=meta,
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed weights file: {exc}") from exc
-    return model

@@ -14,7 +14,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from turnoutguard.cli import SECTIONS, _load_config, _options, main
+from turnoutguard.comparator import ThresholdsFormatError, load_thresholds
 from turnoutguard.curvegen import GeneratorConfig
+from turnoutguard.forecaster import ModelFormatError, load_model
 
 WINDOW = 10
 
@@ -612,6 +614,8 @@ def test_thresholds_of_format_version_1_is_a_schema_error(workdir, tmp_path, cap
     ("window", 0), ("window", -3), ("length", 0), ("hidden", -1),
     ("training_pairs", True), ("training_pairs", "200"), ("training_pairs", 200.0),
     ("training_pairs", 0), ("training_pairs", -5),
+    ("seed", "many"), ("seed", -1), ("epochs", "many"), ("epochs", 0),
+    ("corpus_sha256", 5), ("validation_sha256", None),
 ])
 def test_calibrate_refuses_a_weights_hyper_value_training_never_writes(
         workdir, tmp_path, capsys, key, value):
@@ -624,6 +628,24 @@ def test_calibrate_refuses_a_weights_hyper_value_training_never_writes(
     err = capsys.readouterr().err
     assert rc == 3
     assert err.startswith("error: ") and f"hyper.{key} must be" in err and repr(value) in err
+    assert not (tmp_path / "t.json").exists()
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("input_order",), "newest_first", "input_order must be 'oldest_first', got 'newest_first'"),
+    (("parameters", "b_input", "shape"), None, "parameters.b_input has shape None"),
+    (("parameters", "b_out", "shape"), None, "parameters.b_out has shape None"),
+], ids=["newest-first", "null-gate-bias-shape", "null-readout-bias-shape"])
+def test_calibrate_refuses_a_weights_layout_training_never_writes(
+        workdir, tmp_path, capsys, path, value, message):
+    root, cfg = workdir
+    doc = json.loads((root / "model.json").read_text())
+    _set(doc, path, value)
+    bad = tmp_path / "m.json"
+    bad.write_text(json.dumps(doc))
+    assert main(_reading_argv("weights", root, cfg, bad, tmp_path / "t.json")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
     assert not (tmp_path / "t.json").exists()
 
 
@@ -707,21 +729,25 @@ def test_file_that_is_not_utf8_is_an_io_error(workdir, fixture_reports, tmp_path
     assert not (tmp_path / "r.ndjson").exists()
 
 
-@pytest.mark.parametrize("path, value", [
-    (("parameters", "b_out", "data", 3), math.nan),
-    (("parameters", "w_forget", "data", 0), math.inf),
-    (("normalization", "scale", 7), -math.inf),
-    (("normalization", "mean", 0), math.nan),
-], ids=["nan-b_out", "inf-w_forget", "neg-inf-scale", "nan-mean"])
+@pytest.mark.parametrize("path, value, message", [
+    (("parameters", "b_out", "data", 3), math.nan, "holds a non-finite value"),
+    (("parameters", "w_forget", "data", 0), math.inf, "holds a non-finite value"),
+    (("normalization", "scale", 7), -math.inf, "holds a non-finite value"),
+    (("normalization", "mean", 0), math.nan, "holds a non-finite value"),
+    (("parameters", "b_out", "data", 0), "…", "must be a JSON array of numbers, got '…'"),
+    (("parameters", "w_input", "data", 1), True, "must be a JSON array of numbers, got True"),
+    (("normalization", "mean", 0), "600.5", "must be a JSON array of numbers, got '600.5'"),
+], ids=["nan-b_out", "inf-w_forget", "neg-inf-scale", "nan-mean", "string-b_out",
+        "boolean-w_input", "string-mean"])
 def test_non_finite_weight_is_a_schema_error_naming_its_block(workdir, tmp_path, capsys,
-                                                             path, value):
+                                                             path, value, message):
     root, cfg = workdir
     doc = json.loads((root / "model.json").read_text())
     _set(doc, path, value)
     bad = tmp_path / "model.json"
     bad.write_text(json.dumps(doc))
     assert main(_reading_argv("weights", root, cfg, bad, tmp_path / "t.json")) == 3
-    assert f"{path[0]}.{path[1]} holds a non-finite value" in capsys.readouterr().err
+    assert f"{path[0]}.{path[1]} {message}" in capsys.readouterr().err
     assert not (tmp_path / "t.json").exists()
 
 
@@ -758,6 +784,29 @@ def test_non_finite_report_or_threshold_number_is_a_schema_error(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("digits", [400, 5000])
+@pytest.mark.parametrize("artifact, path", [
+    ("thresholds", (0, "tau_dtw")),
+    ("reports", (1, "euclidean")),
+    ("corpus", (3, "timestamp")),
+    ("weights", (0, "parameters", "b_out", "data", 2)),
+], ids=lambda p: p if isinstance(p, str) else p[-1])
+def test_integer_too_large_for_a_float_is_a_schema_error(
+        workdir, fixture_reports, tmp_path, capsys, artifact, path, digits):
+    """json.load reads integers of any size; past 4300 digits it refuses them itself."""
+    root, cfg = workdir
+    docs = [json.loads(line) for line in (root / _MUTATED[artifact]).read_text().splitlines()]
+    _set(docs, path, "HUGE")
+    bad = tmp_path / "bad"
+    text = "".join(json.dumps(doc) + "\n" for doc in docs)
+    bad.write_text(text.replace('"HUGE"', "1" * digits))
+    assert main(_reading_argv(artifact, root, cfg, bad, tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert digits > 4300 or "finite" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("path, value, message", [
     (("classifier_reference", "std", "peak_amplitude"), -0.5, "std peak_amplitude must be >= 0"),
     (("classifier_reference", "n_reference"), 0, "n_reference must be an integer >= 1"),
@@ -766,7 +815,7 @@ def test_non_finite_report_or_threshold_number_is_a_schema_error(
     (("calibration", "percentile"), 100.5, "percentile must lie in (0, 100]"),
     (("calibration", "safety_factor"), 0.0, "safety_factor must be > 0"),
     (("calibration", "safety_factor"), -1.0, "safety_factor must be > 0"),
-    (("calibration", "test_size"), 0, "test_size must be >= 1"),
+    (("calibration", "test_size"), 0, "test_size must be an integer >= 1"),
 ], ids=["negative-std", "zero-n-reference", "fractional-n-reference", "zero-percentile",
         "percentile-above-100", "zero-safety-factor", "negative-safety-factor", "zero-test-size"])
 def test_threshold_value_out_of_range_is_a_schema_error(workdir, tmp_path, capsys,
@@ -903,3 +952,42 @@ def test_one_mutated_leaf_never_raises(workdir, fixture_reports, artifact, pick,
         rc = main(argv)
     assert rc in (0, 2, 3), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+# a value of each JSON type, and an array and an object that hold one
+_TYPE_CHANGES = [None, True, "x", [], {}, 1.5, [1], {"a": 1}]
+
+
+@pytest.mark.parametrize("artifact", ["weights", "thresholds"])
+def test_no_type_change_gets_past_the_weights_or_thresholds_reader(workdir, tmp_path, artifact):
+    """The first node of every field, given each value of another JSON type, is refused.
+
+    A field is a node path with list indices dropped.  The one value that
+    passes is a null ``classifier_reference``, which ``save_thresholds``
+    writes when it is given no baseline; ``run`` refuses it (exit 2).
+    """
+    root, _ = workdir
+    read, error = {"weights": (load_model, ModelFormatError),
+                   "thresholds": (load_thresholds, ThresholdsFormatError)}[artifact]
+    text = (root / _MUTATED[artifact]).read_text()
+    fields: dict[tuple, tuple] = {}
+    for node in _nodes(json.loads(text)):
+        fields.setdefault(tuple(k for k in node if not isinstance(k, int)), node)
+    bad = tmp_path / _MUTATED[artifact]
+    passed = []
+    for path in fields.values():
+        for value in _TYPE_CHANGES:
+            doc = json.loads(text)
+            old = doc
+            for key in path:
+                old = old[key]
+            if _json_type(value) == _json_type(old) or (path, value) == (("classifier_reference",), None):
+                continue
+            _set(doc, path, value)
+            bad.write_text(json.dumps(doc))
+            try:
+                read(bad)
+            except error:
+                continue
+            passed.append((path, value))
+    assert passed == []
