@@ -303,10 +303,6 @@ def cmd_run(args, cfg) -> int:
     thresholds, ref_dict = comparator.load_thresholds(
         _require_file(args.thresholds, "calibrate first")
     )
-    if ref_dict is None:
-        raise UsageError(
-            "thresholds file carries no classifier baseline; re-run calibrate"
-        )
     reference = classifier.ClassifierReference.from_dict(ref_dict)
     expected = thresholds.calibration.get("model_sha256")
     if expected is None:

@@ -23,8 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .classifier import ClassifierReference
 from .curvegen import PowerCurve
-from .dataio import (STRING, SupervisedPair, json_field, json_integer, json_number,
-                     read_document)
+from .dataio import SupervisedPair, json_integer, json_number, json_sha256, read_document
 from .forecaster import ForecastModel, forward_samples
 
 #: the warping kernel, recorded in run provenance
@@ -258,7 +257,7 @@ def validate(field, predicted, thresholds: Thresholds, band: int | None = None) 
 # versioned together with the weights file format
 # ---------------------------------------------------------------------------
 
-def save_thresholds(path, thresholds: Thresholds, classifier_reference: dict | None = None):
+def save_thresholds(path, thresholds: Thresholds, classifier_reference: dict):
     doc = {
         "format_version": THRESHOLDS_FORMAT_VERSION,
         "tau_euclidean": thresholds.tau_euclidean,
@@ -270,15 +269,15 @@ def save_thresholds(path, thresholds: Thresholds, classifier_reference: dict | N
         json.dump(doc, fh)
 
 
-def load_thresholds(path) -> tuple[Thresholds, dict | None]:
-    """Thresholds and the classifier baseline dict (None if absent).
+def load_thresholds(path) -> tuple[Thresholds, dict]:
+    """Thresholds and the classifier baseline dict.
 
     Raises ThresholdsFormatError on every schema violation, including one in
     the classifier baseline, so a corrupt file never reaches the pipeline.
     """
     doc = read_document(path, "thresholds file", THRESHOLDS_FORMAT_VERSION, ThresholdsFormatError)
-    reference = doc.get("classifier_reference")
     try:
+        reference = doc["classifier_reference"]
         th = Thresholds(
             tau_euclidean=json_number(doc["tau_euclidean"], "tau_euclidean"),
             tau_dtw=json_number(doc["tau_dtw"], "tau_dtw"),
@@ -292,13 +291,12 @@ def load_thresholds(path) -> tuple[Thresholds, dict | None]:
         if cal.get("band") is not None:
             json_integer(cal["band"], "calibration band", 0)
         if "model_sha256" in cal:
-            json_field(cal["model_sha256"], STRING, "calibration model_sha256")
+            json_sha256(cal["model_sha256"], "calibration model_sha256")
         _check_calibration(
             json_number(cal.get("percentile", 100.0), "calibration percentile"),
             json_number(cal.get("safety_factor", 1.0), "calibration safety_factor"),
         )
-        if reference is not None:
-            ClassifierReference.from_dict(reference)
+        ClassifierReference.from_dict(reference)
     except KeyError as exc:
         raise ThresholdsFormatError(f"malformed thresholds file: missing {exc}") from exc
     except (TypeError, ValueError) as exc:

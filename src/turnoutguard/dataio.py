@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import sys
 from collections import deque
 from contextlib import contextmanager
@@ -68,6 +69,17 @@ def json_integer(value, name: str, minimum: int) -> int:
     """``value`` if json.load gave it an integer of at least ``minimum``."""
     if type(value) is not int or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+_SHA256 = re.compile("[0-9a-f]{64}")
+
+
+def json_sha256(value, name: str) -> str:
+    """``value`` if json.load gave it a sha256 digest: 64 lowercase hex digits."""
+    if type(value) is not str or not _SHA256.fullmatch(value):
+        raise ValueError(f"{name} must be a sha256 digest of 64 lowercase hex digits, "
+                         f"got {value!r}")
     return value
 
 

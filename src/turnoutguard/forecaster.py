@@ -10,6 +10,11 @@ Gate blocks are stored stacked side by side, which keeps the hot path in a
 few large matmuls; the persisted weights file exposes the conventional
 per-gate matrices, and only ``save_model`` and ``load_model`` know the
 order of the gates.
+
+A forecast reuses the work of the one before it: a model keeps the states
+of every suffix of its latest window, so the window shifted by one curve
+costs one step of the recurrence instead of a whole run, and rounds to the
+bytes of that run.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .curvegen import OP_PERIOD_S, PowerCurve
-from .dataio import (OBJECT, STRING, CurveWindow, SupervisedPair, curves_digest, json_field,
-                     json_integer, json_numbers, read_document)
+from .dataio import (OBJECT, CurveWindow, SupervisedPair, curves_digest, json_field,
+                     json_integer, json_numbers, json_sha256, read_document)
 
 MODEL_FORMAT_VERSION = 1
 DTYPES = ("float32", "float64")
@@ -91,7 +96,7 @@ class TrainReport:
 
 
 # provenance a model carries in ``meta`` and its weights file in ``hyper``,
-# each with the least integer it may hold, or None for a sha256 string
+# each with the least integer it may hold, or None for a sha256 digest
 META_KEYS = {"seed": 0, "epochs": 1, "training_pairs": 1,
              "corpus_sha256": None, "validation_sha256": None}
 
@@ -102,8 +107,8 @@ class ForecastModel:
 
     Immutable: no field can be reassigned and the seven arrays are read-only,
     so ``last_forecast`` can hold the latest forecast of ``forward_samples``
-    keyed on its input alone; ``dataclasses.replace`` starts a new model
-    without it.  The five weight arrays are stored row-major, so a forecast
+    and the recurrence states behind it keyed on its input alone;
+    ``dataclasses.replace`` starts a new model without them.  The five weight arrays are stored row-major, so a forecast
     does not depend on the layout they were given in.  The forecasts run in
     the dtype of the weight arrays, and ``meta`` records provenance only
     (the keys of ``META_KEYS``).
@@ -118,7 +123,7 @@ class ForecastModel:
     norm_scale: np.ndarray # (length,) per-position scale, > 0
     window: int            # curves per input sequence
     meta: dict = field(default_factory=dict)
-    # [input window bytes, forecast] of the latest forward_samples call
+    # [input window bytes, forecast, _Suffixes] of the latest forward_samples call
     last_forecast: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -206,6 +211,36 @@ def _step_views(kept: np.ndarray) -> tuple:
     return (kept[:3], *kept)
 
 
+def _cell(a: np.ndarray, c: np.ndarray, kept: np.ndarray, tc: np.ndarray,
+          ones: np.ndarray):
+    """One LSTM step from the pre-activations ``a`` (batch, 4*hidden) and
+    the cell state ``c`` (batch, hidden).
+
+    Writes the gates i, f, o, g, the new cell state and the new hidden state
+    into ``kept``, (6, batch, hidden) in the layout of ``_step_views``, and
+    returns (c, h) as views of it; ``c`` may be kept's own c.  ``tc`` is
+    scratch and ``ones`` is (3, batch, hidden) of ones.  Every recurrence
+    steps through here, so all of them round alike.
+    """
+    ifo, i, f, o, g, c_new, h_new = _step_views(kept)
+    hidden = c.shape[1]
+    a_ifo = a[:, :3 * hidden].reshape(len(a), 3, hidden).transpose(1, 0, 2)
+    # sigmoid 1 / (1 + exp(-a)) for three gates in one pass
+    np.negative(a_ifo, out=ifo)
+    np.exp(ifo, out=ifo)
+    np.add(ones, ifo, out=ifo)
+    np.divide(ones, ifo, out=ifo)
+    np.tanh(a[:, 3 * hidden:], out=g)
+    # c_new = f * c + i * g, with i * g held in tc until tanh(c_new);
+    # f * c reads c before c_new (c itself when reused) is written
+    np.multiply(f, c, out=c_new)
+    np.multiply(i, g, out=tc)
+    np.add(c_new, tc, out=c_new)
+    np.tanh(c_new, out=tc)
+    np.multiply(o, tc, out=h_new)
+    return c_new, h_new
+
+
 def _forward_seq(params: dict, rows: np.ndarray, steps: int,
                  cache: np.ndarray | None = None):
     """Run the recurrence over every window of ``steps`` consecutive curves.
@@ -232,34 +267,16 @@ def _forward_seq(params: dict, rows: np.ndarray, steps: int,
     # an array operand costs less per call than a Python scalar
     ones = np.ones((3, batch, hidden), dtype=dtype)
     a = np.empty((batch, 4 * hidden), dtype=dtype)
-    a_ifo = a[:, :3 * hidden].reshape(batch, 3, hidden).transpose(1, 0, 2)
-    a_g = a[:, 3 * hidden:]
     tc = np.empty((batch, hidden), dtype=dtype)
     h = np.zeros((batch, hidden), dtype=dtype)
     c = np.zeros((batch, hidden), dtype=dtype)
-    reused = None
-    if cache is None:
-        reused = _step_views(np.empty((_KEPT, batch, hidden), dtype=dtype))
+    reused = np.empty((_KEPT, batch, hidden), dtype=dtype) if cache is None else None
     # a saturated gate overflows exp() harmlessly: 1 / (1 + inf) is 0
     with np.errstate(over="ignore"):
         for t, a_x_t in enumerate(a_x):
-            ifo, i, f, o, g, c_new, h_new = reused or _step_views(cache[t])
             np.matmul(h, w_h, out=a)
             np.add(a_x_t, a, out=a)
-            # sigmoid 1 / (1 + exp(-a)) for three gates in one pass
-            np.negative(a_ifo, out=ifo)
-            np.exp(ifo, out=ifo)
-            np.add(ones, ifo, out=ifo)
-            np.divide(ones, ifo, out=ifo)
-            np.tanh(a_g, out=g)
-            # c_new = f * c + i * g, with i * g held in tc until tanh(c_new);
-            # f * c reads c before c_new (c itself when reused) is written
-            np.multiply(f, c, out=c_new)
-            np.multiply(i, g, out=tc)
-            np.add(c_new, tc, out=c_new)
-            np.tanh(c_new, out=tc)
-            np.multiply(o, tc, out=h_new)
-            c, h = c_new, h_new
+            c, h = _cell(a, c, cache[t] if reused is None else reused, tc, ones)
     y = h @ params["v_out"].T + params["b_out"]
     return y, h
 
@@ -553,12 +570,65 @@ def train(
 # inference
 # ---------------------------------------------------------------------------
 
+class _Suffixes:
+    """LSTM states of the in-flight suffix sequences of the latest window.
+
+    Sequence j started at row j of the window and has consumed rows
+    j ... w - 1, so sequence 0 has consumed the whole window and gives the
+    forecast.  Sequence j lives in slot (start + j) % w of preallocated
+    buffers, so a shift by one curve moves no state.  Every sequence steps
+    with one gemv of its own hidden state, as the recurrence of one window
+    does, and rounds exactly as that would.
+    """
+
+    def __init__(self, window: int, hidden: int, dtype):
+        self.kept = np.zeros((_KEPT, window, hidden), dtype=dtype)   # i, f, o, g, c, h per slot
+        self.a = np.empty((window, 4 * hidden), dtype=dtype)
+        self.tc = np.empty((window, hidden), dtype=dtype)
+        self.ones = np.ones((3, window, hidden), dtype=dtype)
+        self.start = 0   # the slot of sequence 0
+
+    def _step(self, w_h: np.ndarray, a_x: np.ndarray, slots: int):
+        """Feed the projected row ``a_x`` to the sequences in the first ``slots`` slots."""
+        kept, a = self.kept[:, :slots], self.a[:slots]
+        np.matmul(kept[5][:, None], w_h, out=a[:, None])
+        np.add(a_x, a, out=a)
+        _cell(a, kept[4], kept, self.tc[:slots], self.ones[:, :slots])
+
+    def build(self, w_h: np.ndarray, proj: np.ndarray) -> np.ndarray:
+        """Start every sequence of the window with projected rows ``proj``
+        from zero state, in one staggered pass: step t feeds row t to
+        sequences 0 ... t.  Returns the (1, hidden) state of sequence 0.
+        """
+        self.kept[4:] = 0.0
+        self.start = 0
+        for t, a_x in enumerate(proj):
+            self._step(w_h, a_x, t + 1)
+        return self.kept[5, :1]
+
+    def advance(self, w_h: np.ndarray, a_x: np.ndarray) -> np.ndarray:
+        """Shift the window by one curve whose projected row is ``a_x``: the
+        slot of the old sequence 0 starts the new sequence w - 1 from zero
+        state, and one step feeds the row to all w sequences.  Returns the
+        (1, hidden) state of the new sequence 0.
+        """
+        self.kept[4:, self.start] = 0.0
+        self._step(w_h, a_x, len(self.a))
+        self.start = (self.start + 1) % len(self.a)
+        return self.kept[5, self.start:self.start + 1]
+
+
 def forward_samples(model: ForecastModel, window_matrix: np.ndarray) -> np.ndarray:
     """Predict the next curve (raw watts) from a (window, length) matrix.
 
-    The model keeps its latest forecast in ``last_forecast``.  An input equal
-    byte for byte to the latest one (a window frozen by rejections) gets a
-    copy of that forecast instead of a second run of the recurrence.
+    The model keeps its latest input and forecast in ``last_forecast``,
+    with the states of the window's suffix sequences (``_Suffixes``).  An
+    input equal byte for byte to the latest one (a window frozen by
+    rejections) gets a copy of that forecast; the latest window shifted by
+    one curve costs one step of the recurrence; any other input rebuilds
+    the states in a staggered pass of w steps.  Each path gives the bytes
+    a fresh model gives.  The states are the model's own, so one model
+    must not forecast in two threads at once.
     """
     x = np.asarray(window_matrix, dtype=np.float64)
     if x.ndim != 2 or x.shape != (model.window, model.length):
@@ -570,11 +640,26 @@ def forward_samples(model: ForecastModel, window_matrix: np.ndarray) -> np.ndarr
         raise ValueError("non-finite value in forecaster input")
     data = x.tobytes()
     memo = model.last_forecast
+    if not memo:
+        memo[:] = b"", None, _Suffixes(model.window, model.hidden, model.w_x.dtype)
+    latest, _, suffixes = memo
     # bytes, not values: -0.0 equals 0.0 but may not forecast the same
-    if not memo or memo[0] != data:
-        normed = model.normalize(x).astype(model.w_x.dtype)
-        y, _ = _forward_seq(model.params(), normed, model.window)
-        memo[:] = data, model.denormalize(y[0].astype(np.float64))
+    if data != latest:
+        params = model.params()
+        # the whole window, as the row of a shorter product may round otherwise
+        proj = model.normalize(x).astype(model.w_x.dtype) @ params["w_x"]
+        memo[0] = b""   # the states are rebuilt unless this call completes
+        # a saturated gate overflows exp() harmlessly: 1 / (1 + inf) is 0
+        with np.errstate(over="ignore"):
+            if latest and data.startswith(memoryview(latest)[len(data) // model.window:]):
+                a_x = proj[-1]
+                a_x += params["b"]
+                h = suffixes.advance(params["w_h"], a_x)
+            else:
+                proj += params["b"]
+                h = suffixes.build(params["w_h"], proj)
+        y = h @ params["v_out"].T + params["b_out"]
+        memo[:2] = data, model.denormalize(y[0].astype(np.float64))
     return memo[1].copy()
 
 
@@ -688,8 +773,8 @@ def load_model(path) -> ForecastModel:
     """The model ``save_model`` wrote to ``path``.
 
     ModelFormatError naming the key of any value it would not write: a
-    wrong JSON type, a non-finite number, a count below 1 or a block of
-    another shape.
+    wrong JSON type, a non-finite number, a count below 1, a digest that is
+    not 64 lowercase hex digits or a block of another shape.
     """
     doc = read_document(path, "weights file", MODEL_FORMAT_VERSION, ModelFormatError)
     try:
@@ -701,7 +786,7 @@ def load_model(path) -> ForecastModel:
             raise ValueError(f"hyper.dtype must be one of {list(DTYPES)}, got {dtype!r}")
         if doc["input_order"] != "oldest_first":
             raise ValueError(f"input_order must be 'oldest_first', got {doc['input_order']!r}")
-        meta = {key: json_field(hyper[key], STRING, f"hyper.{key}") if least is None
+        meta = {key: json_sha256(hyper[key], f"hyper.{key}") if least is None
                 else json_integer(hyper[key], f"hyper.{key}", least)
                 for key, least in META_KEYS.items() if key in hyper}
         shapes = {}

@@ -153,9 +153,12 @@ def test_missing_thresholds_means_calibrate_first(workdir, capsys):
     lambda doc: {**doc, "calibration": {**doc["calibration"], "model_sha256": 5}},
     lambda doc: {**doc, "calibration": {k: v for k, v in doc["calibration"].items()
                                         if k != "model_sha256"}},
+    lambda doc: {**doc, "calibration": {**doc["calibration"], "model_sha256": "x"}},
+    lambda doc: {**doc, "classifier_reference": None},
+    lambda doc: {k: v for k, v in doc.items() if k != "classifier_reference"},
 ], ids=["missing-tau", "top-level-list", "unknown-reference-key", "non-numeric-tau",
         "calibration-list", "non-integer-band", "non-string-model-digest",
-        "missing-model-digest"])
+        "missing-model-digest", "non-hex-model-digest", "null-baseline", "missing-baseline"])
 def test_malformed_thresholds_is_a_schema_error(workdir, tmp_path, capsys, corrupt):
     root, cfg = workdir
     bad = tmp_path / "thresholds.json"
@@ -616,6 +619,7 @@ def test_thresholds_of_format_version_1_is_a_schema_error(workdir, tmp_path, cap
     ("training_pairs", 0), ("training_pairs", -5),
     ("seed", "many"), ("seed", -1), ("epochs", "many"), ("epochs", 0),
     ("corpus_sha256", 5), ("validation_sha256", None),
+    ("corpus_sha256", "x"), ("validation_sha256", "0" * 63), ("corpus_sha256", "AB" * 32),
 ])
 def test_calibrate_refuses_a_weights_hyper_value_training_never_writes(
         workdir, tmp_path, capsys, key, value):
@@ -962,9 +966,7 @@ _TYPE_CHANGES = [None, True, "x", [], {}, 1.5, [1], {"a": 1}]
 def test_no_type_change_gets_past_the_weights_or_thresholds_reader(workdir, tmp_path, artifact):
     """The first node of every field, given each value of another JSON type, is refused.
 
-    A field is a node path with list indices dropped.  The one value that
-    passes is a null ``classifier_reference``, which ``save_thresholds``
-    writes when it is given no baseline; ``run`` refuses it (exit 2).
+    A field is a node path with list indices dropped.
     """
     root, _ = workdir
     read, error = {"weights": (load_model, ModelFormatError),
@@ -981,7 +983,7 @@ def test_no_type_change_gets_past_the_weights_or_thresholds_reader(workdir, tmp_
             old = doc
             for key in path:
                 old = old[key]
-            if _json_type(value) == _json_type(old) or (path, value) == (("classifier_reference",), None):
+            if _json_type(value) == _json_type(old):
                 continue
             _set(doc, path, value)
             bad.write_text(json.dumps(doc))

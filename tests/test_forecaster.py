@@ -10,8 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from turnoutguard import forecaster
+from turnoutguard import comparator, forecaster
+from turnoutguard.comparator import calibrate, save_thresholds
 from turnoutguard.curvegen import GeneratorConfig, PowerCurve, generate_lifecycle
 from turnoutguard.dataio import CurveWindow, SupervisedPair, curves_digest, make_dataset
 from turnoutguard.forecaster import (
@@ -37,6 +40,7 @@ from turnoutguard.forecaster import (
 )
 
 from gradient_cases import random_check_instance
+from recurrence_counts import count_recurrences
 
 
 def random_curves(n, length, seed=0, lo=1.0, hi=9.0):
@@ -777,16 +781,7 @@ ARRAYS = ("w_x", "w_h", "b", "v_out", "b_out", "norm_mean", "norm_scale")
 
 @pytest.fixture
 def recurrences(monkeypatch):
-    """Counts the recurrence runs behind forward_samples."""
-    calls = []
-    real = forecaster._forward_seq
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(forecaster, "_forward_seq", counting)
-    return calls
+    return count_recurrences(monkeypatch)
 
 
 def saved_model(tmp_path, dtype="float64"):
@@ -811,7 +806,7 @@ def test_repeated_window_gets_the_forecast_of_a_fresh_model(tmp_path, recurrence
     model = load_model(path)
     first = forward_samples(model, a_window())
     again = forward_samples(model, a_window())
-    assert len(recurrences) == 1
+    assert recurrences == ["build"]
     fresh = forward_samples(load_model(path), a_window())
     assert again.tobytes() == first.tobytes() == fresh.tobytes()
     assert dataclasses.replace(model).last_forecast == []
@@ -829,7 +824,7 @@ def test_window_that_differs_in_one_sample_is_forecast_again(tmp_path, recurrenc
     other = a_window()
     edit(other)
     got = forward_samples(model, other)
-    assert len(recurrences) == 2
+    assert recurrences == ["build", "build"]
     assert got.tobytes() == forward_samples(load_model(path), other).tobytes()
 
 
@@ -854,7 +849,7 @@ def test_model_with_other_meta_forecasts_the_same_bytes(tmp_path, recurrences):
     first = forward_samples(model, a_window())
     rebuilt = dataclasses.replace(model, meta={})
     assert forward_samples(rebuilt, a_window()).tobytes() == first.tobytes()
-    assert len(recurrences) == 2
+    assert recurrences == ["build", "build"]
 
 
 @pytest.mark.parametrize("arrays", [
@@ -876,4 +871,115 @@ def test_returned_forecast_is_the_callers_to_change(tmp_path, recurrences):
     assert second.tobytes() == want
     second[0] = 5.0
     assert forward_samples(model, a_window()).tobytes() == want
-    assert len(recurrences) == 1
+    assert recurrences == ["build"]
+
+
+def one_window_recurrence(model, x):
+    """The forecast of the recurrence that training runs, over one window."""
+    normed = model.normalize(x).astype(model.w_x.dtype)
+    y, _ = _forward_seq(model.params(), normed, model.window)
+    return model.denormalize(y[0].astype(np.float64))
+
+
+def next_window(x, move, rng):
+    """``x`` after one of ``MOVES``; rows come from ``rng`` and hold exact zeros."""
+    def rows(n):
+        new = rng.normal(scale=3.0, size=(n, x.shape[1]))
+        new[rng.random(new.shape) < 0.2] = 0.0
+        return new
+
+    x = x.copy()
+    if move == "shift":
+        x = np.vstack([x, rows(1)])[1:]
+    elif move == "shift-by-two":
+        x = np.vstack([x, rows(2)])[2:]
+    elif move == "jump":
+        x = rows(len(x))
+    elif move in ("ulp-newest", "ulp-oldest"):
+        at = (-1 if move == "ulp-newest" else 0, rng.integers(x.shape[1]))
+        x[at] = np.nextafter(x[at], np.inf)
+    elif move == "negative-zero":
+        zeros = np.argwhere(x == 0.0)
+        if len(zeros):
+            x[tuple(zeros[rng.integers(len(zeros))])] = -0.0
+    return x
+
+
+MOVES = ("shift", "repeat", "shift-by-two", "jump", "ulp-newest", "ulp-oldest", "negative-zero")
+
+
+@settings(max_examples=60, deadline=None)
+@given(dtype=st.sampled_from(DTYPES), length=st.integers(1, 7), hidden=st.integers(1, 5),
+       window=st.integers(1, 6), gain=st.sampled_from([1.0, 4.0, 60.0]),
+       seed=st.integers(0, 2**32 - 1), moves=st.lists(st.sampled_from(MOVES), max_size=16))
+def test_forecast_never_depends_on_the_calls_before_it(tmp_path_factory, dtype, length,
+                                                       hidden, window, gain, seed, moves):
+    """One model driven through any sequence of windows forecasts, byte for
+    byte, what a model freshly read from its weights file forecasts."""
+    rng = np.random.default_rng(seed)
+    model = small_model(length, hidden, window, seed=seed % 1000, dtype=dtype)
+    # at a gain of 60 some gates saturate and exp() overflows
+    model = dataclasses.replace(model, w_x=model.w_x * gain, w_h=model.w_h * gain,
+                                norm_mean=rng.normal(size=length),
+                                norm_scale=rng.uniform(0.5, 2.0, size=length))
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model(model, path)
+    model = load_model(path)
+    x = np.zeros((window, length))
+    for move in ("jump", *moves):
+        x = next_window(x, move, rng)
+        got = forward_samples(model, x).tobytes()
+        assert got == forward_samples(load_model(path), x).tobytes(), move
+        assert got == one_window_recurrence(model, x).tobytes(), move
+
+
+@pytest.fixture(scope="module", params=DTYPES)
+def benchmark_model(request, tmp_path_factory):
+    """A trained model at the benchmark's shape: 200 samples, hidden 64, window 50."""
+    corpus = generate_lifecycle(GeneratorConfig(length=200, operations=260, seed=42))
+    model, _ = train(make_dataset(corpus[:120], 50),
+                     TrainConfig(hidden=64, epochs=2, seed=5, dtype=request.param))
+    path = tmp_path_factory.mktemp("benchmark") / "model.json"
+    save_model(model, path)
+    curves = np.stack([lc.curve.samples for lc in corpus])
+    return path, curves
+
+
+@pytest.mark.parametrize("starts", [
+    list(range(120, 150)),                                  # consecutive windows
+    [120, 121, 121, 121, 122, 124, 125, 200, 201, 130, 131],    # repeats, shift by two, jumps
+], ids=["consecutive", "mixed"])
+def test_forecasts_at_the_benchmark_shape_are_those_of_a_fresh_model(
+        benchmark_model, monkeypatch, starts):
+    path, curves = benchmark_model
+    model = load_model(path)
+    recurrences = count_recurrences(monkeypatch)
+    for start in starts:
+        x = curves[start:start + 50]
+        got = forward_samples(model, x).tobytes()
+        assert got == one_window_recurrence(model, x).tobytes()
+        assert got == forward_samples(load_model(path), x).tobytes()
+    # each fresh model builds; the one model builds only off a shift by one
+    steps = np.diff(starts)
+    assert recurrences.count("build") == len(starts) + 1 + np.sum((steps != 0) & (steps != 1))
+    assert recurrences.count("advance") == np.sum(steps == 1)
+
+
+def test_calibration_equals_one_that_reloads_the_model_for_every_pair(
+        benchmark_model, monkeypatch, tmp_path):
+    path, curves = benchmark_model
+    pairs = make_dataset([PowerCurve(c, op_index=k, timestamp=float(k))
+                          for k, c in enumerate(curves[150:230])], 50)
+
+    def thresholds_file(name):
+        out = tmp_path / name
+        save_thresholds(out, calibrate(load_model(path), pairs), {})
+        return out.read_bytes()
+
+    recurrences = count_recurrences(monkeypatch)
+    once = thresholds_file("once.json")
+    assert recurrences == ["build"] + ["advance"] * (len(pairs) - 1)
+    real = comparator.forward_samples
+    monkeypatch.setattr(comparator, "forward_samples", lambda _, x: real(load_model(path), x))
+    assert thresholds_file("reloaded.json") == once
+    assert recurrences.count("build") == 1 + len(pairs)

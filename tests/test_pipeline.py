@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from turnoutguard import forecaster
 from turnoutguard.classifier import build_reference
 from turnoutguard.comparator import Thresholds, calibrate
 from turnoutguard.curvegen import (
@@ -23,6 +22,8 @@ from turnoutguard.dataio import make_dataset
 from turnoutguard.forecaster import ForecastModel, TrainConfig, load_model, save_model, train
 from turnoutguard.investigator import VerdictKind
 from turnoutguard.pipeline import Pipeline, PipelineConfig
+
+from recurrence_counts import count_recurrences
 
 LENGTH = 40
 WINDOW = 5
@@ -234,10 +235,7 @@ def test_reused_forecasts_replay_a_model_reloaded_before_every_step(tmp_path, mo
     reference = build_reference(corpus[:80])
     stream = corpus[100:]
 
-    recurrences = []
-    real = forecaster._forward_seq
-    monkeypatch.setattr(forecaster, "_forward_seq",
-                        lambda *args: recurrences.append(args) or real(*args))
+    recurrences = count_recurrences(monkeypatch)
     one = Pipeline(load_model(path), thresholds, reference).bootstrap(corpus[:100])
     reused = [json.dumps(one.step(lc).to_dict()) for lc in stream]
 
@@ -248,9 +246,11 @@ def test_reused_forecasts_replay_a_model_reloaded_before_every_step(tmp_path, mo
         replayed.append(json.dumps(reloaded.step(lc).to_dict()))
     assert reused == replayed
 
-    # the window moves only on a validated step, so only the step after one
-    # (and the first) runs the recurrence
+    # the window moves only on a validated step, by one curve, so the first
+    # step of each pipeline builds the suffix states, only the step after a
+    # validated one advances them, and a reloaded model always builds
     validated = [r.verdict.kind is VerdictKind.VALIDATED for r in one.reports]
-    assert len(recurrences) - len(stream) == 1 + sum(validated[:-1])
+    assert recurrences.count("build") == 1 + len(stream)
+    assert recurrences.count("advance") == sum(validated[:-1])
     streaks = "".join(".x"[not v] for v in validated).split(".")
     assert max(map(len, streaks)) >= 4 and sum(validated) >= 10
