@@ -23,8 +23,10 @@ from typing import Callable, NamedTuple
 
 from . import classifier, comparator, curvegen, dataio, forecaster, investigator
 from .comparator import ThresholdsFormatError
-from .curvegen import FAILURE_MODES, AttackKind, AttackScenario, GeneratorConfig
-from .dataio import CorpusFormatError
+from .curvegen import (FAILURE_MODES, AttackKind, AttackScenario, BaseShape, CurveKind,
+                       GeneratorConfig, Phase)
+from .dataio import (ARRAY, OBJECT, CorpusFormatError, json_field, json_integer, json_number,
+                     json_numbers)
 from .forecaster import ModelFormatError, TrainConfig
 from .investigator import ReportFormatError, VerdictKind
 from .pipeline import Pipeline, PipelineConfig
@@ -43,7 +45,9 @@ class Key(NamedTuple):
     """A config-section key; ``flag`` names its ``--flag`` with underscores.
 
     A file value goes through the flag's converter and choices as the text
-    the flag would get, so 4.7 is no int; with no converter, the library does.
+    the flag would get, so 4.7 is no int. A key without a flag passes its
+    JSON value and its name to ``convert``, which raises ValueError naming
+    the inner key at fault. With no converter, the library checks the value.
     """
 
     flag: str | None = None
@@ -52,21 +56,57 @@ class Key(NamedTuple):
     help: str | None = None
 
     def parse(self, where: str, value):
-        try:
-            value = value if self.convert is None else self.convert(str(value))
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"config {where}: bad value {value!r}") from exc
+        if self.flag is None:
+            value = value if self.convert is None else self.convert(value, f"config {where}")
+        else:
+            try:
+                value = self.convert(str(value))
+            except (TypeError, ValueError) as exc:
+                raise UsageError(f"config {where}: bad value {value!r}") from exc
         if self.choices is not None and value not in self.choices:
             raise UsageError(f"config {where}: {value!r} is not one of {list(self.choices)}")
         return value
 
 
+def _base_shape(value, name: str) -> BaseShape:
+    keys = [f.name for f in dataclasses.fields(BaseShape)]
+    unknown = set(json_field(value, OBJECT, name)) - set(keys)
+    if unknown:
+        raise UsageError(f"{name}: unknown keys {sorted(unknown)}; expected {keys}")
+    numbers = {key: json_number(x, f"{name}.{key}") for key, x in value.items()}
+    try:
+        return BaseShape(**numbers)
+    except ValueError as exc:
+        raise UsageError(f"{name}: {exc}") from None
+
+
+def _phase(value, name: str) -> Phase:
+    unknown = set(json_field(value, OBJECT, name)) - {"kind", "start", "end", "severity"}
+    if unknown:
+        raise UsageError(f"{name}: unknown keys {sorted(unknown)}")
+    start, end = (json_integer(value.get(key), f"{name}.{key}", 0) for key in ("start", "end"))
+    severity = json_numbers(value.get("severity", [0.0, 0.0]), f"{name}.severity")
+    if severity.shape != (2,):
+        raise UsageError(f"{name}.severity must be a [start, end] pair, got {len(severity)} numbers")
+    try:
+        return Phase(CurveKind(value.get("kind")), start, end, *map(float, severity))
+    except ValueError as exc:
+        raise UsageError(f"{name}: {exc}") from None
+
+
+def _phases(value, name: str) -> tuple[Phase, ...]:
+    return tuple(_phase(x, f"{name}[{k}]") for k, x in enumerate(json_field(value, ARRAY, name)))
+
+
 SECTIONS = {
-    "generator": {key: Key() for key in curvegen.CONFIG_KEYS} | {
-        "seed": Key("seed", int),
-        "operations": Key("operations", int, help="number of switch operations"),
+    "generator": {
         "length": Key("length", int, help="samples per curve"),
+        "operations": Key("operations", int, help="number of switch operations"),
+        "seed": Key("seed", int),
         "noise_sigma": Key("noise_sigma", float, help="per-sample noise in watts"),
+        "base_shape": Key(convert=_base_shape),
+        "phases": Key(convert=_phases),
+        "failure_mode": Key(choices=FAILURE_MODES),
     },
     "train": {
         "window": Key("window", int, help="curves per input sequence (default 50)"),
@@ -133,6 +173,13 @@ def _options(args, cfg: dict, name: str) -> dict:
     return options
 
 
+def _generator_config(args, cfg: dict) -> GeneratorConfig:
+    options = _options(args, cfg, "generator")
+    if "phases" in options:
+        options["phase_plan"] = options.pop("phases")
+    return GeneratorConfig(**options)
+
+
 def _require_file(path, hint: str) -> Path:
     p = Path(path)
     if not p.exists():
@@ -149,7 +196,7 @@ def _file_sha256(path) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args, cfg) -> int:
-    config = GeneratorConfig.from_dict(_options(args, cfg, "generator"))
+    config = _generator_config(args, cfg)
     corpus = curvegen.generate_lifecycle(config)
     out = args.out or "corpus.ndjson"
     dataio.write_corpus(out, corpus)
@@ -241,7 +288,7 @@ def cmd_inject(args, cfg) -> int:
     corpus = dataio.read_corpus(_require_file(args.corpus, "generate a corpus first"))
     gen_config = None
     if scenario.kind is not AttackKind.REPLAY_CONCEAL and "generator" in cfg:
-        gen_config = GeneratorConfig.from_dict(_options(args, cfg, "generator"))
+        gen_config = _generator_config(args, cfg)
     tampered = curvegen.inject_attack(corpus, scenario, gen_config)
     out = args.out or "tampered.ndjson"
     dataio.write_corpus(out, tampered)

@@ -16,7 +16,8 @@ and editing one phase of a plan never disturbs the curves of another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+import math
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -134,16 +135,15 @@ class BaseShape:
     bump_center: float = 0.925      # fraction of the curve
     bump_width: float = 0.03        # gaussian sigma, fraction of the curve
 
-    def validate(self):
-        for name in ("peak_amplitude", "plateau_level", "bump_amplitude"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"base shape: {name} must be > 0")
+    def __post_init__(self):
+        for name in ("peak_amplitude", "plateau_level", "bump_amplitude", "bump_width"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:   # false for NaN too
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if not 0.0 < self.peak_position < INRUSH_END:
-            raise ValueError("peak_position must fall inside the inrush phase")
+            raise ValueError(f"peak_position {self.peak_position} must fall inside the inrush phase")
         if not LOCK_START < self.bump_center < 1.0:
-            raise ValueError("bump_center must fall inside the locking phase")
-        if self.bump_width <= 0.0:
-            raise ValueError("bump_width must be > 0")
+            raise ValueError(f"bump_center {self.bump_center} must fall inside the locking phase")
 
 
 @dataclass(frozen=True)
@@ -156,6 +156,15 @@ class Phase:
     severity_start: float = 0.0
     severity_end: float = 0.0
 
+    def __post_init__(self):
+        if not 0 <= self.start < self.end:
+            raise ValueError(f"{self.kind.value} phase [{self.start}, {self.end}) is empty or negative")
+        try:
+            for severity in (self.severity_start, self.severity_end):
+                CurveLabel(self.kind, severity)
+        except ValueError as exc:
+            raise ValueError(f"{self.kind.value} phase at op {self.start}: {exc}") from None
+
     def severity_at(self, op_index: int) -> float:
         span = self.end - 1 - self.start
         if span <= 0:
@@ -164,7 +173,7 @@ class Phase:
         return self.severity_start + (self.severity_end - self.severity_start) * frac
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeneratorConfig:
     length: int = 200          # samples per curve
     operations: int = 1000     # curves per life cycle
@@ -176,116 +185,49 @@ class GeneratorConfig:
     failure_mode: str = "truncate"     # "truncate" | "spike" | "random"
 
     def __post_init__(self):
-        if self.noise_sigma is None:
-            self.noise_sigma = 0.02 * self.base_shape.plateau_level
-        if self.phase_plan is None:
-            self.phase_plan = (
-                Phase(CurveKind.EARLY_LIFE_NORMAL, 0, self.operations),
-            )
-        else:
-            self.phase_plan = tuple(self.phase_plan)
-
-    def validate(self):
+        """ValueError for a value the generator cannot run with or would run wrongly."""
         if self.length < MIN_CURVE_LEN:
-            raise ValueError(
-                f"curve length {self.length} too short to carry the "
-                f"three-phase shape (minimum {MIN_CURVE_LEN})"
-            )
+            raise ValueError(f"curve length {self.length} too short to carry the "
+                             f"three-phase shape (minimum {MIN_CURVE_LEN})")
         if self.operations < 1:
-            raise ValueError("operations must be >= 1")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be >= 0")
+            raise ValueError(f"operations must be >= 1, got {self.operations}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.failure_mode not in FAILURE_MODES:
             raise ValueError(f"unknown failure_mode {self.failure_mode!r}")
-        self.base_shape.validate()
+        if self.noise_sigma is None:
+            object.__setattr__(self, "noise_sigma", 0.02 * self.base_shape.plateau_level)
+        # false for NaN too, which would switch the noise off
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        plan = self.phase_plan
+        if plan is None:
+            plan = (Phase(CurveKind.EARLY_LIFE_NORMAL, 0, self.operations),)
+        object.__setattr__(self, "phase_plan", tuple(plan))
         self._validate_phases()
 
     def _validate_phases(self):
-        plan = sorted(self.phase_plan, key=lambda p: p.start)
-        cursor = 0
-        for phase in plan:
-            if phase.start < cursor:
-                raise ValueError(
-                    f"phase plan overlaps at op {phase.start} ({phase.kind.value})"
-                )
-            if phase.start > cursor:
-                raise ValueError(f"phase plan leaves ops [{cursor}, {phase.start}) uncovered")
-            if phase.end <= phase.start:
-                raise ValueError(f"empty phase at op {phase.start}")
-            for sev in (phase.severity_start, phase.severity_end):
-                if not 0.0 <= sev <= 1.0:
-                    raise ValueError("phase severities must lie in [0, 1]")
-            if phase.kind not in PROGRESSIVE_KINDS and (
-                phase.severity_start != 0.0 or phase.severity_end != 0.0
-            ):
-                raise ValueError(f"{phase.kind.value} phases cannot ramp a severity")
+        """Plan-level checks; each Phase checks its own range and severities."""
+        cursor, last = 0, 0.0
+        for phase in sorted(self.phase_plan, key=lambda p: p.start):
+            if phase.start != cursor:
+                raise ValueError(f"{phase.kind.value} phase starts at op {phase.start}, not at "
+                                 f"op {cursor} where the plan before it ends")
             cursor = phase.end
+            # pre-fault deterioration never heals on its own within one life cycle
+            if phase.kind is CurveKind.PROGRESSIVE_PRE_FAULT:
+                if not last <= phase.severity_start <= phase.severity_end:
+                    raise ValueError(f"pre-fault severity decreases at op {phase.start}")
+                last = phase.severity_end
         if cursor != self.operations:
-            raise ValueError(
-                f"phase plan covers [0, {cursor}) but the life cycle has "
-                f"{self.operations} operations"
-            )
-        # pre-fault deterioration never heals on its own within one life cycle
-        last = None
-        for phase in plan:
-            if phase.kind is not CurveKind.PROGRESSIVE_PRE_FAULT:
-                continue
-            if phase.severity_end < phase.severity_start:
-                raise ValueError("pre-fault severity must be non-decreasing")
-            if last is not None and phase.severity_start < last:
-                raise ValueError("pre-fault severity must be non-decreasing across phases")
-            last = phase.severity_end
+            raise ValueError(f"phase plan covers [0, {cursor}) but the life cycle has "
+                             f"{self.operations} operations")
 
     def phase_at(self, op_index: int) -> Phase:
         for phase in self.phase_plan:
             if phase.start <= op_index < phase.end:
                 return phase
         raise IndexError(f"op {op_index} not covered by the phase plan")
-
-    # -- CLI config files ----------------------------------------------------
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GeneratorConfig":
-        """Config from a JSON object; ValueError on an unknown key or a bad value."""
-        unknown = set(d) - set(CONFIG_KEYS)
-        if unknown:
-            raise ValueError(f"unknown generator config keys: {sorted(unknown)}")
-        kwargs = {}
-        for key, f in zip(CONFIG_KEYS, fields(cls)):
-            if key in d:
-                try:
-                    kwargs[f.name] = _FROM_JSON[f.type](d[key])
-                except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                    raise ValueError(f"generator config {key}: bad value ({exc!r})") from exc
-        return cls(**kwargs)
-
-
-def _phase(d: dict) -> Phase:
-    unknown = set(d) - {"kind", "start", "end", "severity"}
-    if unknown:
-        raise ValueError(f"unknown phase keys {sorted(unknown)}")
-    severity = _pair(d.get("severity", (0.0, 0.0)))
-    return Phase(CurveKind(d["kind"]), int(d["start"]), int(d["end"]), *severity)
-
-
-def _pair(value) -> tuple[float, float]:
-    lo, hi = value
-    return float(lo), float(hi)
-
-
-#: the keys of a generator config section, one per GeneratorConfig field
-CONFIG_KEYS = tuple(
-    "phases" if f.name == "phase_plan" else f.name for f in fields(GeneratorConfig)
-)
-
-# JSON value -> field value, by the field's annotation
-_FROM_JSON = {
-    "int": int,
-    "str": str,
-    "float | None": lambda v: None if v is None else float(v),
-    "BaseShape": lambda v: BaseShape(**{k: float(x) for k, x in dict(v).items()}),
-    "tuple[Phase, ...] | None": lambda v: None if v is None else tuple(map(_phase, v)),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +311,6 @@ def _op_rng(seed: int, op_index: int, salt: int = 0) -> np.random.Generator:
 
 def generate_lifecycle(config: GeneratorConfig) -> list[LabeledCurve]:
     """Generate the full labeled life cycle described by ``config``."""
-    config.validate()
     corpus = []
     for op in range(config.operations):
         phase = config.phase_at(op)
@@ -407,15 +348,13 @@ class AttackScenario:
     seed: int = 0
     failure_mode: str | None = None   # override config.failure_mode
 
-    def validate(self, ops: range):
-        """Check the scenario against a corpus spanning op indices ``ops``."""
-        if not ops.start <= self.start <= self.end <= ops.stop:
-            raise ValueError(
-                f"target range [{self.start}, {self.end}) outside corpus ops "
-                f"[{ops.start}, {ops.stop})"
-            )
+    def __post_init__(self):
+        if self.end < self.start:
+            raise ValueError(f"attack range [{self.start}, {self.end}) ends before it starts")
         if not 0.0 <= self.severity <= 1.0:
-            raise ValueError("attack severity must lie in [0, 1]")
+            raise ValueError(f"attack severity must lie in [0, 1], got {self.severity}")
+        if self.seed < 0:
+            raise ValueError(f"attack seed must be >= 0, got {self.seed}")
         if self.failure_mode not in (None, *FAILURE_MODES):
             raise ValueError(f"unknown failure_mode {self.failure_mode!r}")
 
@@ -432,18 +371,18 @@ def inject_attack(
     describing the curve actually planted.  The spurious kinds need the
     generator config to synthesize plausible shapes of the same length.
     """
-    scenario.validate(
-        range(corpus[0].curve.op_index, corpus[-1].curve.op_index + 1) if corpus else range(0)
-    )
+    ops = range(corpus[0].curve.op_index, corpus[-1].curve.op_index + 1) if corpus else range(0)
+    if not ops.start <= scenario.start <= scenario.end <= ops.stop:
+        raise ValueError(
+            f"target range [{scenario.start}, {scenario.end}) outside corpus ops "
+            f"[{ops.start}, {ops.stop})"
+        )
     if scenario.kind is not AttackKind.REPLAY_CONCEAL and config is None:
         raise ValueError(f"{scenario.kind.value} needs the generator config")
-    if config is not None:
-        config.validate()
-        if corpus and config.length != len(corpus[0].curve):
-            raise ValueError(
-                f"config curve length {config.length} != corpus length "
-                f"{len(corpus[0].curve)}"
-            )
+    if config is not None and corpus and config.length != len(corpus[0].curve):
+        raise ValueError(
+            f"config curve length {config.length} != corpus length {len(corpus[0].curve)}"
+        )
 
     out = list(corpus)
     targets = [

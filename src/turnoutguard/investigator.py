@@ -15,6 +15,7 @@ streams are scriptable; see the README for the code table.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -50,6 +51,16 @@ class InvestigatorParams:
     recent_curves: int = 10        # window suffix checked for progression
     progression_fraction: float = 0.3
     escalation_factor: float = 2.0  # gross-mismatch multiple on both thresholds
+
+    def __post_init__(self):
+        # window.curves[-0:] is the whole window; a fraction <= 0 makes every
+        # window progressive, a factor < 1 every rejected pre-fault curve gross
+        if self.recent_curves < 1:
+            raise ValueError(f"recent_curves must be >= 1, got {self.recent_curves}")
+        if not 0.0 < self.progression_fraction <= 1.0:
+            raise ValueError(f"progression_fraction must lie in (0, 1], got {self.progression_fraction}")
+        if not 1.0 <= self.escalation_factor < math.inf:
+            raise ValueError(f"escalation_factor must be finite and >= 1, got {self.escalation_factor}")
 
 
 def window_shows_progression(

@@ -2,10 +2,12 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +15,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from turnoutguard.cli import SECTIONS, _load_config, _options, main
+from turnoutguard.cli import SECTIONS, UsageError, _generator_config, _load_config, _options, main
 from turnoutguard.comparator import ThresholdsFormatError, load_thresholds
-from turnoutguard.curvegen import GeneratorConfig
+from turnoutguard.curvegen import BaseShape, CurveKind, GeneratorConfig, Phase
 from turnoutguard.forecaster import ModelFormatError, load_model
 
 WINDOW = 10
@@ -343,11 +345,142 @@ def test_readme_config_example_and_key_table_match_the_cli(tmp_path):
     for name in SECTIONS:
         options = _options(no_flags, cfg, name)
         assert set(options) == {k for k, v in cfg.get(name, {}).items() if v is not None}
-    GeneratorConfig.from_dict(_options(no_flags, cfg, "generator")).validate()
+    _generator_config(no_flags, cfg)
     # the key table lists each section's keys, flags and choices in parentheses
     for name, keys in SECTIONS.items():
         (row,) = re.findall(rf"^\| `{name}` \| (.*) \|$", text, re.M)
         assert re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", row)) == list(keys), name
+
+
+def test_generator_keys_are_the_generator_config_fields():
+    names = [f.name for f in fields(GeneratorConfig)]
+    assert list(SECTIONS["generator"]) == ["phases" if n == "phase_plan" else n for n in names]
+
+
+def test_config_json_round_trip():
+    doc = {
+        "length": 56, "operations": 120, "seed": 8, "noise_sigma": 3.5,
+        "base_shape": {"peak_amplitude": 2000.0, "peak_position": 0.05, "plateau_level": 500.0,
+                       "bump_amplitude": 200.0, "bump_center": 0.93, "bump_width": 0.025},
+        "phases": [
+            {"kind": "early_life_normal", "start": 0, "end": 70},
+            {"kind": "progressive_pre_fault", "start": 70, "end": 120, "severity": [0.0, 0.9]},
+        ],
+        "failure_mode": "spike",
+    }
+    assert set(doc) == set(SECTIONS["generator"])
+    cfg = _generator_config(argparse.Namespace(), json.loads(json.dumps({"generator": doc})))
+    assert cfg == GeneratorConfig(
+        length=56, operations=120, seed=8, noise_sigma=3.5,
+        base_shape=BaseShape(2000.0, 0.05, 500.0, 200.0, 0.93, 0.025),
+        phase_plan=(
+            Phase(CurveKind.EARLY_LIFE_NORMAL, 0, 70, 0.0, 0.0),
+            Phase(CurveKind.PROGRESSIVE_PRE_FAULT, 70, 120, 0.0, 0.9),
+        ),
+        failure_mode="spike",
+    )
+    default = GeneratorConfig()
+    for f in fields(GeneratorConfig):
+        assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+    for f in fields(BaseShape):
+        assert getattr(cfg.base_shape, f.name) != getattr(default.base_shape, f.name), f.name
+    with pytest.raises(UsageError, match="unknown keys"):
+        _generator_config(argparse.Namespace(), {"generator": {"lenght": 50}})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("prefault_plateau_gain", 0.25), ("prefault_bump_widening", 0.45),
+    ("aging_plateau_gain", 0.15), ("endoflife_plateau_gain", 0.35),
+    ("endoflife_bump_widening", 0.75), ("transient_amplitude", 150.0),
+    ("transient_width", 0.03), ("transient_span", [0.4, 0.6]),
+    ("failure_cut_span", [0.2, 0.8]), ("failure_spike_gain", 1.5),
+])
+def test_removed_magnitude_keys_are_rejected(key, value):
+    with pytest.raises(UsageError, match=f"unknown keys \\['{key}'\\]"):
+        _generator_config(argparse.Namespace(), {"generator": {key: value}})
+
+
+#: a small config that sets every generator key, with every phase kind
+PINNED_CONFIG = {"generator": {
+    "length": 32, "operations": 60, "seed": 11, "noise_sigma": 7.5,
+    "base_shape": {"peak_amplitude": 2400.0, "peak_position": 0.07, "plateau_level": 550.0,
+                   "bump_amplitude": 230.0, "bump_center": 0.92, "bump_width": 0.035},
+    "phases": [
+        {"kind": "early_life_normal", "start": 0, "end": 12},
+        {"kind": "aging", "start": 12, "end": 20, "severity": [0.0, 0.5]},
+        {"kind": "progressive_pre_fault", "start": 20, "end": 30, "severity": [0.1, 0.6]},
+        {"kind": "minor_anomaly", "start": 30, "end": 40},
+        {"kind": "sudden_failure", "start": 40, "end": 50},
+        {"kind": "end_of_life", "start": 50, "end": 60, "severity": [0.2, 1.0]},
+    ],
+    "failure_mode": "random",
+}}
+
+#: sha256 of the files written from PINNED_CONFIG; a change to the generator,
+#: the injector or the corpus writer shows here
+PINNED_DIGESTS = {
+    "corpus": "3df755339a17d8301029c38d0833ed564fc0b774334c176a5b364282172b38f4",
+    "replay_conceal": "46ebe54f0ede99ab3b1082496933d720cb2f247435869c5c6926da129a6106c6",
+    "spurious_failure": "b0ed1cb315c1f1c57e2475fdad2b054c39b36660fc768704eda36c34df278617",
+    "spurious_pre_fault": "1fdd778424667672fccf88b580980a35033ab1ad0b250b4674904de1b73b8867",
+}
+
+
+def test_generated_and_injected_bytes_are_pinned(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(PINNED_CONFIG))
+    corpus = tmp_path / "corpus.ndjson"
+    assert main(["generate", "--config", str(cfg), "--out", str(corpus)]) == 0
+    attacks = {
+        "replay_conceal": ["--start", "14", "--end", "20"],
+        "spurious_failure": ["--start", "22", "--end", "28", "--attack-seed", "4"],
+        "spurious_pre_fault": ["--start", "4", "--end", "10", "--severity", "0.7",
+                               "--attack-seed", "3"],
+    }
+    for kind, flags in attacks.items():
+        assert main(["inject", "--config", str(cfg), "--corpus", str(corpus), "--attack", kind,
+                     "--out", str(tmp_path / f"{kind}.ndjson"), *flags]) == 0
+    digests = {name: hashlib.sha256((tmp_path / f"{name}.ndjson").read_bytes()).hexdigest()
+               for name in PINNED_DIGESTS}
+    assert digests == PINNED_DIGESTS
+
+
+_PLAN = {"length": 32, "operations": 30, "seed": 1}
+
+
+@pytest.mark.parametrize("generator, flags, key", [
+    ({**_PLAN, "phases": [{"kind": "early_life_normal", "start": 0, "end": 20.9},
+                          {"kind": "aging", "start": 20, "end": 30}]}, [],
+     "generator.phases[0].end"),
+    ({**_PLAN, "phases": [{"kind": "aging", "start": 0, "end": 30, "severity": [0, True]}]}, [],
+     "generator.phases[0].severity"),
+    ({**_PLAN, "phases": [{"kind": "early_life_normal", "start": 0, "end": 30},
+                          {"kind": "aging", "start": 30, "end": 30}]}, [],
+     "generator.phases[1]"),
+    ({**_PLAN, "phases": [{"kind": "sudden_failure", "start": 0, "end": 30,
+                           "severity": [0.0, 0.5]}]}, [], "generator.phases[0]"),
+    ({**_PLAN, "phases": [{"kind": "agin", "start": 0, "end": 30}]}, [],
+     "generator.phases[0]: 'agin' is not a valid CurveKind"),
+    ({**_PLAN, "phases": [{"kind": "aging", "start": 0, "end": 30, "severity": [0.5]}]}, [],
+     "generator.phases[0].severity"),
+    ({**_PLAN, "base_shape": {"plateau_level": "600"}}, [], "generator.base_shape.plateau_level"),
+    ({**_PLAN, "base_shape": {"bump_width": math.nan}}, [], "generator.base_shape.bump_width"),
+    ({**_PLAN, "base_shape": {"bump_width": -0.01}}, [], "bump_width"),
+    ({**_PLAN, "base_shape": [600.0]}, [], "generator.base_shape"),
+    ({**_PLAN, "noise_sigma": math.nan}, [], "noise_sigma"),
+    (_PLAN, ["--noise-sigma", "nan"], "noise_sigma"),
+    (_PLAN, ["--seed", "-1"], "seed"),
+], ids=["fractional-end", "boolean-severity", "empty-phase", "severity-on-failure",
+        "unknown-kind", "one-severity", "string-plateau", "nan-bump-width", "negative-bump-width",
+        "base-shape-list", "nan-noise-in-file", "nan-noise-flag", "negative-seed"])
+def test_bad_generator_value_names_its_key(tmp_path, capsys, generator, flags, key):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"generator": generator}))
+    rc = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "out"), *flags])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and key in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_calibrate_tests_on_the_curves_after_the_models_training_cut(workdir, tmp_path):

@@ -1,14 +1,13 @@
 """Generator contracts: shapes, labels, determinism, attack injection."""
 
-import json
-from dataclasses import fields, replace
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from turnoutguard.classifier import build_reference, classify
 from turnoutguard.curvegen import (
-    CONFIG_KEYS,
     DEFORMATION,
     AttackKind,
     AttackScenario,
@@ -134,75 +133,67 @@ def test_curves_are_finite_and_non_negative():
 
 
 @pytest.mark.parametrize(
-    "phases",
+    "phases, match",
     [
         # overlap
-        [(CurveKind.EARLY_LIFE_NORMAL, 0, 60, 0.0, 0.0),
-         (CurveKind.AGING, 50, 100, 0.0, 0.5)],
+        ([(CurveKind.EARLY_LIFE_NORMAL, 0, 60, 0.0, 0.0),
+          (CurveKind.AGING, 50, 100, 0.0, 0.5)], "aging phase starts at op 50, not at op 60"),
         # gap
-        [(CurveKind.EARLY_LIFE_NORMAL, 0, 40, 0.0, 0.0),
-         (CurveKind.AGING, 60, 100, 0.0, 0.5)],
+        ([(CurveKind.EARLY_LIFE_NORMAL, 0, 40, 0.0, 0.0),
+          (CurveKind.AGING, 60, 100, 0.0, 0.5)], "aging phase starts at op 60, not at op 40"),
         # not covering the tail
-        [(CurveKind.EARLY_LIFE_NORMAL, 0, 90, 0.0, 0.0)],
+        ([(CurveKind.EARLY_LIFE_NORMAL, 0, 90, 0.0, 0.0)], r"covers \[0, 90\)"),
         # pre-fault healing
-        [(CurveKind.PROGRESSIVE_PRE_FAULT, 0, 50, 0.8, 0.2),
-         (CurveKind.EARLY_LIFE_NORMAL, 50, 100, 0.0, 0.0)],
+        ([(CurveKind.PROGRESSIVE_PRE_FAULT, 0, 50, 0.8, 0.2),
+          (CurveKind.EARLY_LIFE_NORMAL, 50, 100, 0.0, 0.0)], "pre-fault severity decreases at op 0"),
         # severity on a non-progressive kind
-        [(CurveKind.SUDDEN_FAILURE, 0, 100, 0.0, 0.5)],
+        ([(CurveKind.SUDDEN_FAILURE, 0, 100, 0.0, 0.5)], "sudden_failure phase at op 0"),
+        # severity outside [0, 1]
+        ([(CurveKind.AGING, 0, 100, 0.0, 1.5)], "aging phase at op 0: severity 1.5"),
+        # empty phase
+        ([(CurveKind.AGING, 0, 0, 0.0, 0.0),
+          (CurveKind.EARLY_LIFE_NORMAL, 0, 100, 0.0, 0.0)], r"aging phase \[0, 0\) is empty or negative"),
     ],
+    ids=["overlap", "gap", "tail", "healing", "severity-on-failure", "severity-above-1", "empty"],
 )
-def test_bad_phase_plans_are_rejected(phases):
-    cfg = GeneratorConfig(length=32, operations=100, phase_plan=plan(*phases))
-    with pytest.raises(ValueError):
-        cfg.validate()
+def test_bad_phase_plans_are_rejected(phases, match):
+    with pytest.raises(ValueError, match=match):
+        GeneratorConfig(length=32, operations=100, phase_plan=plan(*phases))
 
 
 def test_too_short_curve_rejected():
     with pytest.raises(ValueError, match="too short"):
-        GeneratorConfig(length=8, operations=10).validate()
+        GeneratorConfig(length=8, operations=10)
 
 
-def test_config_json_round_trip():
-    doc = {
-        "length": 56, "operations": 120, "seed": 8, "noise_sigma": 3.5,
-        "base_shape": {"peak_amplitude": 2000.0, "peak_position": 0.05, "plateau_level": 500.0,
-                       "bump_amplitude": 200.0, "bump_center": 0.93, "bump_width": 0.025},
-        "phases": [
-            {"kind": "early_life_normal", "start": 0, "end": 70},
-            {"kind": "progressive_pre_fault", "start": 70, "end": 120, "severity": [0.0, 0.9]},
-        ],
-        "failure_mode": "spike",
-    }
-    assert set(doc) == set(CONFIG_KEYS)
-    cfg = GeneratorConfig.from_dict(json.loads(json.dumps(doc)))
-    assert cfg == GeneratorConfig(
-        length=56, operations=120, seed=8, noise_sigma=3.5,
-        base_shape=BaseShape(2000.0, 0.05, 500.0, 200.0, 0.93, 0.025),
-        phase_plan=plan(
-            (CurveKind.EARLY_LIFE_NORMAL, 0, 70, 0.0, 0.0),
-            (CurveKind.PROGRESSIVE_PRE_FAULT, 70, 120, 0.0, 0.9),
-        ),
-        failure_mode="spike",
-    )
-    default = GeneratorConfig()
-    for f in fields(GeneratorConfig):
-        assert getattr(cfg, f.name) != getattr(default, f.name), f.name
-    for f in fields(BaseShape):
-        assert getattr(cfg.base_shape, f.name) != getattr(default.base_shape, f.name), f.name
-    with pytest.raises(ValueError, match="unknown generator config keys"):
-        GeneratorConfig.from_dict({"lenght": 50})
+@pytest.mark.parametrize("options, match", [
+    ({"noise_sigma": math.nan}, "noise_sigma must be finite"),
+    ({"noise_sigma": math.inf}, "noise_sigma must be finite"),
+    ({"noise_sigma": -1.0}, "noise_sigma must be finite and >= 0"),
+    ({"seed": -1}, "seed must be >= 0"),
+    ({"operations": 0}, "operations must be >= 1"),
+    ({"failure_mode": "zap"}, "failure_mode"),
+], ids=["nan-noise", "infinite-noise", "negative-noise", "negative-seed", "no-operations",
+        "unknown-failure-mode"])
+def test_generator_config_checks_itself(options, match):
+    with pytest.raises(ValueError, match=match):
+        GeneratorConfig(**{"length": 32, "operations": 10, **options})
 
 
-@pytest.mark.parametrize("key, value", [
-    ("prefault_plateau_gain", 0.25), ("prefault_bump_widening", 0.45),
-    ("aging_plateau_gain", 0.15), ("endoflife_plateau_gain", 0.35),
-    ("endoflife_bump_widening", 0.75), ("transient_amplitude", 150.0),
-    ("transient_width", 0.03), ("transient_span", [0.4, 0.6]),
-    ("failure_cut_span", [0.2, 0.8]), ("failure_spike_gain", 1.5),
-])
-def test_removed_magnitude_keys_are_rejected(key, value):
-    with pytest.raises(ValueError, match="unknown generator config keys"):
-        GeneratorConfig.from_dict({key: value})
+@pytest.mark.parametrize("name", ["peak_amplitude", "peak_position", "plateau_level",
+                                  "bump_amplitude", "bump_center", "bump_width"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+def test_base_shape_checks_every_value(name, value):
+    with pytest.raises(ValueError, match=name):
+        BaseShape(**{name: value})
+
+
+def test_config_is_frozen():
+    cfg = GeneratorConfig(length=32, operations=10)
+    with pytest.raises(AttributeError):
+        cfg.noise_sigma = float("nan")
+    assert cfg.noise_sigma == 0.02 * cfg.base_shape.plateau_level
+    assert cfg.phase_plan == (Phase(CurveKind.EARLY_LIFE_NORMAL, 0, 10),)
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +325,14 @@ def test_attack_range_skips_missing_ops(prefault_corpus):
     assert all(np.array_equal(a, b) for a, b in zip(replayed, expected))
 
 
-def test_unknown_failure_mode_is_rejected(prefault_corpus):
-    cfg, corpus = prefault_corpus
-    scenario = AttackScenario(AttackKind.SPURIOUS_FAILURE, 10, 12, failure_mode="zap")
-    with pytest.raises(ValueError, match="failure_mode"):
-        inject_attack(corpus, scenario, cfg)
+@pytest.mark.parametrize("options, match", [
+    ({"failure_mode": "zap"}, "failure_mode"),
+    ({"seed": -1}, "attack seed must be >= 0"),
+    ({"severity": 1.5}, "attack severity"),
+    ({"severity": math.nan}, "attack severity"),
+    ({"end": 9}, r"attack range \[10, 9\) ends before it starts"),
+], ids=["unknown-failure-mode", "negative-seed", "severity-above-1", "nan-severity",
+        "inverted-range"])
+def test_attack_scenario_checks_itself(options, match):
+    with pytest.raises(ValueError, match=match):
+        AttackScenario(**{"kind": AttackKind.SPURIOUS_FAILURE, "start": 10, "end": 12, **options})

@@ -1,6 +1,7 @@
 """Decision table for non-validated curves, and run scoring."""
 
 import itertools
+import math
 
 import pytest
 
@@ -130,6 +131,28 @@ def test_escalation_factor_boundary(setup):
         params,
     )
     assert verdict.kind is VerdictKind.SUSPICIOUS
+
+
+@pytest.mark.parametrize("options, match", [
+    ({"recent_curves": 0}, "recent_curves must be >= 1"),
+    ({"recent_curves": -3}, "recent_curves must be >= 1"),
+    ({"progression_fraction": 0.0}, "progression_fraction"),
+    ({"progression_fraction": -0.5}, "progression_fraction"),
+    ({"progression_fraction": 1.01}, "progression_fraction"),
+    ({"progression_fraction": math.nan}, "progression_fraction"),
+    ({"escalation_factor": 0.99}, "escalation_factor"),
+    ({"escalation_factor": math.inf}, "escalation_factor"),
+    ({"escalation_factor": math.nan}, "escalation_factor"),
+], ids=["zero-recent", "negative-recent", "zero-fraction", "negative-fraction",
+        "fraction-above-1", "nan-fraction", "factor-below-1", "infinite-factor", "nan-factor"])
+def test_investigator_params_check_themselves(options, match):
+    with pytest.raises(ValueError, match=match):
+        InvestigatorParams(**options)
+
+
+def test_investigator_params_bounds_are_inclusive():
+    InvestigatorParams(recent_curves=1, progression_fraction=1.0, escalation_factor=1.0)
+    assert InvestigatorParams() == InvestigatorParams(10, 0.3, 2.0)
 
 
 def test_minor_anomaly_raises_no_suspicion(setup):
