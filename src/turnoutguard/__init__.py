@@ -33,6 +33,7 @@ from .dataio import CurveWindow, SupervisedPair, make_dataset, read_corpus, spli
 from .forecaster import (
     AdamState,
     ForecastModel,
+    ForecastSession,
     TrainConfig,
     TrainReport,
     forward,

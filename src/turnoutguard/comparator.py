@@ -24,7 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .classifier import ClassifierReference
 from .curvegen import PowerCurve
 from .dataio import SupervisedPair, json_integer, json_number, json_sha256, read_document
-from .forecaster import ForecastModel, forward_samples
+from .forecaster import ForecastModel, ForecastSession, forward_samples
 
 #: the warping kernel, recorded in run provenance
 DTW_BACKEND = "numpy-wavefront"
@@ -199,23 +199,27 @@ def calibrate(
 ) -> Thresholds:
     """Derive acceptance thresholds from prediction residuals on test data.
 
-    Runs the forecaster over every test window, measures both distances
-    between prediction and the true next curve, and takes the given
-    percentile of each (by default 100, the maximum), times the safety factor.
+    Runs the forecaster over every test window in one session, measures
+    both distances between prediction and the true next curve, and takes
+    the given percentile of each (by default 100, the maximum), times the
+    safety factor; ValueError if a product is not finite.
     """
     if not test_pairs:
         raise ValueError("cannot calibrate on an empty test set")
     _check_calibration(percentile, safety_factor)
 
+    session = ForecastSession(model)
     eucl = np.empty(len(test_pairs))
     warp = np.empty(len(test_pairs))
     for k, pair in enumerate(test_pairs):
-        predicted = np.clip(forward_samples(model, pair.window.as_matrix()), 0.0, None)
+        predicted = np.clip(forward_samples(session, pair.window.as_matrix()), 0.0, None)
         eucl[k] = euclidean(predicted, pair.target)
         warp[k] = dtw(predicted, pair.target, band=band)
 
     tau_e = float(np.percentile(eucl, percentile)) * safety_factor
     tau_d = float(np.percentile(warp, percentile)) * safety_factor
+    if not (np.isfinite(tau_e) and np.isfinite(tau_d)):
+        raise ValueError(f"the residuals times safety_factor {safety_factor} are not finite")
     if tau_e == 0.0 or tau_d == 0.0:
         warnings.warn(
             "calibrated threshold is zero; only exact matches will validate",
@@ -238,8 +242,8 @@ def _check_calibration(percentile: float, safety_factor: float):
     """ValueError for a percentile or safety factor ``calibrate`` cannot use."""
     if not 0.0 < percentile <= 100.0:
         raise ValueError(f"percentile must lie in (0, 100], got {percentile}")
-    if not safety_factor > 0.0:
-        raise ValueError(f"safety_factor must be > 0, got {safety_factor}")
+    if not (np.isfinite(safety_factor) and safety_factor > 0.0):
+        raise ValueError(f"safety_factor must be finite and > 0, got {safety_factor}")
 
 
 def validate(field, predicted, thresholds: Thresholds, band: int | None = None) -> ValidationResult:

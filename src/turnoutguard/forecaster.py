@@ -11,10 +11,10 @@ few large matmuls; the persisted weights file exposes the conventional
 per-gate matrices, and only ``save_model`` and ``load_model`` know the
 order of the gates.
 
-A forecast reuses the work of the one before it: a model keeps the states
-of every suffix of its latest window, so the window shifted by one curve
-costs one step of the recurrence instead of a whole run, and rounds to the
-bytes of that run.
+A forecast reuses the work of the one before it: the caller's
+``ForecastSession`` keeps the states of every suffix of its latest window,
+so the window shifted by one curve costs one step of the recurrence instead
+of a whole run, and rounds to the bytes of that run.
 """
 
 from __future__ import annotations
@@ -105,10 +105,8 @@ META_KEYS = {"seed": 0, "epochs": 1, "training_pairs": 1,
 class ForecastModel:
     """Single-layer LSTM plus linear readout and normalization stats.
 
-    Immutable: no field can be reassigned and the seven arrays are read-only,
-    so ``last_forecast`` can hold the latest forecast of ``forward_samples``
-    and the recurrence states behind it keyed on its input alone;
-    ``dataclasses.replace`` starts a new model without them.  The five weight arrays are stored row-major, so a forecast
+    Immutable: no field can be reassigned and the seven arrays are
+    read-only.  The five weight arrays are stored row-major, so a forecast
     does not depend on the layout they were given in.  The forecasts run in
     the dtype of the weight arrays, and ``meta`` records provenance only
     (the keys of ``META_KEYS``).
@@ -123,8 +121,6 @@ class ForecastModel:
     norm_scale: np.ndarray # (length,) per-position scale, > 0
     window: int            # curves per input sequence
     meta: dict = field(default_factory=dict)
-    # [input window bytes, forecast, _Suffixes] of the latest forward_samples call
-    last_forecast: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("norm_mean", "norm_scale"):
@@ -570,32 +566,36 @@ def train(
 # inference
 # ---------------------------------------------------------------------------
 
-class _Suffixes:
-    """LSTM states of the in-flight suffix sequences of the latest window.
+class ForecastSession:
+    """One caller's latest input and forecast on a model, with the LSTM
+    states of every suffix sequence of that window.
 
     Sequence j started at row j of the window and has consumed rows
     j ... w - 1, so sequence 0 has consumed the whole window and gives the
-    forecast.  Sequence j lives in slot (start + j) % w of preallocated
-    buffers, so a shift by one curve moves no state.  Every sequence steps
-    with one gemv of its own hidden state, as the recurrence of one window
-    does, and rounds exactly as that would.
+    forecast.  Sequence j lives in slot (start + j) % w of buffers allocated
+    here, so a shift by one curve moves no state.  Every sequence steps with
+    one gemv of its own hidden state, as the recurrence of one window does,
+    and rounds exactly as that would.
     """
 
-    def __init__(self, window: int, hidden: int, dtype):
+    def __init__(self, model: ForecastModel):
+        window, hidden, dtype = model.window, model.hidden, model.w_x.dtype
+        self.model = model
+        self.latest, self.forecast = b"", None   # the latest input's bytes and forecast
         self.kept = np.zeros((_KEPT, window, hidden), dtype=dtype)   # i, f, o, g, c, h per slot
         self.a = np.empty((window, 4 * hidden), dtype=dtype)
         self.tc = np.empty((window, hidden), dtype=dtype)
         self.ones = np.ones((3, window, hidden), dtype=dtype)
         self.start = 0   # the slot of sequence 0
 
-    def _step(self, w_h: np.ndarray, a_x: np.ndarray, slots: int):
+    def _step(self, a_x: np.ndarray, slots: int):
         """Feed the projected row ``a_x`` to the sequences in the first ``slots`` slots."""
         kept, a = self.kept[:, :slots], self.a[:slots]
-        np.matmul(kept[5][:, None], w_h, out=a[:, None])
+        np.matmul(kept[5][:, None], self.model.w_h, out=a[:, None])
         np.add(a_x, a, out=a)
         _cell(a, kept[4], kept, self.tc[:slots], self.ones[:, :slots])
 
-    def build(self, w_h: np.ndarray, proj: np.ndarray) -> np.ndarray:
+    def build(self, proj: np.ndarray) -> np.ndarray:
         """Start every sequence of the window with projected rows ``proj``
         from zero state, in one staggered pass: step t feeds row t to
         sequences 0 ... t.  Returns the (1, hidden) state of sequence 0.
@@ -603,33 +603,31 @@ class _Suffixes:
         self.kept[4:] = 0.0
         self.start = 0
         for t, a_x in enumerate(proj):
-            self._step(w_h, a_x, t + 1)
+            self._step(a_x, t + 1)
         return self.kept[5, :1]
 
-    def advance(self, w_h: np.ndarray, a_x: np.ndarray) -> np.ndarray:
+    def advance(self, a_x: np.ndarray) -> np.ndarray:
         """Shift the window by one curve whose projected row is ``a_x``: the
         slot of the old sequence 0 starts the new sequence w - 1 from zero
         state, and one step feeds the row to all w sequences.  Returns the
         (1, hidden) state of the new sequence 0.
         """
         self.kept[4:, self.start] = 0.0
-        self._step(w_h, a_x, len(self.a))
+        self._step(a_x, len(self.a))
         self.start = (self.start + 1) % len(self.a)
         return self.kept[5, self.start:self.start + 1]
 
 
-def forward_samples(model: ForecastModel, window_matrix: np.ndarray) -> np.ndarray:
+def forward_samples(session: ForecastSession, window_matrix: np.ndarray) -> np.ndarray:
     """Predict the next curve (raw watts) from a (window, length) matrix.
 
-    The model keeps its latest input and forecast in ``last_forecast``,
-    with the states of the window's suffix sequences (``_Suffixes``).  An
-    input equal byte for byte to the latest one (a window frozen by
-    rejections) gets a copy of that forecast; the latest window shifted by
-    one curve costs one step of the recurrence; any other input rebuilds
-    the states in a staggered pass of w steps.  Each path gives the bytes
-    a fresh model gives.  The states are the model's own, so one model
-    must not forecast in two threads at once.
+    An input equal byte for byte to the session's latest one (a window
+    frozen by rejections) gets a copy of that forecast; the latest window
+    shifted by one curve costs one step of the recurrence; any other input
+    rebuilds the suffix states in a staggered pass of w steps.  Each path
+    gives the bytes a fresh session gives.
     """
+    model = session.model
     x = np.asarray(window_matrix, dtype=np.float64)
     if x.ndim != 2 or x.shape != (model.window, model.length):
         raise ValueError(
@@ -639,41 +637,34 @@ def forward_samples(model: ForecastModel, window_matrix: np.ndarray) -> np.ndarr
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite value in forecaster input")
     data = x.tobytes()
-    memo = model.last_forecast
-    if not memo:
-        memo[:] = b"", None, _Suffixes(model.window, model.hidden, model.w_x.dtype)
-    latest, _, suffixes = memo
+    latest = session.latest
     # bytes, not values: -0.0 equals 0.0 but may not forecast the same
     if data != latest:
         params = model.params()
         # the whole window, as the row of a shorter product may round otherwise
         proj = model.normalize(x).astype(model.w_x.dtype) @ params["w_x"]
-        memo[0] = b""   # the states are rebuilt unless this call completes
+        session.latest = b""   # the states are rebuilt unless this call completes
         # a saturated gate overflows exp() harmlessly: 1 / (1 + inf) is 0
         with np.errstate(over="ignore"):
             if latest and data.startswith(memoryview(latest)[len(data) // model.window:]):
                 a_x = proj[-1]
                 a_x += params["b"]
-                h = suffixes.advance(params["w_h"], a_x)
+                h = session.advance(a_x)
             else:
                 proj += params["b"]
-                h = suffixes.build(params["w_h"], proj)
+                h = session.build(proj)
         y = h @ params["v_out"].T + params["b_out"]
-        memo[:2] = data, model.denormalize(y[0].astype(np.float64))
-    return memo[1].copy()
+        session.latest, session.forecast = data, model.denormalize(y[0].astype(np.float64))
+    return session.forecast.copy()
 
 
-def forward(model: ForecastModel, window: CurveWindow) -> PowerCurve:
+def forward(session: ForecastSession, window: CurveWindow) -> PowerCurve:
     """Predict the curve expected at the operation after the window.
 
     The readout is clipped at 0 W so the prediction is itself a valid
     power curve.
     """
-    if window.size != model.window:
-        raise ValueError(
-            f"expected window of {model.window} curves, got {window.size}"
-        )
-    samples = np.clip(forward_samples(model, window.as_matrix()), 0.0, None)
+    samples = np.clip(forward_samples(session, window.as_matrix()), 0.0, None)
     return PowerCurve(
         samples=samples,
         op_index=window.last.op_index + 1,

@@ -19,7 +19,7 @@ from .classifier import ClassifierReference, classify
 from .comparator import Thresholds
 from .curvegen import LabeledCurve, PowerCurve
 from .dataio import CurveWindow, as_power_curves
-from .forecaster import ForecastModel
+from .forecaster import ForecastModel, ForecastSession
 from .investigator import (
     REASON_VALIDATED,
     InvestigationReport,
@@ -57,6 +57,7 @@ class Pipeline:
         self.reference = reference
         self.config = config or PipelineConfig()
         self.window: CurveWindow | None = None
+        self.session: ForecastSession | None = None   # the forecast state of this stream
         self.validated_store: list[PowerCurve] = []
         self.reports: list[InvestigationReport] = []
         self.last_prediction: PowerCurve | None = None   # the forecast of the latest step
@@ -76,6 +77,7 @@ class Pipeline:
                 f"curves to bootstrap, got {len(curves)}"
             )
         self.window = CurveWindow(curves[-self.model.window:])
+        self.session = ForecastSession(self.model)
         self.validated_store = []
         self.reports = []
         self.last_prediction = None
@@ -102,7 +104,7 @@ class Pipeline:
                 f"(last seen {self._last_op})"
             )
 
-        predicted = self.last_prediction = forecaster.forward(self.model, self.window)
+        predicted = self.last_prediction = forecaster.forward(self.session, self.window)
         outcome = comparator.validate(
             field_curve, predicted, self.thresholds, band=self.config.band
         )

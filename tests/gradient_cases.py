@@ -10,7 +10,7 @@ import numpy as np
 
 from turnoutguard.curvegen import PowerCurve
 from turnoutguard.dataio import make_dataset
-from turnoutguard.forecaster import ForecastModel, _init_params, forward_samples
+from turnoutguard.forecaster import ForecastModel, ForecastSession, _init_params, forward_samples
 
 
 def random_check_instance(seed):
@@ -35,7 +35,7 @@ def random_check_instance(seed):
     curves = [
         PowerCurve(rng.uniform(1.0, 9.0, length), k, 10.0 + k) for k in range(window)
     ]
-    predicted = forward_samples(model, np.stack([c.samples for c in curves]))
+    predicted = forward_samples(ForecastSession(model), np.stack([c.samples for c in curves]))
     target_raw = model.denormalize(model.normalize(predicted) + 0.1 * rng.normal(size=length))
     curves.append(PowerCurve(np.clip(target_raw, 0.0, None), window, 10.0 + window))
     return model, make_dataset(curves, window)[0]

@@ -8,11 +8,11 @@ def count_recurrences(monkeypatch) -> list:
     "build" for a staggered pass over a whole window, "advance" for one step."""
     calls = []
     for name in ("build", "advance"):
-        real = getattr(forecaster._Suffixes, name)
+        real = getattr(forecaster.ForecastSession, name)
 
         def counting(self, *args, _name=name, _real=real):
             calls.append(_name)
             return _real(self, *args)
 
-        monkeypatch.setattr(forecaster._Suffixes, name, counting)
+        monkeypatch.setattr(forecaster.ForecastSession, name, counting)
     return calls

@@ -301,6 +301,8 @@ def _argv(command, root, cfg, out):
     ("train", {"trian": {"hidden": 4}}),
     ("calibrate", {"calibrate": {"percentile": [1]}}),
     ("calibrate", {"calibrate": {"train_fraction": 0.8}}),
+    ("calibrate", {"calibrate": {"safety_factor": math.inf}}),
+    ("calibrate", {"calibrate": {"safety_factor": 1e308}}),
     ("run", {"pipeline": {"start": [140]}}),
     ("run", {"pipeline": {"start": 200, "policy": "freeze"}}),
     ("run", {"pipeline": {"start": 200, "band": 3}}),
@@ -316,10 +318,10 @@ def _argv(command, root, cfg, out):
     ("inject", {"attack": {"kind": "erase", "start": 210, "end": 212}}),
 ], ids=["list-for-int", "float-for-int", "bool-for-int", "section-not-object", "dtype-out-of-choices",
         "zero-epochs", "zero-hidden", "negative-learning-rate", "negative-batch-size", "unknown-key",
-        "unknown-section", "list-for-float", "removed-calibrate-split", "list-for-start",
-        "removed-policy-key", "removed-pipeline-band", "generator-not-object", "unknown-base-shape-key",
-        "phase-without-range", "string-for-float", "unknown-phase-key", "unknown-failure-mode",
-        "unknown-attack-kind"])
+        "unknown-section", "list-for-float", "removed-calibrate-split", "infinite-safety-factor",
+        "overflowing-safety-factor", "list-for-start", "removed-policy-key", "removed-pipeline-band",
+        "generator-not-object", "unknown-base-shape-key", "phase-without-range", "string-for-float",
+        "unknown-phase-key", "unknown-failure-mode", "unknown-attack-kind"])
 def test_bad_config_is_a_usage_error(workdir, tmp_path, capsys, command, config):
     root, _ = workdir
     cfg = tmp_path / "config.json"
@@ -950,8 +952,8 @@ def test_integer_too_large_for_a_float_is_a_schema_error(
     (("classifier_reference", "n_reference"), 40.5, "n_reference must be an integer >= 1"),
     (("calibration", "percentile"), 0.0, "percentile must lie in (0, 100]"),
     (("calibration", "percentile"), 100.5, "percentile must lie in (0, 100]"),
-    (("calibration", "safety_factor"), 0.0, "safety_factor must be > 0"),
-    (("calibration", "safety_factor"), -1.0, "safety_factor must be > 0"),
+    (("calibration", "safety_factor"), 0.0, "safety_factor must be finite and > 0"),
+    (("calibration", "safety_factor"), -1.0, "safety_factor must be finite and > 0"),
     (("calibration", "test_size"), 0, "test_size must be an integer >= 1"),
 ], ids=["negative-std", "zero-n-reference", "fractional-n-reference", "zero-percentile",
         "percentile-above-100", "zero-safety-factor", "negative-safety-factor", "zero-test-size"])

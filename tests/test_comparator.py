@@ -1,5 +1,7 @@
 """Distance metrics, calibration, and the dual-criteria validation rule."""
 
+import math
+
 import numpy as np
 import pytest
 from dtw_oracle import dtw_cost as oracle_dtw_cost
@@ -184,9 +186,10 @@ def trained_bundle():
 def test_calibrate_single_pair_returns_its_distances(trained_bundle):
     model, pairs = trained_bundle
     th = calibrate(model, pairs[:1])
-    from turnoutguard.forecaster import forward_samples
+    from turnoutguard.forecaster import ForecastSession, forward_samples
 
-    predicted = np.clip(forward_samples(model, pairs[0].window.as_matrix()), 0.0, None)
+    window = pairs[0].window.as_matrix()
+    predicted = np.clip(forward_samples(ForecastSession(model), window), 0.0, None)
     assert th.tau_euclidean == pytest.approx(euclidean(predicted, pairs[0].target))
     assert th.tau_dtw == pytest.approx(dtw(predicted, pairs[0].target))
     assert th.calibration["test_size"] == 1
@@ -195,9 +198,11 @@ def test_calibrate_single_pair_returns_its_distances(trained_bundle):
 
 def test_default_thresholds_are_the_largest_residuals_bit_for_bit(trained_bundle):
     model, pairs = trained_bundle
-    from turnoutguard.forecaster import forward_samples
+    from turnoutguard.forecaster import ForecastSession, forward_samples
 
-    predicted = [np.clip(forward_samples(model, p.window.as_matrix()), 0.0, None) for p in pairs]
+    session = ForecastSession(model)
+    predicted = [np.clip(forward_samples(session, p.window.as_matrix()), 0.0, None)
+                 for p in pairs]
     th = calibrate(model, pairs)
     assert th.tau_euclidean == max(euclidean(y, p.target) for y, p in zip(predicted, pairs))
     assert th.tau_dtw == max(dtw(y, p.target) for y, p in zip(predicted, pairs))
@@ -206,10 +211,11 @@ def test_default_thresholds_are_the_largest_residuals_bit_for_bit(trained_bundle
 def test_calibrated_thresholds_validate_their_own_test_set(trained_bundle):
     model, pairs = trained_bundle
     th = calibrate(model, pairs)
-    from turnoutguard.forecaster import forward_samples
+    from turnoutguard.forecaster import ForecastSession, forward_samples
 
     for pair in pairs:
-        predicted = np.clip(forward_samples(model, pair.window.as_matrix()), 0.0, None)
+        window = pair.window.as_matrix()
+        predicted = np.clip(forward_samples(ForecastSession(model), window), 0.0, None)
         assert validate(pair.target, predicted, th).validated
 
 
@@ -262,6 +268,10 @@ def test_calibrate_rejects_empty_or_bad_options(trained_bundle):
         calibrate(model, pairs, percentile=0.0)
     with pytest.raises(ValueError, match="safety"):
         calibrate(model, pairs, safety_factor=0.0)
+    with pytest.raises(ValueError, match="safety_factor must be finite and > 0, got inf"):
+        calibrate(model, pairs, safety_factor=math.inf)
+    with pytest.raises(ValueError, match="times safety_factor 1e[+]308 are not finite"):
+        calibrate(model, pairs, safety_factor=1e308)
 
 
 def test_thresholds_round_trip(tmp_path, trained_bundle):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from turnoutguard.forecaster import (
     GATES,
     AdamState,
     ForecastModel,
+    ForecastSession,
     ModelFormatError,
     TrainConfig,
     TrainingDiverged,
@@ -49,6 +51,11 @@ def random_curves(n, length, seed=0, lo=1.0, hi=9.0):
         PowerCurve(rng.uniform(lo, hi, length), op_index=k, timestamp=50.0 + k)
         for k in range(n)
     ]
+
+
+def fresh_forecast(model, window_matrix):
+    """The forecast of a fresh session on ``model``."""
+    return forward_samples(ForecastSession(model), window_matrix)
 
 
 def small_model(length, hidden, window, seed=0, dtype="float64"):
@@ -91,7 +98,7 @@ def test_zero_weights_predict_the_denormalized_output_bias():
     scale = np.full(length, 7.0)
     model = zero_model(length, hidden, window, bias=bias, mean=mean, scale=scale)
     curves = random_curves(window, length, seed=3, lo=50.0, hi=150.0)
-    got = forward_samples(model, CurveWindow(curves).as_matrix())
+    got = fresh_forecast(model, CurveWindow(curves).as_matrix())
     assert np.allclose(got, bias * scale + mean, atol=1e-12)
 
 
@@ -135,7 +142,7 @@ def scalar_oracle(model, window_matrix):
 def test_forward_matches_the_scalar_recurrence_oracle():
     model = small_model(length=3, hidden=2, window=2, seed=11)
     window_matrix = np.array([[1.0, 2.0, 3.0], [2.5, 0.5, 4.0]])
-    got = forward_samples(model, window_matrix)
+    got = fresh_forecast(model, window_matrix)
     want = scalar_oracle(model, window_matrix)
     assert np.allclose(got, want, atol=1e-12)
 
@@ -149,7 +156,7 @@ def test_forward_matches_oracle_on_random_models():
         model = small_model(length, hidden, window, seed=trial)
         matrix = rng.uniform(0.0, 5.0, size=(window, length))
         assert np.allclose(
-            forward_samples(model, matrix), scalar_oracle(model, matrix), atol=1e-10
+            fresh_forecast(model, matrix), scalar_oracle(model, matrix), atol=1e-10
         )
 
 
@@ -157,7 +164,7 @@ def test_window_count_of_a_numpy_integer_forecasts_the_same():
     model = small_model(length=5, hidden=3, window=4, seed=6)
     numpy_window = dataclasses.replace(model, window=np.int64(4))
     matrix = np.random.default_rng(7).uniform(0.0, 5.0, size=(4, 5))
-    assert forward_samples(numpy_window, matrix).tobytes() == forward_samples(model, matrix).tobytes()
+    assert fresh_forecast(numpy_window, matrix).tobytes() == fresh_forecast(model, matrix).tobytes()
 
 
 def per_gate_forward_seq(params, x):
@@ -240,19 +247,20 @@ def test_gate_activations_stay_in_range():
 def test_forward_rejects_bad_windows():
     model = zero_model(4, 2, window=3)
     curves = random_curves(2, 4)
-    with pytest.raises(ValueError, match="expected window of 3"):
-        forward(model, CurveWindow(curves))
+    with pytest.raises(ValueError, match="expected a window of 3 curves of 4 samples, got array "
+                                         r"of shape \(2, 4\)"):
+        forward(ForecastSession(model), CurveWindow(curves))
     with pytest.raises(ValueError, match="shape"):
-        forward_samples(model, np.zeros((3, 5)))
+        fresh_forecast(model, np.zeros((3, 5)))
     bad = np.full((3, 4), np.nan)
     with pytest.raises(ValueError, match="non-finite"):
-        forward_samples(model, bad)
+        fresh_forecast(model, bad)
 
 
 def test_forward_returns_successor_curve():
     model = zero_model(4, 2, window=2, mean=np.full(4, 3.0))
     curves = random_curves(2, 4)
-    predicted = forward(model, CurveWindow(curves))
+    predicted = forward(ForecastSession(model), CurveWindow(curves))
     assert predicted.op_index == curves[-1].op_index + 1
     assert predicted.timestamp > curves[-1].timestamp
 
@@ -501,7 +509,7 @@ def test_constant_corpus_is_learned_to_spec_tolerance():
     )
     assert report.epochs_run <= 200
     assert report.val_losses[-1] < 1e-4
-    predicted = forward_samples(model, pairs[0].window.as_matrix())
+    predicted = fresh_forecast(model, pairs[0].window.as_matrix())
     error = model.normalize(predicted) - model.normalize(pairs[0].target.samples)
     assert np.mean(error * error) < 1e-4
     # the constant curve itself comes back
@@ -619,7 +627,8 @@ import hashlib
 import numpy as np
 from turnoutguard.curvegen import GeneratorConfig, generate_lifecycle
 from turnoutguard.dataio import make_dataset
-from turnoutguard.forecaster import ForecastModel, TrainConfig, _init_params, forward_samples, train
+from turnoutguard.forecaster import (ForecastModel, ForecastSession, TrainConfig, _init_params,
+                                    forward_samples, train)
 
 pairs = make_dataset(generate_lifecycle(GeneratorConfig(length=40, operations=120, seed=4)), 10)
 model, _ = train(pairs, TrainConfig(hidden=16, epochs=3, seed=2))
@@ -628,7 +637,7 @@ params = _init_params(200, 64, np.random.default_rng(1), np.dtype("float32"))
 model = ForecastModel(**params, norm_mean=np.full(200, 500.0), norm_scale=np.full(200, 100.0),
                       window=50)
 window = np.random.default_rng(2).uniform(0.0, 1000.0, (50, 200))
-print(hashlib.sha256(forward_samples(model, window).tobytes()).hexdigest())
+print(hashlib.sha256(forward_samples(ForecastSession(model), window).tobytes()).hexdigest())
 """
 
 
@@ -679,7 +688,7 @@ def test_save_load_round_trip_preserves_predictions(tmp_path):
     save_model(model, path)
     loaded = load_model(path)
     matrix = pairs[0].window.as_matrix()
-    assert np.array_equal(forward_samples(model, matrix), forward_samples(loaded, matrix))
+    assert np.array_equal(fresh_forecast(model, matrix), fresh_forecast(loaded, matrix))
     assert (loaded.window, loaded.hidden) == (model.window, 6)
     assert loaded.meta == model.meta
 
@@ -692,7 +701,7 @@ def test_save_load_round_trip_float32(tmp_path):
     save_model(model, path)
     loaded = load_model(path)
     matrix = pairs[0].window.as_matrix()
-    assert np.array_equal(forward_samples(model, matrix), forward_samples(loaded, matrix))
+    assert np.array_equal(fresh_forecast(model, matrix), fresh_forecast(loaded, matrix))
 
 
 def test_weights_given_column_major_forecast_the_bytes_of_row_major_ones():
@@ -711,7 +720,7 @@ def test_weights_given_column_major_forecast_the_bytes_of_row_major_ones():
     assert all(p.flags.c_contiguous for p in columns.params().values())
     for pair in make_dataset(corpus, 10):
         window = pair.window.as_matrix()
-        assert forward_samples(columns, window).tobytes() == forward_samples(model, window).tobytes()
+        assert fresh_forecast(columns, window).tobytes() == fresh_forecast(model, window).tobytes()
 
 
 def test_truncated_weights_file_fails_cleanly(tmp_path):
@@ -768,8 +777,8 @@ def test_loaded_model_rejects_wrong_window(tmp_path):
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded = load_model(path)
-    with pytest.raises(ValueError, match="expected window of 3"):
-        forward(loaded, CurveWindow(random_curves(2, 4)))
+    with pytest.raises(ValueError, match="expected a window of 3"):
+        forward(ForecastSession(loaded), CurveWindow(random_curves(2, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -801,15 +810,14 @@ def a_window(seed=4):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-def test_repeated_window_gets_the_forecast_of_a_fresh_model(tmp_path, recurrences, dtype):
-    path = saved_model(tmp_path, dtype)
-    model = load_model(path)
-    first = forward_samples(model, a_window())
-    again = forward_samples(model, a_window())
+def test_repeated_window_gets_the_forecast_of_a_fresh_session(tmp_path, recurrences, dtype):
+    model = load_model(saved_model(tmp_path, dtype))
+    session = ForecastSession(model)
+    first = forward_samples(session, a_window())
+    again = forward_samples(session, a_window())
     assert recurrences == ["build"]
-    fresh = forward_samples(load_model(path), a_window())
+    fresh = fresh_forecast(model, a_window())
     assert again.tobytes() == first.tobytes() == fresh.tobytes()
-    assert dataclasses.replace(model).last_forecast == []
 
 
 @pytest.mark.parametrize("edit", [
@@ -818,14 +826,14 @@ def test_repeated_window_gets_the_forecast_of_a_fresh_model(tmp_path, recurrence
     lambda x: x.__setitem__((1, 2), -0.0),
 ], ids=["one-ulp", "first-sample", "zero-to-negative-zero"])
 def test_window_that_differs_in_one_sample_is_forecast_again(tmp_path, recurrences, edit):
-    path = saved_model(tmp_path)
-    model = load_model(path)
-    forward_samples(model, a_window())
+    model = load_model(saved_model(tmp_path))
+    session = ForecastSession(model)
+    forward_samples(session, a_window())
     other = a_window()
     edit(other)
-    got = forward_samples(model, other)
+    got = forward_samples(session, other)
     assert recurrences == ["build", "build"]
-    assert got.tobytes() == forward_samples(load_model(path), other).tobytes()
+    assert got.tobytes() == fresh_forecast(model, other).tobytes()
 
 
 @pytest.mark.parametrize("name", ARRAYS)
@@ -835,21 +843,20 @@ def test_model_arrays_are_read_only(name):
         getattr(model, name)[0] = 1.0
 
 
-@pytest.mark.parametrize("name", [*ARRAYS, "window", "meta", "last_forecast"])
+@pytest.mark.parametrize("name", [*ARRAYS, "window", "meta"])
 def test_model_fields_cannot_be_reassigned(name):
     model = small_model(6, 3, 4)
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(model, name, getattr(model, name))
 
 
-def test_model_with_other_meta_forecasts_the_same_bytes(tmp_path, recurrences):
+def test_model_with_other_meta_forecasts_the_same_bytes(tmp_path):
     """meta is provenance only: not even a stale "dtype" key changes a forecast."""
     model = dataclasses.replace(load_model(saved_model(tmp_path)),
                                 meta={"dtype": "float32", "seed": 3})
-    first = forward_samples(model, a_window())
     rebuilt = dataclasses.replace(model, meta={})
-    assert forward_samples(rebuilt, a_window()).tobytes() == first.tobytes()
-    assert recurrences == ["build", "build"]
+    want = fresh_forecast(model, a_window()).tobytes()
+    assert fresh_forecast(rebuilt, a_window()).tobytes() == want
 
 
 @pytest.mark.parametrize("arrays", [
@@ -863,15 +870,40 @@ def test_model_parameters_share_one_supported_dtype(arrays):
 
 
 def test_returned_forecast_is_the_callers_to_change(tmp_path, recurrences):
-    model = load_model(saved_model(tmp_path))
-    first = forward_samples(model, a_window())
+    session = ForecastSession(load_model(saved_model(tmp_path)))
+    first = forward_samples(session, a_window())
     want = first.tobytes()
     first[:] = -1.0
-    second = forward_samples(model, a_window())
+    second = forward_samples(session, a_window())
     assert second.tobytes() == want
     second[0] = 5.0
-    assert forward_samples(model, a_window()).tobytes() == want
+    assert forward_samples(session, a_window()).tobytes() == want
     assert recurrences == ["build"]
+
+
+def test_sessions_in_two_threads_forecast_the_bytes_of_a_fresh_session(tmp_path):
+    """Each session owns its states, so two threads may forecast on one model."""
+    model = load_model(saved_model(tmp_path))
+    rng = np.random.default_rng(6)
+    windows = [a_window()]
+    for move in ["shift", "repeat", "jump", "shift", "shift"] * 20:
+        windows.append(next_window(windows[-1], move, rng))
+    want = [fresh_forecast(model, x).tobytes() for x in windows]
+
+    def forecasts(order):
+        session = ForecastSession(model)
+        return [forward_samples(session, windows[k]).tobytes() for k in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            ahead = pool.submit(forecasts, range(len(windows)))
+            behind = pool.submit(forecasts, range(len(windows) - 1, -1, -1))
+            assert ahead.result(timeout=60) == want
+            assert behind.result(timeout=60) == want[::-1]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def one_window_recurrence(model, x):
@@ -914,8 +946,9 @@ MOVES = ("shift", "repeat", "shift-by-two", "jump", "ulp-newest", "ulp-oldest", 
        seed=st.integers(0, 2**32 - 1), moves=st.lists(st.sampled_from(MOVES), max_size=16))
 def test_forecast_never_depends_on_the_calls_before_it(tmp_path_factory, dtype, length,
                                                        hidden, window, gain, seed, moves):
-    """One model driven through any sequence of windows forecasts, byte for
-    byte, what a model freshly read from its weights file forecasts."""
+    """One session driven through any sequence of windows forecasts, byte
+    for byte, what a fresh session on a model freshly read from its weights
+    file forecasts."""
     rng = np.random.default_rng(seed)
     model = small_model(length, hidden, window, seed=seed % 1000, dtype=dtype)
     # at a gain of 60 some gates saturate and exp() overflows
@@ -925,11 +958,12 @@ def test_forecast_never_depends_on_the_calls_before_it(tmp_path_factory, dtype, 
     path = tmp_path_factory.mktemp("model") / "model.json"
     save_model(model, path)
     model = load_model(path)
+    session = ForecastSession(model)
     x = np.zeros((window, length))
     for move in ("jump", *moves):
         x = next_window(x, move, rng)
-        got = forward_samples(model, x).tobytes()
-        assert got == forward_samples(load_model(path), x).tobytes(), move
+        got = forward_samples(session, x).tobytes()
+        assert got == fresh_forecast(load_model(path), x).tobytes(), move
         assert got == one_window_recurrence(model, x).tobytes(), move
 
 
@@ -949,37 +983,38 @@ def benchmark_model(request, tmp_path_factory):
     list(range(120, 150)),                                  # consecutive windows
     [120, 121, 121, 121, 122, 124, 125, 200, 201, 130, 131],    # repeats, shift by two, jumps
 ], ids=["consecutive", "mixed"])
-def test_forecasts_at_the_benchmark_shape_are_those_of_a_fresh_model(
+def test_forecasts_at_the_benchmark_shape_are_those_of_a_fresh_session(
         benchmark_model, monkeypatch, starts):
     path, curves = benchmark_model
     model = load_model(path)
+    session = ForecastSession(model)
     recurrences = count_recurrences(monkeypatch)
     for start in starts:
         x = curves[start:start + 50]
-        got = forward_samples(model, x).tobytes()
+        got = forward_samples(session, x).tobytes()
         assert got == one_window_recurrence(model, x).tobytes()
-        assert got == forward_samples(load_model(path), x).tobytes()
-    # each fresh model builds; the one model builds only off a shift by one
+        assert got == fresh_forecast(model, x).tobytes()
+    # each fresh session builds; the one session builds only off a shift by one
     steps = np.diff(starts)
     assert recurrences.count("build") == len(starts) + 1 + np.sum((steps != 0) & (steps != 1))
     assert recurrences.count("advance") == np.sum(steps == 1)
 
 
-def test_calibration_equals_one_that_reloads_the_model_for_every_pair(
+def test_calibration_equals_one_that_starts_a_fresh_session_for_every_pair(
         benchmark_model, monkeypatch, tmp_path):
     path, curves = benchmark_model
+    model = load_model(path)
     pairs = make_dataset([PowerCurve(c, op_index=k, timestamp=float(k))
                           for k, c in enumerate(curves[150:230])], 50)
 
     def thresholds_file(name):
         out = tmp_path / name
-        save_thresholds(out, calibrate(load_model(path), pairs), {})
+        save_thresholds(out, calibrate(model, pairs), {})
         return out.read_bytes()
 
     recurrences = count_recurrences(monkeypatch)
     once = thresholds_file("once.json")
     assert recurrences == ["build"] + ["advance"] * (len(pairs) - 1)
-    real = comparator.forward_samples
-    monkeypatch.setattr(comparator, "forward_samples", lambda _, x: real(load_model(path), x))
-    assert thresholds_file("reloaded.json") == once
+    monkeypatch.setattr(comparator, "forward_samples", lambda _, x: fresh_forecast(model, x))
+    assert thresholds_file("fresh.json") == once
     assert recurrences.count("build") == 1 + len(pairs)

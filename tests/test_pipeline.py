@@ -19,7 +19,8 @@ from turnoutguard.curvegen import (
     inject_attack,
 )
 from turnoutguard.dataio import make_dataset
-from turnoutguard.forecaster import ForecastModel, TrainConfig, load_model, save_model, train
+from turnoutguard.forecaster import (ForecastModel, ForecastSession, TrainConfig, load_model,
+                                    save_model, train)
 from turnoutguard.investigator import VerdictKind
 from turnoutguard.pipeline import Pipeline, PipelineConfig
 
@@ -217,10 +218,10 @@ def test_minor_transient_gets_no_suspicion(constant_world):
     assert report.verdict.kind is VerdictKind.NO_SUSPICION
 
 
-def test_reused_forecasts_replay_a_model_reloaded_before_every_step(tmp_path, monkeypatch):
-    """A frozen window is forecast once; the reports equal, byte for byte,
-    those of a pipeline that reads its model from the weights file anew
-    before every step."""
+@pytest.fixture(scope="module")
+def attacked_world(tmp_path_factory):
+    """A trained model read from its weights file, and a stream with three
+    attacks that freeze the window for several ops each."""
     cfg = GeneratorConfig(length=LENGTH, operations=160, seed=8)
     corpus = generate_lifecycle(cfg)
     for kind, start, end in [(AttackKind.SPURIOUS_FAILURE, 110, 117),
@@ -229,28 +230,68 @@ def test_reused_forecasts_replay_a_model_reloaded_before_every_step(tmp_path, mo
         corpus = inject_attack(corpus, AttackScenario(kind, start, end, seed=start), cfg)
     model, _ = train(make_dataset(corpus[:80], WINDOW),
                      TrainConfig(hidden=8, epochs=30, seed=2, dtype="float32"))
-    path = tmp_path / "model.json"
+    path = tmp_path_factory.mktemp("attacked") / "model.json"
     save_model(model, path)
-    thresholds = calibrate(load_model(path), make_dataset(corpus[80:100], WINDOW))
+    model = load_model(path)
+    thresholds = calibrate(model, make_dataset(corpus[80:100], WINDOW))
     reference = build_reference(corpus[:80])
+    return model, thresholds, reference, corpus
+
+
+def test_reused_forecasts_replay_a_fresh_session_before_every_step(attacked_world, monkeypatch):
+    """A frozen window is forecast once; the reports equal, byte for byte,
+    those of a pipeline that starts a fresh forecast session before every
+    step."""
+    model, thresholds, reference, corpus = attacked_world
     stream = corpus[100:]
 
     recurrences = count_recurrences(monkeypatch)
-    one = Pipeline(load_model(path), thresholds, reference).bootstrap(corpus[:100])
+    one = Pipeline(model, thresholds, reference).bootstrap(corpus[:100])
     reused = [json.dumps(one.step(lc).to_dict()) for lc in stream]
 
-    reloaded = Pipeline(load_model(path), thresholds, reference).bootstrap(corpus[:100])
+    fresh = Pipeline(model, thresholds, reference).bootstrap(corpus[:100])
     replayed = []
     for lc in stream:
-        reloaded.model = load_model(path)
-        replayed.append(json.dumps(reloaded.step(lc).to_dict()))
+        fresh.session = ForecastSession(model)
+        replayed.append(json.dumps(fresh.step(lc).to_dict()))
     assert reused == replayed
 
     # the window moves only on a validated step, by one curve, so the first
     # step of each pipeline builds the suffix states, only the step after a
-    # validated one advances them, and a reloaded model always builds
+    # validated one advances them, and a fresh session always builds
     validated = [r.verdict.kind is VerdictKind.VALIDATED for r in one.reports]
     assert recurrences.count("build") == 1 + len(stream)
     assert recurrences.count("advance") == sum(validated[:-1])
     streaks = "".join(".x"[not v] for v in validated).split(".")
     assert max(map(len, streaks)) >= 4 and sum(validated) >= 10
+
+
+def test_pipelines_sharing_a_model_each_step_as_a_lone_one(attacked_world, monkeypatch):
+    """Each pipeline holds its own forecast session: stepped interleaved
+    with a second pipeline on the same model, one op behind it, each gives
+    the reports of a pipeline stepped alone, with the same recurrence runs
+    on every step."""
+    model, thresholds, reference, corpus = attacked_world
+    history, stream = corpus[:100], corpus[100:]
+    recurrences = count_recurrences(monkeypatch)
+
+    def step(pipe, lc, runs):
+        before = len(recurrences)
+        report = json.dumps(pipe.step(lc).to_dict())
+        runs.append(recurrences[before:])
+        return report
+
+    lone_runs = []
+    lone = Pipeline(model, thresholds, reference).bootstrap(history)
+    lone_reports = [step(lone, lc, lone_runs) for lc in stream]
+
+    ahead, behind = (Pipeline(model, thresholds, reference).bootstrap(history) for _ in "ab")
+    ahead_reports, ahead_runs, behind_reports, behind_runs = [], [], [], []
+    for k in range(len(stream) + 1):
+        if k < len(stream):
+            ahead_reports.append(step(ahead, stream[k], ahead_runs))
+        if k:
+            behind_reports.append(step(behind, stream[k - 1], behind_runs))
+    assert ahead_reports == behind_reports == lone_reports
+    assert ahead_runs == behind_runs == lone_runs
+    assert ["advance"] in lone_runs and [] in lone_runs
