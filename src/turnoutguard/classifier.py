@@ -74,6 +74,9 @@ def _features(s: np.ndarray) -> CurveFeatures:
     n = s.size
     k1 = int(PEAK_REGION * n)
     k2 = int(PLATEAU_REGION * n)
+    if k1 < 1:   # every region below is then non-empty too
+        raise ValueError(f"a curve of {n} samples is too short to classify: its peak region "
+                         f"(the first {PEAK_REGION:.0%}) holds no sample")
     peak_region = s[:k1]
     plateau = s[k1:k2]
     locking = s[k2:]

@@ -121,7 +121,6 @@ SECTIONS = {
     "calibrate": {
         "percentile": Key("percentile", float, help="residual percentile (default 100: the max)"),
         "safety_factor": Key("safety", float, help="safety factor on thresholds"),
-        "band": Key("band", int, help="warping band radius"),
     },
     "attack": {
         "kind": Key("attack", str, choices=tuple(k.value for k in AttackKind)),
@@ -366,8 +365,7 @@ def cmd_run(args, cfg) -> int:
         raise UsageError(f"no operation with op_index >= {start} in the corpus")
     history, stream = corpus[:cut], corpus[cut:]
 
-    # distances compare against thresholds only under the band they were calibrated with
-    config = PipelineConfig(band=thresholds.calibration.get("band"), **options)
+    config = PipelineConfig(**options)
     pipe = Pipeline(model, thresholds, reference, config).bootstrap(history)
 
     plot_dir = Path(args.plot_dir) if args.plot_dir else None

@@ -7,9 +7,10 @@ when both fall within thresholds calibrated on held-out test residuals.
 Distances are computed in raw watts, so the thresholds stay meaningful for
 field curves that never pass through the model's normalizer.
 
-The warping distance runs on one exact numpy kernel: an anti-diagonal
-wavefront that does the same arithmetic as the textbook row-by-row loop, so
-its results equal the loop's bit for bit.  Nothing is compiled.
+The warping distance runs on one exact numpy kernel over the full cost
+matrix: an anti-diagonal wavefront that does the same arithmetic as the
+textbook row-by-row loop, so its results equal the loop's bit for bit.
+Nothing is compiled.
 """
 
 from __future__ import annotations
@@ -84,19 +85,18 @@ def euclidean(a, b) -> float:
     return float(np.sqrt(np.sum(d * d)))
 
 
-def dtw(a, b, band: int | None = None) -> float:
+def dtw(a, b) -> float:
     """Warping distance: cheapest alignment path cost with |a_i - b_j| cells.
 
     Admissible moves are (i-1, j), (i, j-1) and (i-1, j-1).  Lengths may
-    differ.  ``band`` restricts the path to |i - j| <= band (widened
-    automatically to cover any length difference); None searches the full
-    matrix.  The result equals the row-by-row dynamic program bit for bit.
-    Time O(len(a)*len(b)) in three numpy calls per anti-diagonal plus two per
-    block of ``_DIAGONALS_PER_BLOCK`` diagonals (five with a band).  Each
-    block computes a rectangle of cells that covers its diagonals' ranges,
-    so somewhat more slots than cells are computed.  Memory: a padded copy of
-    the longer series and ``_DIAGONALS_PER_BLOCK`` + 3 rows the length of the
-    shorter one, so a long pair never allocates its whole cost matrix.
+    differ, and the path may cross the whole cost matrix.  The result equals
+    the row-by-row dynamic program bit for bit.  Time O(len(a)*len(b)) in
+    three numpy calls per anti-diagonal plus two per block of
+    ``_DIAGONALS_PER_BLOCK`` diagonals.  Each block computes a rectangle of
+    cells that covers its diagonals' ranges, so somewhat more slots than
+    cells are computed.  Memory: a padded copy of the longer series and
+    ``_DIAGONALS_PER_BLOCK`` + 3 rows the length of the shorter one, so a
+    long pair never allocates its whole cost matrix.
     """
     xa, xb = _samples(a), _samples(b)
     if xa.size == 0 or xb.size == 0:
@@ -105,20 +105,13 @@ def dtw(a, b, band: int | None = None) -> float:
         raise ValueError("non-finite value in series")
     if xb.size > xa.size:
         xa, xb = xb, xa   # cost and moves are symmetric; keep xb the short one
-    if band is None:
-        eff_band = -1
-    else:
-        if band < 0:
-            raise ValueError("band must be >= 0")
-        eff_band = max(int(band), xa.size - xb.size)
-    return float(_dtw_cost(xa, xb, eff_band))
+    return float(_dtw_cost(xa, xb))
 
 
-def _dtw_cost(long: np.ndarray, short: np.ndarray, band: int) -> float:
+def _dtw_cost(long: np.ndarray, short: np.ndarray) -> float:
     """Accumulated cost D[n, m] by anti-diagonals k = i + j of the cost matrix.
 
-    Rows i index ``short`` (m), columns j index ``long`` (n >= m); ``band``
-    >= 0 keeps |i - j| = |2i - k| <= band, -1 keeps every cell.  Three
+    Rows i index ``short`` (m), columns j index ``long`` (n >= m).  Three
     buffers of m + 1 slots hold diagonals k-2, k-1 and k, indexed by i.  The
     cells of diagonal k read i-1 and i of diagonal k-1 and i-1 of diagonal
     k-2.  Each cell is d + min(three neighbours) as in the row loop; min is
@@ -128,15 +121,12 @@ def _dtw_cost(long: np.ndarray, short: np.ndarray, band: int) -> float:
     Diagonals go in blocks of ``_DIAGONALS_PER_BLOCK``.  Each diagonal of a
     block computes the block's span of rows [first, last], the union of their
     ranges, so buffer views are taken once per block and each diagonal costs
-    two minimums and an addition.  A span cell outside its diagonal's range
-    costs inf (off the matrix through the inf padding of ``long``, off the
-    band through one mask per block), and an inf cost makes the cell inf
+    two minimums and an addition.  A span cell off the matrix costs inf
+    through the inf padding of ``long``, and an inf cost makes the cell inf
     whatever its neighbours hold.  Slot first-1 lies outside every range of
     the block and gets inf, which hides what the buffer held from an earlier
     diagonal; slots above ``last`` were never written, because ``last`` never
-    decreases, and keep their initial inf.  The span of a block is never
-    empty: at most one of two neighbouring diagonals has no cell in the band,
-    and the last diagonal holds D[n, m].
+    decreases, and keep their initial inf.
     """
     n, m = long.size, short.size
     inf = np.inf
@@ -152,26 +142,16 @@ def _dtw_cost(long: np.ndarray, short: np.ndarray, band: int) -> float:
     prev1 = np.full(m + 1, inf)   # diagonal 1: D[0, 1] = D[1, 0] = inf
     cur = np.full(m + 1, inf)
     costs = np.empty((_DIAGONALS_PER_BLOCK, m))
-    ks = np.arange(2, n + m + 1)
-    los = np.maximum(1, ks - n)
-    his = np.minimum(m, ks - 1)
-    if band >= 0:
-        los = np.maximum(los, (ks - band + 1) // 2)
-        his = np.minimum(his, (ks + band) // 2)
-    los, his = los.tolist(), his.tolist()   # both non-decreasing in k
     # the loop runs n + m - 1 times; local names save an attribute lookup per call
     minimum, add = np.minimum, np.add
     for b0 in range(0, n + m - 1, _DIAGONALS_PER_BLOCK):
         b1 = min(b0 + _DIAGONALS_PER_BLOCK, n + m - 1)   # diagonals b0+2 .. b1+1
-        first, last = los[b0], his[b1 - 1]
+        # rows of diagonal k run from max(1, k - n) to min(m, k - 1)
+        first, last = max(1, b0 + 2 - n), min(m, b1)
         block = costs[:b1 - b0, :last - first + 1]
         np.subtract(short[first - 1:last],
                     diagonals[n + m - b1:n + m - b0][::-1, first - 1:last], out=block)
         np.absolute(block, out=block)
-        if band >= 0:
-            outside = np.abs(np.arange(2 * first, 2 * last + 1, 2)
-                             - np.arange(b0 + 2, b1 + 2)[:, None]) > band
-            block[outside] = inf
         # per buffer: the whole buffer, slots first-1 .. last-1, slots first .. last
         v2, v1, v0 = ((buf, buf[first - 1:last], buf[first:last + 1])
                       for buf in (prev2, prev1, cur))
@@ -186,8 +166,8 @@ def _dtw_cost(long: np.ndarray, short: np.ndarray, band: int) -> float:
     return float(prev1[m])
 
 
-def distance_pair(a, b, band: int | None = None) -> DistancePair:
-    return DistancePair(euclidean=euclidean(a, b), dtw=dtw(a, b, band=band))
+def distance_pair(a, b) -> DistancePair:
+    return DistancePair(euclidean=euclidean(a, b), dtw=dtw(a, b))
 
 
 def calibrate(
@@ -195,7 +175,6 @@ def calibrate(
     test_pairs: list[SupervisedPair],
     percentile: float = 100.0,
     safety_factor: float = 1.0,
-    band: int | None = None,
 ) -> Thresholds:
     """Derive acceptance thresholds from prediction residuals on test data.
 
@@ -214,7 +193,7 @@ def calibrate(
     for k, pair in enumerate(test_pairs):
         predicted = np.clip(forward_samples(session, pair.window.as_matrix()), 0.0, None)
         eucl[k] = euclidean(predicted, pair.target)
-        warp[k] = dtw(predicted, pair.target, band=band)
+        warp[k] = dtw(predicted, pair.target)
 
     tau_e = float(np.percentile(eucl, percentile)) * safety_factor
     tau_d = float(np.percentile(warp, percentile)) * safety_factor
@@ -233,7 +212,6 @@ def calibrate(
             "test_size": len(test_pairs),
             "percentile": percentile,
             "safety_factor": safety_factor,
-            "band": band,
         },
     )
 
@@ -246,12 +224,12 @@ def _check_calibration(percentile: float, safety_factor: float):
         raise ValueError(f"safety_factor must be finite and > 0, got {safety_factor}")
 
 
-def validate(field, predicted, thresholds: Thresholds, band: int | None = None) -> ValidationResult:
-    """Both criteria must pass; either distance beyond its bound rejects."""
-    xf, xp = _samples(field), _samples(predicted)
-    if xf.shape != xp.shape:
-        raise ValueError(f"curve lengths differ: {xf.shape[0]} vs {xp.shape[0]}")
-    d = distance_pair(xf, xp, band=band)
+def validate(field, predicted, thresholds: Thresholds) -> ValidationResult:
+    """Both criteria must pass; either distance beyond its bound rejects.
+
+    ValueError, from ``euclidean``, if the two curves differ in length.
+    """
+    d = distance_pair(field, predicted)
     ok = d.euclidean <= thresholds.tau_euclidean and d.dtw <= thresholds.tau_dtw
     return ValidationResult(validated=ok, distances=d)
 
@@ -292,8 +270,9 @@ def load_thresholds(path) -> tuple[Thresholds, dict]:
         cal = th.calibration
         if "test_size" in cal:
             json_integer(cal["test_size"], "calibration test_size", 1)
-        if cal.get("band") is not None:
-            json_integer(cal["band"], "calibration band", 0)
+        if cal.get("band") is not None:   # null: the full matrix, as earlier files record it
+            raise ValueError(f"calibration band {cal['band']!r} is not supported: distances "
+                             "search the full warping matrix; re-run calibrate")
         if "model_sha256" in cal:
             json_sha256(cal["model_sha256"], "calibration model_sha256")
         _check_calibration(

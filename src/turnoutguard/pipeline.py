@@ -34,12 +34,14 @@ from .investigator import (
 @dataclass
 class PipelineConfig:
     alarm_after: int = 5   # consecutive rejections before a stream alert
-    band: int | None = None
+    band: None = None   # perfbench still passes it; goes when the benchmark next changes
     investigator: InvestigatorParams = field(default_factory=InvestigatorParams)
 
     def __post_init__(self):
         if self.alarm_after < 1:
             raise ValueError("alarm_after must be >= 1")
+        if self.band is not None:
+            raise ValueError(f"band must be None, got {self.band!r}: distances have no band")
 
 
 class Pipeline:
@@ -105,9 +107,7 @@ class Pipeline:
             )
 
         predicted = self.last_prediction = forecaster.forward(self.session, self.window)
-        outcome = comparator.validate(
-            field_curve, predicted, self.thresholds, band=self.config.band
-        )
+        outcome = comparator.validate(field_curve, predicted, self.thresholds)
         field_kind = classify(field_curve, self.reference)
         predicted_kind = classify(predicted, self.reference)
         progressive = window_shows_progression(

@@ -7,12 +7,11 @@ equality; it is kept in plain Python so that its arithmetic is plain to see.
 import math
 
 
-def dtw_cost(a, b, band=-1):
+def dtw_cost(a, b):
     """Minimal accumulated |a_i - b_j| path cost over the full cost matrix.
 
-    Admissible moves are (i-1, j), (i, j-1), (i-1, j-1).  ``band`` >= 0
-    restricts the path to |i - j| <= band (caller widens it to cover any
-    length difference).  Keeps two rows of length len(b) + 1.
+    Admissible moves are (i-1, j), (i, j-1), (i-1, j-1).  Keeps two rows of
+    length len(b) + 1.
     """
     a = [float(v) for v in a]
     b = [float(v) for v in b]
@@ -23,17 +22,8 @@ def dtw_cost(a, b, band=-1):
     curr = [inf] * (m + 1)
     for i in range(1, n + 1):
         ai = a[i - 1]
-        if band >= 0:
-            lo = max(1, i - band)
-            hi = min(m, i + band)
-        else:
-            lo, hi = 1, m
         curr[0] = inf
-        for j in range(1, lo):
-            curr[j] = inf
-        for j in range(hi + 1, m + 1):
-            curr[j] = inf
-        for j in range(lo, hi + 1):
+        for j in range(1, m + 1):
             d = ai - b[j - 1]
             if d < 0.0:
                 d = -d

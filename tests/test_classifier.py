@@ -83,6 +83,16 @@ def test_cached_features_equal_the_features_of_the_bare_samples(kind):
         assert replace(curve, op_index=curve.op_index + 1).features is None
 
 
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 5])
+def test_a_curve_needs_a_sample_in_its_peak_region(length):
+    samples = np.full(length, 600.0)
+    if length < 5:
+        with pytest.raises(ValueError, match=f"a curve of {length} samples is too short"):
+            extract_features(samples)
+    else:
+        assert extract_features(samples).plateau_mean == 600.0
+
+
 @pytest.mark.parametrize("length", [20, 101, 200])
 def test_plateau_slope_equals_polyfit(length):
     _, corpus = make_corpus(

@@ -19,6 +19,7 @@ from turnoutguard.cli import SECTIONS, UsageError, _generator_config, _load_conf
 from turnoutguard.comparator import ThresholdsFormatError, load_thresholds
 from turnoutguard.curvegen import BaseShape, CurveKind, GeneratorConfig, Phase
 from turnoutguard.forecaster import ModelFormatError, load_model
+from turnoutguard.investigator import read_reports
 
 WINDOW = 10
 
@@ -176,10 +177,15 @@ def test_malformed_thresholds_is_a_schema_error(workdir, tmp_path, capsys, corru
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_unknown_flag_is_a_usage_error(workdir):
+def test_unknown_flag_is_a_usage_error(workdir, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["generate", "--no-such-flag"])
     assert exc.value.code == 2
+    root, cfg = workdir
+    with pytest.raises(SystemExit) as exc:   # calibrate has no warping band
+        main(_argv("calibrate", root, cfg, tmp_path / "t.json") + ["--band", "2"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "t.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -271,6 +277,32 @@ def test_full_chain_is_idempotent(workdir, tmp_path):
     assert out["one"] == out["two"]
 
 
+#: sha256 over the "op,verdict kind,reason" lines of the clean and the
+#: replay-attacked run of the fixture's chain, the benchmark's report digest;
+#: a change to any verdict of the chain shows here
+PINNED_VERDICTS = "f2f38de07b92d77efca4fdfb7eab2ab9d36d1eb391721d0792d4e842715916cd"
+
+
+@pytest.mark.parametrize("edit", [lambda cal: cal, lambda cal: {**cal, "band": None}],
+                         ids=["as-calibrated", "null-band"])
+def test_run_verdicts_are_pinned(workdir, tmp_path, edit):
+    root, cfg = workdir
+    doc = json.loads((root / "thresholds.json").read_text())
+    doc["calibration"] = edit(doc["calibration"])
+    (tmp_path / "t.json").write_text(json.dumps(doc))
+    assert main(["inject", "--config", str(cfg), "--corpus", str(root / "corpus.ndjson"),
+                 "--attack", "replay_conceal", "--start", "210", "--end", "230",
+                 "--out", str(tmp_path / "attack.ndjson")]) == 0
+    h = hashlib.sha256()
+    for corpus, rc in ((root / "corpus.ndjson", 0), (tmp_path / "attack.ndjson", 1)):
+        out = tmp_path / "r.ndjson"
+        assert main(_argv("run", root, cfg, out) + ["--corpus", str(corpus),
+                                                     "--thresholds", str(tmp_path / "t.json")]) == rc
+        for r in read_reports(out):
+            h.update(f"{r.op_index},{r.verdict.kind.value},{r.verdict.reason_code}\n".encode())
+    assert h.hexdigest() == PINNED_VERDICTS
+
+
 def _argv(command, root, cfg, out):
     """A complete command line for ``command`` on the fixture's artifacts."""
     return {
@@ -303,6 +335,7 @@ def _argv(command, root, cfg, out):
     ("calibrate", {"calibrate": {"train_fraction": 0.8}}),
     ("calibrate", {"calibrate": {"safety_factor": math.inf}}),
     ("calibrate", {"calibrate": {"safety_factor": 1e308}}),
+    ("calibrate", {"calibrate": {"band": 3}}),
     ("run", {"pipeline": {"start": [140]}}),
     ("run", {"pipeline": {"start": 200, "policy": "freeze"}}),
     ("run", {"pipeline": {"start": 200, "band": 3}}),
@@ -319,8 +352,8 @@ def _argv(command, root, cfg, out):
 ], ids=["list-for-int", "float-for-int", "bool-for-int", "section-not-object", "dtype-out-of-choices",
         "zero-epochs", "zero-hidden", "negative-learning-rate", "negative-batch-size", "unknown-key",
         "unknown-section", "list-for-float", "removed-calibrate-split", "infinite-safety-factor",
-        "overflowing-safety-factor", "list-for-start", "removed-policy-key", "removed-pipeline-band",
-        "generator-not-object", "unknown-base-shape-key", "phase-without-range", "string-for-float",
+        "overflowing-safety-factor", "removed-calibrate-band", "list-for-start",
+        "removed-policy-key", "removed-pipeline-band", "generator-not-object", "unknown-base-shape-key", "phase-without-range", "string-for-float",
         "unknown-phase-key", "unknown-failure-mode", "unknown-attack-kind"])
 def test_bad_config_is_a_usage_error(workdir, tmp_path, capsys, command, config):
     root, _ = workdir
@@ -607,6 +640,24 @@ def test_train_refuses_a_test_split_too_short_to_calibrate_on(tmp_path, capsys):
     assert rc == 2
     assert err.startswith("error: ") and "12 curves" in err and "window of 12" in err
     assert not model.exists()
+
+
+def test_calibrate_refuses_curves_too_short_to_classify(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    corpus, model = tmp_path / "corpus.ndjson", tmp_path / "model.json"
+    corpus.write_text("".join(
+        json.dumps({"op_index": k, "timestamp": 1.7e9 + 360.0 * k,
+                    "samples": (600.0 + rng.normal(0.0, 12.0, 3)).tolist(),
+                    "label": {"kind": "early_life_normal", "severity": 0.0}, "tampered": False})
+        + "\n" for k in range(60)))
+    assert main(["train", "--corpus", str(corpus), "--window", "5", "--epochs", "2",
+                 "--out", str(model)]) == 0
+    rc = main(["calibrate", "--corpus", str(corpus), "--model", str(model),
+               "--out", str(tmp_path / "t.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: a curve of 3 samples is too short to classify")
+    assert not (tmp_path / "t.json").exists()
 
 
 def test_run_refuses_a_model_the_thresholds_were_not_calibrated_for(workdir, tmp_path, capsys):
@@ -955,8 +1006,10 @@ def test_integer_too_large_for_a_float_is_a_schema_error(
     (("calibration", "safety_factor"), 0.0, "safety_factor must be finite and > 0"),
     (("calibration", "safety_factor"), -1.0, "safety_factor must be finite and > 0"),
     (("calibration", "test_size"), 0, "test_size must be an integer >= 1"),
+    (("calibration", "band"), 3, "calibration band 3 is not supported"),
 ], ids=["negative-std", "zero-n-reference", "fractional-n-reference", "zero-percentile",
-        "percentile-above-100", "zero-safety-factor", "negative-safety-factor", "zero-test-size"])
+        "percentile-above-100", "zero-safety-factor", "negative-safety-factor", "zero-test-size",
+        "banded-thresholds"])
 def test_threshold_value_out_of_range_is_a_schema_error(workdir, tmp_path, capsys,
                                                         path, value, message):
     """Values of the right JSON type that calibrate never writes."""

@@ -51,6 +51,15 @@ def constant_world():
     return cfg, corpus, model, reference, thresholds
 
 
+@pytest.mark.parametrize("options, match", [
+    ({"alarm_after": 0}, "alarm_after must be >= 1"),
+    ({"band": 3}, "band must be None"),
+], ids=["zero-alarm-after", "band"])
+def test_pipeline_config_checks_itself(options, match):
+    with pytest.raises(ValueError, match=match):
+        PipelineConfig(**options)
+
+
 def fresh_pipeline(world, **config):
     _, corpus, model, reference, thresholds = world
     pipe = Pipeline(model, thresholds, reference, PipelineConfig(**config))
