@@ -218,6 +218,8 @@ def cmd_train(args, cfg) -> int:
         raise UsageError(f"the test split holds {len(test_part)} curves, too few for a window "
                          f"of {window} plus a target; lower --train-fraction or --window")
     val_pairs = dataio.make_dataset(test_part, window)
+    # calibrate classifies these curves, all of one length, so refuse them now
+    classifier.extract_features(corpus[0].curve.samples)
 
     print(
         f"training on {len(train_pairs)} pairs (window {window}, hidden "

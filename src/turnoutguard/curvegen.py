@@ -314,7 +314,7 @@ def generate_lifecycle(config: GeneratorConfig) -> list[LabeledCurve]:
     corpus = []
     for op in range(config.operations):
         phase = config.phase_at(op)
-        severity = phase.severity_at(op) if phase.kind in PROGRESSIVE_KINDS else 0.0
+        severity = phase.severity_at(op)
         samples = synth_samples(config, phase.kind, severity, _op_rng(config.seed, op))
         curve = PowerCurve(
             samples=samples,

@@ -575,7 +575,9 @@ class ForecastSession:
     forecast.  Sequence j lives in slot (start + j) % w of buffers allocated
     here, so a shift by one curve moves no state.  Every sequence steps with
     one gemv of its own hidden state, as the recurrence of one window does,
-    and rounds exactly as that would.
+    and rounds exactly as that would.  ``advance`` is the only step: w of
+    them over a window's rows rebuild every suffix state from whatever the
+    slots held before, as each slot is zeroed just before its first row.
     """
 
     def __init__(self, model: ForecastModel):
@@ -588,34 +590,19 @@ class ForecastSession:
         self.ones = np.ones((3, window, hidden), dtype=dtype)
         self.start = 0   # the slot of sequence 0
 
-    def _step(self, a_x: np.ndarray, slots: int):
-        """Feed the projected row ``a_x`` to the sequences in the first ``slots`` slots."""
-        kept, a = self.kept[:, :slots], self.a[:slots]
-        np.matmul(kept[5][:, None], self.model.w_h, out=a[:, None])
-        np.add(a_x, a, out=a)
-        _cell(a, kept[4], kept, self.tc[:slots], self.ones[:, :slots])
-
-    def build(self, proj: np.ndarray) -> np.ndarray:
-        """Start every sequence of the window with projected rows ``proj``
-        from zero state, in one staggered pass: step t feeds row t to
-        sequences 0 ... t.  Returns the (1, hidden) state of sequence 0.
-        """
-        self.kept[4:] = 0.0
-        self.start = 0
-        for t, a_x in enumerate(proj):
-            self._step(a_x, t + 1)
-        return self.kept[5, :1]
-
     def advance(self, a_x: np.ndarray) -> np.ndarray:
         """Shift the window by one curve whose projected row is ``a_x``: the
         slot of the old sequence 0 starts the new sequence w - 1 from zero
         state, and one step feeds the row to all w sequences.  Returns the
         (1, hidden) state of the new sequence 0.
         """
-        self.kept[4:, self.start] = 0.0
-        self._step(a_x, len(self.a))
-        self.start = (self.start + 1) % len(self.a)
-        return self.kept[5, self.start:self.start + 1]
+        kept, a = self.kept, self.a
+        kept[4:, self.start] = 0.0
+        np.matmul(kept[5][:, None], self.model.w_h, out=a[:, None])
+        np.add(a_x, a, out=a)
+        _cell(a, kept[4], kept, self.tc, self.ones)
+        self.start = (self.start + 1) % len(a)
+        return kept[5, self.start:self.start + 1]
 
 
 def forward_samples(session: ForecastSession, window_matrix: np.ndarray) -> np.ndarray:
@@ -623,9 +610,9 @@ def forward_samples(session: ForecastSession, window_matrix: np.ndarray) -> np.n
 
     An input equal byte for byte to the session's latest one (a window
     frozen by rejections) gets a copy of that forecast; the latest window
-    shifted by one curve costs one step of the recurrence; any other input
-    rebuilds the suffix states in a staggered pass of w steps.  Each path
-    gives the bytes a fresh session gives.
+    shifted by one curve costs one advance of the recurrence; any other
+    input rebuilds the suffix states in w advances.  Each path gives the
+    bytes a fresh session gives.
     """
     model = session.model
     x = np.asarray(window_matrix, dtype=np.float64)
@@ -643,16 +630,14 @@ def forward_samples(session: ForecastSession, window_matrix: np.ndarray) -> np.n
         params = model.params()
         # the whole window, as the row of a shorter product may round otherwise
         proj = model.normalize(x).astype(model.w_x.dtype) @ params["w_x"]
+        if latest and data.startswith(memoryview(latest)[len(data) // model.window:]):
+            proj = proj[-1:]   # the latest window shifted by one curve
+        proj += params["b"]
         session.latest = b""   # the states are rebuilt unless this call completes
         # a saturated gate overflows exp() harmlessly: 1 / (1 + inf) is 0
         with np.errstate(over="ignore"):
-            if latest and data.startswith(memoryview(latest)[len(data) // model.window:]):
-                a_x = proj[-1]
-                a_x += params["b"]
+            for a_x in proj:
                 h = session.advance(a_x)
-            else:
-                proj += params["b"]
-                h = session.build(proj)
         y = h @ params["v_out"].T + params["b_out"]
         session.latest, session.forecast = data, model.denormalize(y[0].astype(np.float64))
     return session.forecast.copy()
@@ -692,14 +677,7 @@ def gradient_check(
     params = {k: p.astype(np.float64).copy() for k, p in model.params().items()}
     matrix = model.normalize(np.stack([c.samples for c in _curves([pair])]))
     (chunk,) = _chunks(matrix, pair.window.size, 0, 1)
-    scale = 1.0 / chunk.target.size
-
-    _, analytic = _loss_and_grads(params, chunk, scale)
-
-    def loss_at() -> float:
-        y, _ = _forward_seq(params, chunk.rows, chunk.steps)
-        d = y - chunk.target
-        return float(np.sum(d * d)) * scale
+    _, analytic = _loss_and_grads(params, chunk, 1.0 / chunk.target.size)
 
     worst = 0.0
     for name, p in params.items():
@@ -708,9 +686,9 @@ def gradient_check(
         for idx in range(flat.size):
             keep = flat[idx]
             flat[idx] = keep + step
-            up = loss_at()
+            up = _dataset_loss(params, [chunk])
             flat[idx] = keep - step
-            down = loss_at()
+            down = _dataset_loss(params, [chunk])
             flat[idx] = keep
             g_n = (up - down) / (2.0 * step)
             rel = abs(g_a[idx] - g_n) / max(abs(g_a[idx]), abs(g_n), 1e-8)

@@ -1,18 +1,20 @@
-"""Counts the recurrence runs behind ``forecaster.forward_samples``."""
+"""Counts the recurrence steps behind ``forecaster.forward_samples``."""
 
 from turnoutguard import forecaster
 
 
-def count_recurrences(monkeypatch) -> list:
-    """Names, in call order, of the recurrence runs behind forward_samples:
-    "build" for a staggered pass over a whole window, "advance" for one step."""
+def count_advances(monkeypatch) -> list:
+    """The sessions, in call order, that ``ForecastSession.advance`` stepped.
+
+    A forecast that rebuilds the suffix states takes ``window`` advances, the
+    latest window shifted by one curve takes 1, and a repeated window none.
+    """
     calls = []
-    for name in ("build", "advance"):
-        real = getattr(forecaster.ForecastSession, name)
+    real = forecaster.ForecastSession.advance
 
-        def counting(self, *args, _name=name, _real=real):
-            calls.append(_name)
-            return _real(self, *args)
+    def counting(self, a_x):
+        calls.append(self)
+        return real(self, a_x)
 
-        monkeypatch.setattr(forecaster.ForecastSession, name, counting)
+    monkeypatch.setattr(forecaster.ForecastSession, "advance", counting)
     return calls

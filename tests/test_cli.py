@@ -15,10 +15,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from turnoutguard import dataio
 from turnoutguard.cli import SECTIONS, UsageError, _generator_config, _load_config, _options, main
 from turnoutguard.comparator import ThresholdsFormatError, load_thresholds
 from turnoutguard.curvegen import BaseShape, CurveKind, GeneratorConfig, Phase
-from turnoutguard.forecaster import ModelFormatError, load_model
+from turnoutguard.forecaster import ModelFormatError, TrainConfig, load_model, save_model, train
 from turnoutguard.investigator import read_reports
 
 WINDOW = 10
@@ -642,7 +643,8 @@ def test_train_refuses_a_test_split_too_short_to_calibrate_on(tmp_path, capsys):
     assert not model.exists()
 
 
-def test_calibrate_refuses_curves_too_short_to_classify(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["train", "calibrate"])
+def test_curves_too_short_to_classify_are_refused(tmp_path, capsys, command):
     rng = np.random.default_rng(0)
     corpus, model = tmp_path / "corpus.ndjson", tmp_path / "model.json"
     corpus.write_text("".join(
@@ -650,14 +652,19 @@ def test_calibrate_refuses_curves_too_short_to_classify(tmp_path, capsys):
                     "samples": (600.0 + rng.normal(0.0, 12.0, 3)).tolist(),
                     "label": {"kind": "early_life_normal", "severity": 0.0}, "tampered": False})
         + "\n" for k in range(60)))
-    assert main(["train", "--corpus", str(corpus), "--window", "5", "--epochs", "2",
-                 "--out", str(model)]) == 0
-    rc = main(["calibrate", "--corpus", str(corpus), "--model", str(model),
-               "--out", str(tmp_path / "t.json")])
+    argv = ["train", "--corpus", str(corpus), "--window", "5", "--epochs", "2"]
+    if command == "calibrate":
+        # the train command refuses these curves: fit the model it would have written
+        train_part, test_part = dataio.split(dataio.read_corpus(corpus), 0.8)
+        save_model(train(dataio.make_dataset(train_part, 5), TrainConfig(epochs=2),
+                         val_pairs=dataio.make_dataset(test_part, 5))[0], model)
+        argv = ["calibrate", "--corpus", str(corpus), "--model", str(model)]
+    out = tmp_path / "out.json"
+    rc = main(argv + ["--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: a curve of 3 samples is too short to classify")
-    assert not (tmp_path / "t.json").exists()
+    assert not out.exists()
 
 
 def test_run_refuses_a_model_the_thresholds_were_not_calibrated_for(workdir, tmp_path, capsys):

@@ -42,7 +42,7 @@ from turnoutguard.forecaster import (
 )
 
 from gradient_cases import random_check_instance
-from recurrence_counts import count_recurrences
+from recurrence_counts import count_advances
 
 
 def random_curves(n, length, seed=0, lo=1.0, hi=9.0):
@@ -789,8 +789,8 @@ ARRAYS = ("w_x", "w_h", "b", "v_out", "b_out", "norm_mean", "norm_scale")
 
 
 @pytest.fixture
-def recurrences(monkeypatch):
-    return count_recurrences(monkeypatch)
+def advances(monkeypatch):
+    return count_advances(monkeypatch)
 
 
 def saved_model(tmp_path, dtype="float64"):
@@ -810,12 +810,12 @@ def a_window(seed=4):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-def test_repeated_window_gets_the_forecast_of_a_fresh_session(tmp_path, recurrences, dtype):
+def test_repeated_window_gets_the_forecast_of_a_fresh_session(tmp_path, advances, dtype):
     model = load_model(saved_model(tmp_path, dtype))
     session = ForecastSession(model)
     first = forward_samples(session, a_window())
     again = forward_samples(session, a_window())
-    assert recurrences == ["build"]
+    assert len(advances) == model.window
     fresh = fresh_forecast(model, a_window())
     assert again.tobytes() == first.tobytes() == fresh.tobytes()
 
@@ -825,14 +825,14 @@ def test_repeated_window_gets_the_forecast_of_a_fresh_session(tmp_path, recurren
     lambda x: x.__setitem__((0, 0), x[0, 0] + 1.0),
     lambda x: x.__setitem__((1, 2), -0.0),
 ], ids=["one-ulp", "first-sample", "zero-to-negative-zero"])
-def test_window_that_differs_in_one_sample_is_forecast_again(tmp_path, recurrences, edit):
+def test_window_that_differs_in_one_sample_is_forecast_again(tmp_path, advances, edit):
     model = load_model(saved_model(tmp_path))
     session = ForecastSession(model)
     forward_samples(session, a_window())
     other = a_window()
     edit(other)
     got = forward_samples(session, other)
-    assert recurrences == ["build", "build"]
+    assert len(advances) == 2 * model.window
     assert got.tobytes() == fresh_forecast(model, other).tobytes()
 
 
@@ -869,7 +869,7 @@ def test_model_parameters_share_one_supported_dtype(arrays):
         dataclasses.replace(small_model(6, 3, 4), **arrays)
 
 
-def test_returned_forecast_is_the_callers_to_change(tmp_path, recurrences):
+def test_returned_forecast_is_the_callers_to_change(tmp_path, advances):
     session = ForecastSession(load_model(saved_model(tmp_path)))
     first = forward_samples(session, a_window())
     want = first.tobytes()
@@ -878,7 +878,7 @@ def test_returned_forecast_is_the_callers_to_change(tmp_path, recurrences):
     assert second.tobytes() == want
     second[0] = 5.0
     assert forward_samples(session, a_window()).tobytes() == want
-    assert recurrences == ["build"]
+    assert len(advances) == session.model.window
 
 
 def test_sessions_in_two_threads_forecast_the_bytes_of_a_fresh_session(tmp_path):
@@ -904,6 +904,43 @@ def test_sessions_in_two_threads_forecast_the_bytes_of_a_fresh_session(tmp_path)
             assert behind.result(timeout=60) == want[::-1]
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("stepped", [False, True], ids=["before-the-step", "after-the-step"])
+def test_interrupted_forecast_leaves_a_session_that_forecasts_the_bytes_of_a_fresh_one(
+        tmp_path, monkeypatch, stepped):
+    """A KeyboardInterrupt on any advance of a rebuild or of a shift, before
+    or after that advance steps the states, leaves a session whose next
+    forecast of the same window is a fresh session's, and so are those after
+    it: a rebuild needs no reset."""
+    model = load_model(saved_model(tmp_path))
+    rng = np.random.default_rng(8)
+    windows = [a_window()]
+    for move in ("shift", "jump", "shift"):
+        windows.append(next_window(windows[-1], move, rng))
+    want = [fresh_forecast(model, x).tobytes() for x in windows]
+    real = ForecastSession.advance
+    # a rebuild, a shift, a rebuild of a used session and a shift
+    for k in range(1, 2 * model.window + 3):
+        calls = []
+
+        def advance(self, a_x, k=k, calls=calls):
+            calls.append(a_x)
+            if len(calls) == k:
+                if stepped:
+                    real(self, a_x)
+                raise KeyboardInterrupt
+            return real(self, a_x)
+
+        monkeypatch.setattr(ForecastSession, "advance", advance)
+        session = ForecastSession(model)
+        got = []
+        for x in windows:
+            try:
+                got.append(forward_samples(session, x).tobytes())
+            except KeyboardInterrupt:
+                got.append(forward_samples(session, x).tobytes())
+        assert len(calls) > k and got == want, k
 
 
 def one_window_recurrence(model, x):
@@ -988,16 +1025,18 @@ def test_forecasts_at_the_benchmark_shape_are_those_of_a_fresh_session(
     path, curves = benchmark_model
     model = load_model(path)
     session = ForecastSession(model)
-    recurrences = count_recurrences(monkeypatch)
+    advances = count_advances(monkeypatch)
     for start in starts:
         x = curves[start:start + 50]
         got = forward_samples(session, x).tobytes()
         assert got == one_window_recurrence(model, x).tobytes()
         assert got == fresh_forecast(model, x).tobytes()
-    # each fresh session builds; the one session builds only off a shift by one
+    # each fresh session rebuilds; the one session rebuilds only off a shift
+    # by one, advances once on a shift and not at all on a repeat
     steps = np.diff(starts)
-    assert recurrences.count("build") == len(starts) + 1 + np.sum((steps != 0) & (steps != 1))
-    assert recurrences.count("advance") == np.sum(steps == 1)
+    assert len(advances) - advances.count(session) == 50 * len(starts)
+    rebuilds = 1 + np.sum((steps != 0) & (steps != 1))
+    assert advances.count(session) == 50 * rebuilds + np.sum(steps == 1)
 
 
 def test_calibration_equals_one_that_starts_a_fresh_session_for_every_pair(
@@ -1012,9 +1051,9 @@ def test_calibration_equals_one_that_starts_a_fresh_session_for_every_pair(
         save_thresholds(out, calibrate(model, pairs), {})
         return out.read_bytes()
 
-    recurrences = count_recurrences(monkeypatch)
+    advances = count_advances(monkeypatch)
     once = thresholds_file("once.json")
-    assert recurrences == ["build"] + ["advance"] * (len(pairs) - 1)
+    assert len(advances) == model.window + len(pairs) - 1
     monkeypatch.setattr(comparator, "forward_samples", lambda _, x: fresh_forecast(model, x))
     assert thresholds_file("fresh.json") == once
-    assert recurrences.count("build") == 1 + len(pairs)
+    assert len(advances) == model.window + len(pairs) - 1 + model.window * len(pairs)

@@ -24,7 +24,7 @@ from turnoutguard.forecaster import (ForecastModel, ForecastSession, TrainConfig
 from turnoutguard.investigator import VerdictKind
 from turnoutguard.pipeline import Pipeline, PipelineConfig
 
-from recurrence_counts import count_recurrences
+from recurrence_counts import count_advances
 
 LENGTH = 40
 WINDOW = 5
@@ -254,7 +254,7 @@ def test_reused_forecasts_replay_a_fresh_session_before_every_step(attacked_worl
     model, thresholds, reference, corpus = attacked_world
     stream = corpus[100:]
 
-    recurrences = count_recurrences(monkeypatch)
+    advances = count_advances(monkeypatch)
     one = Pipeline(model, thresholds, reference).bootstrap(corpus[:100])
     reused = [json.dumps(one.step(lc).to_dict()) for lc in stream]
 
@@ -266,11 +266,12 @@ def test_reused_forecasts_replay_a_fresh_session_before_every_step(attacked_worl
     assert reused == replayed
 
     # the window moves only on a validated step, by one curve, so the first
-    # step of each pipeline builds the suffix states, only the step after a
-    # validated one advances them, and a fresh session always builds
+    # step of each pipeline rebuilds the suffix states in WINDOW advances,
+    # only the step after a validated one advances them once, and a fresh
+    # session always rebuilds
     validated = [r.verdict.kind is VerdictKind.VALIDATED for r in one.reports]
-    assert recurrences.count("build") == 1 + len(stream)
-    assert recurrences.count("advance") == sum(validated[:-1])
+    assert advances.count(one.session) == WINDOW + sum(validated[:-1])
+    assert len(advances) - advances.count(one.session) == WINDOW * len(stream)
     streaks = "".join(".x"[not v] for v in validated).split(".")
     assert max(map(len, streaks)) >= 4 and sum(validated) >= 10
 
@@ -278,16 +279,16 @@ def test_reused_forecasts_replay_a_fresh_session_before_every_step(attacked_worl
 def test_pipelines_sharing_a_model_each_step_as_a_lone_one(attacked_world, monkeypatch):
     """Each pipeline holds its own forecast session: stepped interleaved
     with a second pipeline on the same model, one op behind it, each gives
-    the reports of a pipeline stepped alone, with the same recurrence runs
-    on every step."""
+    the reports of a pipeline stepped alone, with the same number of
+    recurrence advances on every step."""
     model, thresholds, reference, corpus = attacked_world
     history, stream = corpus[:100], corpus[100:]
-    recurrences = count_recurrences(monkeypatch)
+    advances = count_advances(monkeypatch)
 
     def step(pipe, lc, runs):
-        before = len(recurrences)
+        before = len(advances)
         report = json.dumps(pipe.step(lc).to_dict())
-        runs.append(recurrences[before:])
+        runs.append(len(advances) - before)
         return report
 
     lone_runs = []
@@ -303,4 +304,4 @@ def test_pipelines_sharing_a_model_each_step_as_a_lone_one(attacked_world, monke
             behind_reports.append(step(behind, stream[k - 1], behind_runs))
     assert ahead_reports == behind_reports == lone_reports
     assert ahead_runs == behind_runs == lone_runs
-    assert ["advance"] in lone_runs and [] in lone_runs
+    assert 1 in lone_runs and 0 in lone_runs
