@@ -342,6 +342,8 @@ def _print_summary(summary: dict):
 
 
 def cmd_run(args, cfg) -> int:
+    if args.plot_limit < 0:
+        raise UsageError(f"--plot-limit must be >= 0, got {args.plot_limit}")
     options = _options(args, cfg, "pipeline")
     if "start" not in options:
         raise UsageError("--start (first field op index) is required for run")

@@ -45,7 +45,7 @@ class ThresholdsFormatError(ValueError):
     """Thresholds file is corrupt, incomplete, or of an unsupported version."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DistancePair:
     euclidean: float
     dtw: float
@@ -64,7 +64,7 @@ class Thresholds:
             raise ValueError("thresholds must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidationResult:
     validated: bool
     distances: DistancePair

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -39,11 +40,41 @@ class VerdictKind(str, Enum):
     ESCALATE_TO_EXPERT = "escalate_to_expert"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     kind: VerdictKind
     reason_code: str
     rationale: str
+
+
+# The decision table: investigate and Pipeline.step return these shared
+# immutable values, so a report holds a reference, not a verdict of its own.
+VALIDATED = Verdict(VerdictKind.VALIDATED, REASON_VALIDATED,
+                    "distances within calibrated thresholds")
+#: keyed by the predicted curve's decision kind, which the rationale names
+FIG4_1 = {kind: Verdict(VerdictKind.SUSPICIOUS, REASON_UNEXPECTED_HEALTHY, (
+    f"field curve shows early-life behavior although the expected curve ({kind.value}) follows "
+    "the sequence's evolution; an unexpected return to health suggests concealment"))
+    for kind in CurveKind if decision_kind(kind) is kind}
+FIG4_2_1_UNHERALDED = Verdict(VerdictKind.SUSPICIOUS, REASON_UNHERALDED_PRE_FAULT, (
+    "pre-fault anomaly arrived without any prior indication of progressive degradation in the "
+    "recent sequence"))
+FIG4_2_1_GROSS = Verdict(VerdictKind.SUSPICIOUS, REASON_UNHERALDED_PRE_FAULT, (
+    "pre-fault curve matches the window's progression in kind but deviates grossly from the "
+    "predicted evolution"))
+FIG4_2_1_CONTINUES = Verdict(VerdictKind.NO_SUSPICION, REASON_UNHERALDED_PRE_FAULT, (
+    "pre-fault curve continues the progression already established by the sequence"))
+FIG4_2_2 = Verdict(VerdictKind.NO_SUSPICION, REASON_MINOR_ANOMALY, (
+    "isolated minor transient; resolves naturally without a maintenance intervention"))
+FIG4_2_3 = Verdict(VerdictKind.ESCALATE_TO_EXPERT, REASON_SUDDEN_FAILURE, (
+    "sudden failure cannot be assessed from the temporal sequence; additional expertise is "
+    "required"))
+FIG4_2_3_NO_PROGRESSION = Verdict(FIG4_2_3.kind, FIG4_2_3.reason_code, FIG4_2_3.rationale + (
+    " (a mechanical failure should have been preceded by a progressive evolution, which is "
+    "absent)"))
+# every entry by value: a parsed verdict equal to one loads as that one
+_SHARED = {v: v for v in (VALIDATED, *FIG4_1.values(), FIG4_2_1_UNHERALDED, FIG4_2_1_GROSS,
+                          FIG4_2_1_CONTINUES, FIG4_2_2, FIG4_2_3, FIG4_2_3_NO_PROGRESSION)}
 
 
 @dataclass(frozen=True)
@@ -100,54 +131,24 @@ def investigate(
     kind = decision_kind(field_kind)
 
     if kind is CurveKind.EARLY_LIFE_NORMAL:
-        return Verdict(
-            VerdictKind.SUSPICIOUS,
-            REASON_UNEXPECTED_HEALTHY,
-            "field curve shows early-life behavior although the expected "
-            f"curve ({decision_kind(predicted_kind).value}) follows the "
-            "sequence's evolution; an unexpected return to health suggests "
-            "concealment",
-        )
+        return FIG4_1[decision_kind(predicted_kind)]
 
     if kind is CurveKind.PROGRESSIVE_PRE_FAULT:
         if not window_shows_progression(window, reference, params):
-            return Verdict(
-                VerdictKind.SUSPICIOUS,
-                REASON_UNHERALDED_PRE_FAULT,
-                "pre-fault anomaly arrived without any prior indication of "
-                "progressive degradation in the recent sequence",
-            )
+            return FIG4_2_1_UNHERALDED
         gross = (
             distances.euclidean > params.escalation_factor * thresholds.tau_euclidean
             or distances.dtw > params.escalation_factor * thresholds.tau_dtw
         )
-        if gross:
-            return Verdict(
-                VerdictKind.SUSPICIOUS,
-                REASON_UNHERALDED_PRE_FAULT,
-                "pre-fault curve matches the window's progression in kind "
-                "but deviates grossly from the predicted evolution",
-            )
-        return Verdict(
-            VerdictKind.NO_SUSPICION,
-            REASON_UNHERALDED_PRE_FAULT,
-            "pre-fault curve continues the progression already established "
-            "by the sequence",
-        )
+        return FIG4_2_1_GROSS if gross else FIG4_2_1_CONTINUES
 
     if kind is CurveKind.MINOR_ANOMALY:
-        return Verdict(
-            VerdictKind.NO_SUSPICION,
-            REASON_MINOR_ANOMALY,
-            "isolated minor transient; resolves naturally without a "
-            "maintenance intervention",
-        )
+        return FIG4_2_2
 
     # sudden failure: not predictable from the sequence, defer to expertise
-    rationale = "sudden failure cannot be assessed from the temporal sequence; additional expertise is required"
     if not window_shows_progression(window, reference, params):
-        rationale += " (a mechanical failure should have been preceded by a progressive evolution, which is absent)"
-    return Verdict(VerdictKind.ESCALATE_TO_EXPERT, REASON_SUDDEN_FAILURE, rationale)
+        return FIG4_2_3_NO_PROGRESSION
+    return FIG4_2_3
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +159,7 @@ class ReportFormatError(ValueError):
     """A reports file violates the NDJSON schema; names the line."""
 
 
-@dataclass
+@dataclass(slots=True)
 class InvestigationReport:
     op_index: int
     distances: DistancePair
@@ -196,6 +197,9 @@ class InvestigationReport:
         or a non-finite number."""
         v = d["verdict"]
         number = {k: json_number(d[k], k) for k in ("euclidean", "dtw", "tau_euclidean", "tau_dtw")}
+        verdict = Verdict(VerdictKind(v["kind"]), json_field(v["reason"], STRING, "reason"),
+                          json_field(v["rationale"], STRING, "rationale"))
+        alert = json_field(d.get("alert"), OPTIONAL_STRING, "alert")
         return cls(
             op_index=json_field(d["op_index"], INTEGER, "op_index"),
             distances=DistancePair(number["euclidean"], number["dtw"]),
@@ -204,10 +208,9 @@ class InvestigationReport:
             predicted_kind=CurveKind(d["predicted_kind"]),
             field_kind=CurveKind(d["field_kind"]),
             window_progressive=json_field(d["window_progressive"], BOOLEAN, "window_progressive"),
-            verdict=Verdict(VerdictKind(v["kind"]), json_field(v["reason"], STRING, "reason"),
-                            json_field(v["rationale"], STRING, "rationale")),
+            verdict=_SHARED.get(verdict, verdict),
             tampered=json_field(d.get("tampered"), OPTIONAL_BOOLEAN, "tampered"),
-            alert=json_field(d.get("alert"), OPTIONAL_STRING, "alert"),
+            alert=alert if alert is None else sys.intern(alert),
         )
 
 

@@ -12,6 +12,7 @@ bit.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from . import comparator, forecaster
@@ -20,15 +21,8 @@ from .comparator import Thresholds
 from .curvegen import LabeledCurve, PowerCurve
 from .dataio import CurveWindow, as_power_curves
 from .forecaster import ForecastModel, ForecastSession
-from .investigator import (
-    REASON_VALIDATED,
-    InvestigationReport,
-    InvestigatorParams,
-    Verdict,
-    VerdictKind,
-    investigate,
-    window_shows_progression,
-)
+from .investigator import (VALIDATED, InvestigationReport, InvestigatorParams, investigate,
+                           window_shows_progression)
 
 
 @dataclass
@@ -115,11 +109,7 @@ class Pipeline:
         )
 
         if outcome.validated:
-            verdict = Verdict(
-                VerdictKind.VALIDATED,
-                REASON_VALIDATED,
-                "distances within calibrated thresholds",
-            )
+            verdict = VALIDATED
             self.window.push(field_curve)
             self.validated_store.append(field_curve)
             self._rejection_streak = 0
@@ -137,7 +127,8 @@ class Pipeline:
 
         alert = None
         if self._rejection_streak >= self.config.alarm_after:
-            alert = (
+            # interned: the reports of one streak length share one string
+            alert = sys.intern(
                 f"{self._rejection_streak} consecutive non-validated "
                 "operations; forecast window is no longer advancing"
             )

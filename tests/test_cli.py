@@ -712,6 +712,15 @@ def test_plot_dir_forecasts_each_op_once(workdir, tmp_path, monkeypatch):
         assert float(np.sqrt(np.sum(d * d))) == r["euclidean"]
 
 
+def test_run_refuses_a_negative_plot_limit(workdir, tmp_path, capsys):
+    root, cfg = workdir
+    rc = main(_argv("run", root, cfg, tmp_path / "r.ndjson")
+              + ["--plot-dir", str(tmp_path / "plots"), "--plot-limit", "-1"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --plot-limit must be >= 0, got -1\n"
+    assert not (tmp_path / "r.ndjson").exists() and not (tmp_path / "plots").exists()
+
+
 # artifact: (its fixture file, the run flag that reads it, exit codes a truncation may give)
 _TRUNCATED = {
     "config": ("config.json", "--config", {3}),

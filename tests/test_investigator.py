@@ -14,6 +14,7 @@ from turnoutguard.investigator import (
     REASON_SUDDEN_FAILURE,
     REASON_UNEXPECTED_HEALTHY,
     REASON_UNHERALDED_PRE_FAULT,
+    VALIDATED,
     InvestigationReport,
     InvestigatorParams,
     Verdict,
@@ -233,6 +234,56 @@ def test_every_combination_yields_exactly_one_investigation_verdict(setup):
             assert kind is CurveKind.SUDDEN_FAILURE
 
 
+HEALTHY = ("field curve shows early-life behavior although the expected curve ({}) follows "
+           "the sequence's evolution; an unexpected return to health suggests concealment")
+SUDDEN = ("sudden failure cannot be assessed from the temporal sequence; additional expertise "
+          "is required")
+
+
+@pytest.mark.parametrize("field_kind, predicted_kind, progressing, distances, expected", [
+    *[(CurveKind.EARLY_LIFE_NORMAL, predicted, True, SMALL,
+       ("suspicious", "FIG4_1", HEALTHY.format(predicted.value)))
+      for predicted in (CurveKind.EARLY_LIFE_NORMAL, CurveKind.PROGRESSIVE_PRE_FAULT,
+                        CurveKind.MINOR_ANOMALY, CurveKind.SUDDEN_FAILURE)],
+    (CurveKind.PROGRESSIVE_PRE_FAULT, CurveKind.EARLY_LIFE_NORMAL, False, SMALL,
+     ("suspicious", "FIG4_2_1", "pre-fault anomaly arrived without any prior indication of "
+      "progressive degradation in the recent sequence")),
+    (CurveKind.PROGRESSIVE_PRE_FAULT, CurveKind.PROGRESSIVE_PRE_FAULT, True, GROSS,
+     ("suspicious", "FIG4_2_1", "pre-fault curve matches the window's progression in kind but "
+      "deviates grossly from the predicted evolution")),
+    (CurveKind.PROGRESSIVE_PRE_FAULT, CurveKind.PROGRESSIVE_PRE_FAULT, True, SMALL,
+     ("no_suspicion", "FIG4_2_1",
+      "pre-fault curve continues the progression already established by the sequence")),
+    (CurveKind.MINOR_ANOMALY, CurveKind.EARLY_LIFE_NORMAL, False, SMALL,
+     ("no_suspicion", "FIG4_2_2",
+      "isolated minor transient; resolves naturally without a maintenance intervention")),
+    (CurveKind.SUDDEN_FAILURE, CurveKind.EARLY_LIFE_NORMAL, False, GROSS,
+     ("escalate_to_expert", "FIG4_2_3", SUDDEN + " (a mechanical failure should have been "
+      "preceded by a progressive evolution, which is absent)")),
+    (CurveKind.SUDDEN_FAILURE, CurveKind.PROGRESSIVE_PRE_FAULT, True, GROSS,
+     ("escalate_to_expert", "FIG4_2_3", SUDDEN)),
+], ids=["fig4_1-early_life_normal", "fig4_1-progressive_pre_fault", "fig4_1-minor_anomaly",
+        "fig4_1-sudden_failure", "fig4_2_1-unheralded", "fig4_2_1-gross", "fig4_2_1-continues",
+        "fig4_2_2", "fig4_2_3-progression-absent", "fig4_2_3"])
+def test_decision_table(setup, tmp_path, field_kind, predicted_kind, progressing, distances,
+                        expected):
+    """Each branch of investigate gives one verdict, text and all, shared by
+    every op that takes the branch and by the reports read back from a file."""
+    reference, early_window, progressing_window = setup
+    window = progressing_window if progressing else early_window
+    verdict = investigate(field_kind, predicted_kind, window, reference, distances, THRESHOLDS)
+    assert (verdict.kind.value, verdict.reason_code, verdict.rationale) == expected
+    assert investigate(field_kind, predicted_kind, window, reference, distances,
+                       THRESHOLDS) is verdict
+    sent = report(0, verdict.kind, verdict.reason_code, True)
+    sent.verdict = verdict
+    path = tmp_path / "reports.ndjson"
+    write_reports(path, [sent])
+    (back,) = read_reports(path)
+    assert back == sent
+    assert back.verdict is verdict
+
+
 # ---------------------------------------------------------------------------
 # scoring and report files
 # ---------------------------------------------------------------------------
@@ -292,8 +343,13 @@ def test_report_ndjson_round_trip(tmp_path):
         report(0, VerdictKind.VALIDATED, "VALIDATED", False),
         report(3, VerdictKind.SUSPICIOUS, REASON_UNEXPECTED_HEALTHY, True),
     ]
+    reports[0].alert = "2 consecutive non-validated operations"
     reports[1].alert = "2 consecutive non-validated operations"
     path = tmp_path / "reports.ndjson"
     write_reports(path, reports)
     back = read_reports(path)
     assert back == reports
+    # equal alerts read back as one string; a rationale that is not in the
+    # decision table loads as a verdict of its own
+    assert back[0].alert is back[1].alert
+    assert back[0].verdict.rationale == "test" and back[0].verdict is not VALIDATED

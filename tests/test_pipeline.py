@@ -1,12 +1,14 @@
 """Operation-phase loop: bootstrap, stepping, policies, determinism."""
 
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from turnoutguard.classifier import build_reference
-from turnoutguard.comparator import Thresholds, calibrate
+from turnoutguard.comparator import Thresholds, calibrate, validate
 from turnoutguard.curvegen import (
     AttackKind,
     AttackScenario,
@@ -305,3 +307,40 @@ def test_pipelines_sharing_a_model_each_step_as_a_lone_one(attacked_world, monke
     assert ahead_reports == behind_reports == lone_reports
     assert ahead_runs == behind_runs == lone_runs
     assert 1 in lone_runs and 0 in lone_runs
+
+
+def test_report_records_have_no_instance_dict(attacked_world):
+    """Reports, their distances and verdicts, and validation results are slotted."""
+    model, thresholds, reference, corpus = attacked_world
+    pipe = Pipeline(model, thresholds, reference).bootstrap(corpus[:100])
+    report = pipe.step(corpus[100])
+    outcome = validate(corpus[100].curve, pipe.last_prediction, thresholds)
+    for record in (report, report.distances, report.verdict, outcome):
+        assert not hasattr(record, "__dict__"), type(record).__name__
+
+
+def test_reports_retain_few_bytes_each(attacked_world):
+    """Pipeline.reports keeps every report of the stream, so what one report
+    retains is bounded: slotted records, a shared verdict and an interned
+    alert.  Measured at 230 bytes here (Python 3.11), against 515 when each
+    report had its own verdict, rationale and alert text."""
+    model, thresholds, reference, corpus = attacked_world
+    history, stream = corpus[:100], corpus[100:]
+    first = Pipeline(model, thresholds, reference).bootstrap(history).run(stream)
+    assert sum(r.alert is not None for r in first) >= 5
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        kept = [Pipeline(model, thresholds, reference).bootstrap(history).run(stream)
+                for _ in range(10)]
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    per_report = retained / sum(map(len, kept))
+    assert per_report < 300, f"{per_report:.0f} bytes retained per report"
+    # equal verdicts and equal alerts are one object, whichever pass made them
+    for a, b in zip(first, kept[-1]):
+        assert a.verdict is b.verdict
+        assert a.alert is b.alert
