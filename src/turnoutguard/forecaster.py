@@ -194,27 +194,9 @@ def _chunks(matrix: np.ndarray, steps: int, start: int, stop: int) -> list[_Chun
 _KEPT = 6
 
 
-# numpy's large buffers start 16 bytes past a cache line, and the elementwise
-# loops over a chunk's (batch, hidden) blocks run slower off one
-_ALIGN = 64
-
-
-def _aligned(shape, dtype, fill=None) -> np.ndarray:
-    """Array whose data starts on a ``_ALIGN``-byte boundary; uninitialised
-    unless ``fill`` is given."""
-    dtype = np.dtype(dtype)
-    nbytes = int(np.prod(shape)) * dtype.itemsize
-    raw = np.empty(nbytes + _ALIGN, dtype=np.uint8)
-    start = -raw.ctypes.data % _ALIGN
-    out = raw[start:start + nbytes].view(dtype).reshape(shape)
-    if fill is not None:
-        out.fill(fill)
-    return out
-
-
 def _workspace(steps: int, batch: int, hidden: int, dtype) -> np.ndarray:
     """Flat buffer for the step values of a chunk of up to ``batch`` pairs."""
-    return _aligned(steps * _KEPT * batch * hidden, dtype)
+    return np.empty(steps * _KEPT * batch * hidden, dtype=dtype)
 
 
 def _step_views(kept: np.ndarray) -> tuple:
@@ -279,12 +261,12 @@ def _forward_seq(params: dict, rows: np.ndarray, steps: int,
     a_x = as_strided(proj, (steps, batch, 4 * hidden), (row, row, item), writeable=False)
 
     # an array operand costs less per call than a Python scalar
-    ones = _aligned((3, batch, hidden), dtype, 1)
-    a = _aligned((batch, 4 * hidden), dtype)
-    tc = _aligned((batch, hidden), dtype)
-    h = _aligned((batch, hidden), dtype, 0)
-    c = _aligned((batch, hidden), dtype, 0)
-    reused = _aligned((_KEPT, batch, hidden), dtype) if cache is None else None
+    ones = np.ones((3, batch, hidden), dtype=dtype)
+    a = np.empty((batch, 4 * hidden), dtype=dtype)
+    tc = np.empty((batch, hidden), dtype=dtype)
+    h = np.zeros((batch, hidden), dtype=dtype)
+    c = np.zeros((batch, hidden), dtype=dtype)
+    reused = np.empty((_KEPT, batch, hidden), dtype=dtype) if cache is None else None
     # a saturated gate overflows exp() harmlessly: 1 / (1 + inf) is 0
     with np.errstate(over="ignore"):
         for t, a_x_t in enumerate(a_x):
@@ -326,20 +308,20 @@ def _loss_and_grads(params: dict, chunk: _Chunk, scale: float,
         "b": np.zeros_like(params["b"]),
     }
     dh = d_y @ params["v_out"]
-    dc = _aligned((batch, hidden), dtype, 0)
-    zero = _aligned((batch, hidden), dtype, 0)   # c and h before step 0
-    ones = _aligned((3, batch, hidden), dtype, 1)
-    one_minus = _aligned((3, batch, hidden), dtype)
-    tc = _aligned((batch, hidden), dtype)
-    da = _aligned((batch, 4 * hidden), dtype)
+    dc = np.zeros((batch, hidden), dtype=dtype)
+    zero = np.zeros((batch, hidden), dtype=dtype)   # c and h before step 0
+    ones = np.ones((3, batch, hidden), dtype=dtype)
+    one_minus = np.empty((3, batch, hidden), dtype=dtype)
+    tc = np.empty((batch, hidden), dtype=dtype)
+    da = np.empty((batch, 4 * hidden), dtype=dtype)
     # the input, forget and output blocks of da, gate-major like the cache
     da_ifo = da[:, :3 * hidden].reshape(batch, 3, hidden).transpose(1, 0, 2)
     da_i, da_f, da_o = da_ifo
     da_g = da[:, 3 * hidden:]
-    d_w_h = _aligned(w_h.shape, w_h.dtype)
+    d_w_h = np.empty_like(w_h)
     # gradient of each curve's projection, summed over the windows and
     # positions that hold it: position t of window k is row t + k
-    d_rows = _aligned((len(rows), 4 * hidden), dtype, 0)
+    d_rows = np.zeros((len(rows), 4 * hidden), dtype=dtype)
     for t in reversed(range(steps)):
         ifo, i, f, o, g, c, _ = _step_views(cache[t])
         c_prev, h_prev = cache[t - 1, 4:] if t else (zero, zero)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -199,7 +198,6 @@ class InvestigationReport:
         number = {k: json_number(d[k], k) for k in ("euclidean", "dtw", "tau_euclidean", "tau_dtw")}
         verdict = Verdict(VerdictKind(v["kind"]), json_field(v["reason"], STRING, "reason"),
                           json_field(v["rationale"], STRING, "rationale"))
-        alert = json_field(d.get("alert"), OPTIONAL_STRING, "alert")
         return cls(
             op_index=json_field(d["op_index"], INTEGER, "op_index"),
             distances=DistancePair(number["euclidean"], number["dtw"]),
@@ -210,7 +208,7 @@ class InvestigationReport:
             window_progressive=json_field(d["window_progressive"], BOOLEAN, "window_progressive"),
             verdict=_SHARED.get(verdict, verdict),
             tampered=json_field(d.get("tampered"), OPTIONAL_BOOLEAN, "tampered"),
-            alert=alert if alert is None else sys.intern(alert),
+            alert=json_field(d.get("alert"), OPTIONAL_STRING, "alert"),
         )
 
 

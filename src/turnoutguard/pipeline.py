@@ -12,7 +12,6 @@ bit.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
 from . import comparator, forecaster
@@ -127,8 +126,7 @@ class Pipeline:
 
         alert = None
         if self._rejection_streak >= self.config.alarm_after:
-            # interned: the reports of one streak length share one string
-            alert = sys.intern(
+            alert = (
                 f"{self._rejection_streak} consecutive non-validated "
                 "operations; forecast window is no longer advancing"
             )

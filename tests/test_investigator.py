@@ -343,13 +343,10 @@ def test_report_ndjson_round_trip(tmp_path):
         report(0, VerdictKind.VALIDATED, "VALIDATED", False),
         report(3, VerdictKind.SUSPICIOUS, REASON_UNEXPECTED_HEALTHY, True),
     ]
-    reports[0].alert = "2 consecutive non-validated operations"
     reports[1].alert = "2 consecutive non-validated operations"
     path = tmp_path / "reports.ndjson"
     write_reports(path, reports)
     back = read_reports(path)
     assert back == reports
-    # equal alerts read back as one string; a rationale that is not in the
-    # decision table loads as a verdict of its own
-    assert back[0].alert is back[1].alert
+    # a rationale that is not in the decision table loads as a verdict of its own
     assert back[0].verdict.rationale == "test" and back[0].verdict is not VALIDATED
