@@ -29,7 +29,7 @@ from .curvegen import (
     generate_lifecycle,
     inject_attack,
 )
-from .dataio import CurveWindow, SupervisedPair, make_dataset, read_corpus, split, write_corpus
+from .dataio import CurveWindow, Dataset, make_dataset, read_corpus, split, write_corpus
 from .forecaster import (
     AdamState,
     ForecastModel,

@@ -24,7 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .classifier import ClassifierReference
 from .curvegen import PowerCurve
-from .dataio import SupervisedPair, json_integer, json_number, json_sha256, read_document
+from .dataio import Dataset, json_integer, json_number, json_sha256, read_document
 from .forecaster import ForecastModel, ForecastSession, forward_samples
 
 #: the warping kernel, recorded in run provenance
@@ -172,7 +172,7 @@ def distance_pair(a, b) -> DistancePair:
 
 def calibrate(
     model: ForecastModel,
-    test_pairs: list[SupervisedPair],
+    test_pairs: Dataset,
     percentile: float = 100.0,
     safety_factor: float = 1.0,
 ) -> Thresholds:
@@ -183,17 +183,16 @@ def calibrate(
     the given percentile of each (by default 100, the maximum), times the
     safety factor; ValueError if a product is not finite.
     """
-    if not test_pairs:
-        raise ValueError("cannot calibrate on an empty test set")
     _check_calibration(percentile, safety_factor)
 
     session = ForecastSession(model)
+    matrix, w = test_pairs.as_matrix(), test_pairs.window
     eucl = np.empty(len(test_pairs))
     warp = np.empty(len(test_pairs))
-    for k, pair in enumerate(test_pairs):
-        predicted = np.clip(forward_samples(session, pair.window.as_matrix()), 0.0, None)
-        eucl[k] = euclidean(predicted, pair.target)
-        warp[k] = dtw(predicted, pair.target)
+    for k, target in enumerate(test_pairs.curves[w:]):
+        predicted = np.clip(forward_samples(session, matrix[k:k + w]), 0.0, None)
+        eucl[k] = euclidean(predicted, target)
+        warp[k] = dtw(predicted, target)
 
     tau_e = float(np.percentile(eucl, percentile)) * safety_factor
     tau_d = float(np.percentile(warp, percentile)) * safety_factor

@@ -183,19 +183,42 @@ class CurveWindow:
         return iter(self._buf)
 
 
-@dataclass
-class SupervisedPair:
-    """A window of consecutive curves and the curve that followed it."""
+@dataclass(frozen=True)
+class Dataset:
+    """A run of consecutive curves and the window that slides over it.
 
-    window: CurveWindow
-    target: PowerCurve
+    Pair k has input curves k ... k + window - 1 and target curve
+    k + window, so ``len`` is the number of pairs, M - window.  ValueError
+    for a window below 1, too few curves to fill a pair, curves of unequal
+    length, or a target whose op does not follow the op before it.
+    """
+
+    curves: tuple[PowerCurve, ...]
+    window: int
 
     def __post_init__(self):
-        if self.target.op_index != self.window.last.op_index + 1:
+        curves = tuple(self.curves)
+        object.__setattr__(self, "curves", curves)
+        if self.window < 1:
+            raise ValueError("window must be >= 1")
+        if len(curves) <= self.window:
             raise ValueError(
-                f"target op {self.target.op_index} does not follow window "
-                f"ending at op {self.window.last.op_index}"
+                f"insufficient history: {len(curves)} curves cannot fill a "
+                f"window of {self.window} plus a target"
             )
+        if any(len(c) != len(curves[0]) for c in curves):
+            raise ValueError("curves differ in length")
+        for before, target in zip(curves[self.window - 1:], curves[self.window:]):
+            if target.op_index != before.op_index + 1:
+                raise ValueError(f"target op {target.op_index} does not follow window "
+                                 f"ending at op {before.op_index}")
+
+    def __len__(self):
+        return len(self.curves) - self.window
+
+    def as_matrix(self) -> np.ndarray:
+        """(curves, curve_length) float64 matrix of the run, oldest row first."""
+        return np.stack([c.samples for c in self.curves])
 
 
 def as_power_curves(corpus) -> list[PowerCurve]:
@@ -216,24 +239,13 @@ def curves_digest(corpus) -> str:
     return h.hexdigest()
 
 
-def make_dataset(corpus, window: int) -> list[SupervisedPair]:
+def make_dataset(corpus, window: int) -> Dataset:
     """Slide a window of ``window`` curves over the corpus.
 
     A corpus of M curves yields exactly M - window pairs: pair k has input
     ops [k, k + window) and target op k + window, in corpus order.
     """
-    curves = as_power_curves(corpus)
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if len(curves) <= window:
-        raise ValueError(
-            f"insufficient history: {len(curves)} curves cannot fill a "
-            f"window of {window} plus a target"
-        )
-    return [
-        SupervisedPair(CurveWindow(curves[k:k + window]), curves[k + window])
-        for k in range(len(curves) - window)
-    ]
+    return Dataset(as_power_curves(corpus), window)
 
 
 def split(corpus, train_fraction: float):

@@ -29,8 +29,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .curvegen import OP_PERIOD_S, PowerCurve
-from .dataio import (OBJECT, CurveWindow, SupervisedPair, curves_digest, json_field,
-                     json_integer, json_numbers, json_sha256, read_document)
+from .dataio import (OBJECT, CurveWindow, Dataset, curves_digest, json_field, json_integer,
+                     json_numbers, json_sha256, read_document)
 
 MODEL_FORMAT_VERSION = 1
 DTYPES = ("float32", "float64")
@@ -418,29 +418,6 @@ def _init_params(length: int, hidden: int, rng: np.random.Generator, dtype) -> d
     return {k: v.astype(dtype) for k, v in params.items()}
 
 
-def _curves(pairs: list[SupervisedPair]) -> list[PowerCurve]:
-    """The curves behind consecutive pairs of one corpus, in order.
-
-    Pair k's window must be curves k ... k + window - 1 and its target
-    curve k + window, as ``make_dataset`` gives them.  Curves compare by
-    identity: pairs of two corpora never continue one another, whatever
-    their op indices.  ValueError otherwise, naming the pair.
-    """
-    if not pairs:
-        raise ValueError("no training pairs")
-    window = pairs[0].window.size
-    curves = pairs[0].window.curves + [pair.target for pair in pairs]
-    for k, pair in enumerate(pairs):
-        if pair.window.size != window:
-            raise ValueError("pairs mix window sizes")
-        if any(a is not b for a, b in zip(pair.window, curves[k:k + window])):
-            raise ValueError(f"pair {k} does not follow pair {k - 1}: training takes "
-                             "consecutive windows of one corpus, as make_dataset gives them")
-    if any(len(c) != len(curves[0]) for c in curves):
-        raise ValueError("pairs mix curve lengths")
-    return curves
-
-
 def _dataset_loss(params, chunks: list[_Chunk]) -> float:
     total = 0.0
     for chunk in chunks:
@@ -451,29 +428,25 @@ def _dataset_loss(params, chunks: list[_Chunk]) -> float:
 
 
 def train(
-    pairs: list[SupervisedPair],
+    pairs: Dataset,
     config: TrainConfig | None = None,
-    val_pairs: list[SupervisedPair] | None = None,
+    val_pairs: Dataset | None = None,
 ) -> tuple[ForecastModel, TrainReport]:
-    """Fit the forecaster on consecutive supervised pairs of one corpus.
+    """Fit the forecaster on the pairs of one run of curves.
 
-    ``pairs`` and ``val_pairs`` each are the windows of one run of curves,
-    as ``make_dataset`` gives them; a pair that does not follow the one
-    before it raises ValueError.  Deterministic for a fixed seed: fixed
-    initialization, fixed chunk and batch order, no shuffling.  Each
-    consecutive batch of ``batch_size`` pairs (all pairs with
-    ``batch_size=None``) accumulates its gradient over chunks of at most
-    ``_CHUNK`` pairs, in fixed order, and then takes one clipped Adam step.
-    When no validation pairs are given the reported validation losses
-    repeat the training losses.
+    Deterministic for a fixed seed: fixed initialization, fixed chunk and
+    batch order, no shuffling.  Each consecutive batch of ``batch_size``
+    pairs (all pairs with ``batch_size=None``) accumulates its gradient over
+    chunks of at most ``_CHUNK`` pairs, in fixed order, and then takes one
+    clipped Adam step.  When no validation pairs are given the reported
+    validation losses repeat the training losses.
     """
     config = config or TrainConfig()
     dtype = np.dtype(config.dtype)
     t0 = time.perf_counter()
 
-    curves = _curves(pairs)
-    window, length = pairs[0].window.size, len(curves[0])
-    raw = np.stack([c.samples for c in curves])
+    raw = pairs.as_matrix()
+    window, length = pairs.window, raw.shape[1]
     norm_mean = raw.mean(axis=0)
     std = raw.std(axis=0)
     tol = _SCALE_RTOL * np.maximum(np.abs(norm_mean), 1.0)
@@ -483,10 +456,9 @@ def train(
 
     val_set = None
     if val_pairs is not None:
-        v_curves = _curves(val_pairs)
-        if (val_pairs[0].window.size, len(v_curves[0])) != (window, length):
+        if (val_pairs.window, len(val_pairs.curves[0])) != (window, length):
             raise ValueError("validation pairs do not match training dimensions")
-        v_matrix = ((np.stack([c.samples for c in v_curves]) - norm_mean) / norm_scale).astype(dtype)
+        v_matrix = ((val_pairs.as_matrix() - norm_mean) / norm_scale).astype(dtype)
         val_set = _chunks(v_matrix, window, 0, len(val_pairs))
 
     rng = np.random.default_rng(config.seed)
@@ -541,9 +513,9 @@ def train(
             if config.target_val_mse is not None and val_losses[-1] < config.target_val_mse:
                 break
 
-    provenance = [config.seed, len(train_losses), n, curves_digest(curves)]
+    provenance = [config.seed, len(train_losses), n, curves_digest(pairs.curves)]
     if val_set is not None:
-        provenance.append(curves_digest(v_curves))
+        provenance.append(curves_digest(val_pairs.curves))
     model = ForecastModel(
         **params,
         norm_mean=norm_mean,
@@ -663,20 +635,21 @@ def forward(session: ForecastSession, window: CurveWindow) -> PowerCurve:
 
 def gradient_check(
     model: ForecastModel,
-    pair: SupervisedPair,
+    dataset: Dataset,
     step: float = 1e-5,
     tolerance: float | None = None,
 ) -> float:
     """Compare analytic BPTT gradients with central finite differences.
 
-    Runs in float64 over every parameter element and returns the maximum
-    relative error |g_a - g_n| / max(|g_a|, |g_n|, 1e-8).  Intended for
-    small models; cost grows with the parameter count times the forward
-    cost.  When ``tolerance`` is given, a failure raises AssertionError.
+    Runs in float64 over every parameter element, on the mean loss of every
+    pair of ``dataset`` in one chunk, and returns the maximum relative error
+    |g_a - g_n| / max(|g_a|, |g_n|, 1e-8).  Intended for small models and
+    datasets; cost grows with the parameter count times the forward cost.
+    When ``tolerance`` is given, a failure raises AssertionError.
     """
     params = {k: p.astype(np.float64).copy() for k, p in model.params().items()}
-    matrix = model.normalize(np.stack([c.samples for c in _curves([pair])]))
-    (chunk,) = _chunks(matrix, pair.window.size, 0, 1)
+    matrix = model.normalize(dataset.as_matrix())
+    chunk = _Chunk(matrix[:-1], dataset.window, matrix[dataset.window:])
     _, analytic = _loss_and_grads(params, chunk, 1.0 / chunk.target.size)
 
     worst = 0.0

@@ -1,13 +1,12 @@
-"""Operation-phase loop: predict, compare, store or investigate.
+"""Operation-phase loop: predict, compare, trust or investigate.
 
 The pipeline owns a sliding window of trusted curves.  Each incoming field
 curve is compared against the forecast made from that window; validated
-curves extend the window and the append-only store of accepted operations,
-rejected ones go through the investigation decision instead and never
-touch the window, so an attacker cannot steer future predictions through
-rejected data.  The whole loop is a deterministic fold: replaying the same
-stream from the same bootstrapped state reproduces the same reports bit for
-bit.
+curves extend the window, rejected ones go through the investigation
+decision instead and never touch it, so an attacker cannot steer future
+predictions through rejected data.  The whole loop is a deterministic
+fold: replaying the same stream from the same bootstrapped state
+reproduces the same reports bit for bit.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ class Pipeline:
         self.config = config or PipelineConfig()
         self.window: CurveWindow | None = None
         self.session: ForecastSession | None = None   # the forecast state of this stream
-        self.validated_store: list[PowerCurve] = []
         self.reports: list[InvestigationReport] = []
         self.last_prediction: PowerCurve | None = None   # the forecast of the latest step
         self._rejection_streak = 0
@@ -73,7 +71,6 @@ class Pipeline:
             )
         self.window = CurveWindow(curves[-self.model.window:])
         self.session = ForecastSession(self.model)
-        self.validated_store = []
         self.reports = []
         self.last_prediction = None
         self._rejection_streak = 0
@@ -110,7 +107,6 @@ class Pipeline:
         if outcome.validated:
             verdict = VALIDATED
             self.window.push(field_curve)
-            self.validated_store.append(field_curve)
             self._rejection_streak = 0
         else:
             verdict = investigate(

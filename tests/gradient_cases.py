@@ -14,7 +14,7 @@ from turnoutguard.forecaster import ForecastModel, ForecastSession, _init_params
 
 
 def random_check_instance(seed):
-    """Random small model plus a pair whose initial loss is ~1e-2.
+    """Random small model plus a one-pair dataset whose initial loss is ~1e-2.
 
     Targets sit near the untrained prediction: the finite-difference noise
     scales with the loss, so a moderate loss keeps the comparison above the
@@ -38,4 +38,4 @@ def random_check_instance(seed):
     predicted = forward_samples(ForecastSession(model), np.stack([c.samples for c in curves]))
     target_raw = model.denormalize(model.normalize(predicted) + 0.1 * rng.normal(size=length))
     curves.append(PowerCurve(np.clip(target_raw, 0.0, None), window, 10.0 + window))
-    return model, make_dataset(curves, window)[0]
+    return model, make_dataset(curves, window)

@@ -54,8 +54,8 @@ def test_criterion_1_dataset_arithmetic():
 def test_criterion_2_gradient_correctness():
     worst = 0.0
     for seed in range(20):
-        model, pair = random_check_instance(seed)
-        worst = max(worst, forecaster.gradient_check(model, pair, step=1e-5))
+        model, dataset = random_check_instance(seed)
+        worst = max(worst, forecaster.gradient_check(model, dataset, step=1e-5))
     _report(
         "2 gradient-correctness",
         worst < 1e-4,

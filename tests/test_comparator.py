@@ -164,20 +164,19 @@ def test_validate_requires_both_criteria():
 @pytest.fixture(scope="module")
 def trained_bundle():
     corpus = generate_lifecycle(GeneratorConfig(length=32, operations=120, seed=13))
-    pairs = make_dataset(corpus, 8)
-    model, _ = train(pairs[:80], TrainConfig(hidden=8, epochs=10, seed=2))
-    return model, pairs[80:]
+    model, _ = train(make_dataset(corpus[:88], 8), TrainConfig(hidden=8, epochs=10, seed=2))
+    return model, make_dataset(corpus[80:], 8)
 
 
 def test_calibrate_single_pair_returns_its_distances(trained_bundle):
     model, pairs = trained_bundle
-    th = calibrate(model, pairs[:1])
+    th = calibrate(model, make_dataset(pairs.curves[:9], 8))
     from turnoutguard.forecaster import ForecastSession, forward_samples
 
-    window = pairs[0].window.as_matrix()
+    window = pairs.as_matrix()[:8]
     predicted = np.clip(forward_samples(ForecastSession(model), window), 0.0, None)
-    assert th.tau_euclidean == pytest.approx(euclidean(predicted, pairs[0].target))
-    assert th.tau_dtw == pytest.approx(dtw(predicted, pairs[0].target))
+    assert th.tau_euclidean == pytest.approx(euclidean(predicted, pairs.curves[8]))
+    assert th.tau_dtw == pytest.approx(dtw(predicted, pairs.curves[8]))
     assert th.calibration["test_size"] == 1
     assert th.calibration["percentile"] == 100.0
 
@@ -187,11 +186,13 @@ def test_default_thresholds_are_the_largest_residuals_bit_for_bit(trained_bundle
     from turnoutguard.forecaster import ForecastSession, forward_samples
 
     session = ForecastSession(model)
-    predicted = [np.clip(forward_samples(session, p.window.as_matrix()), 0.0, None)
-                 for p in pairs]
+    matrix = pairs.as_matrix()
+    predicted = [np.clip(forward_samples(session, matrix[k:k + 8]), 0.0, None)
+                 for k in range(len(pairs))]
+    targets = pairs.curves[8:]
     th = calibrate(model, pairs)
-    assert th.tau_euclidean == max(euclidean(y, p.target) for y, p in zip(predicted, pairs))
-    assert th.tau_dtw == max(dtw(y, p.target) for y, p in zip(predicted, pairs))
+    assert th.tau_euclidean == max(euclidean(y, t) for y, t in zip(predicted, targets))
+    assert th.tau_dtw == max(dtw(y, t) for y, t in zip(predicted, targets))
 
 
 def test_calibrated_thresholds_validate_their_own_test_set(trained_bundle):
@@ -199,10 +200,10 @@ def test_calibrated_thresholds_validate_their_own_test_set(trained_bundle):
     th = calibrate(model, pairs)
     from turnoutguard.forecaster import ForecastSession, forward_samples
 
-    for pair in pairs:
-        window = pair.window.as_matrix()
-        predicted = np.clip(forward_samples(ForecastSession(model), window), 0.0, None)
-        assert validate(pair.target, predicted, th).validated
+    matrix = pairs.as_matrix()
+    for k, target in enumerate(pairs.curves[8:]):
+        predicted = np.clip(forward_samples(ForecastSession(model), matrix[k:k + 8]), 0.0, None)
+        assert validate(target, predicted, th).validated
 
 
 def test_percentile_and_safety_factor(trained_bundle):
@@ -239,7 +240,7 @@ def test_perfect_model_warns_on_zero_thresholds():
         th = calibrate(model, pairs)
     assert th.tau_euclidean == 0.0 and th.tau_dtw == 0.0
     # degenerate thresholds accept only exact matches
-    target = pairs[0].target
+    target = pairs.curves[6]
     assert validate(target, target, th).validated
     bumped = target.samples.copy()
     bumped[0] += 1e-9
@@ -248,8 +249,9 @@ def test_perfect_model_warns_on_zero_thresholds():
 
 def test_calibrate_rejects_empty_or_bad_options(trained_bundle):
     model, pairs = trained_bundle
-    with pytest.raises(ValueError, match="empty"):
-        calibrate(model, [])
+    # an empty test set cannot be built
+    with pytest.raises(ValueError, match="insufficient history"):
+        make_dataset(pairs.curves[:8], 8)
     with pytest.raises(ValueError, match="percentile"):
         calibrate(model, pairs, percentile=0.0)
     with pytest.raises(ValueError, match="safety"):

@@ -34,16 +34,25 @@ def test_dataset_size_matches_the_window_arithmetic():
 def test_dataset_boundary_single_pair():
     pairs = make_dataset(curves(51), 50)
     assert len(pairs) == 1
-    assert [c.op_index for c in pairs[0].window] == list(range(50))
-    assert pairs[0].target.op_index == 50
+    assert [c.op_index for c in pairs.curves] == list(range(51))
+    assert pairs.window == 50
 
 
 def test_dataset_preserves_order_and_alignment():
-    pairs = make_dataset(curves(30), 7)
-    assert len(pairs) == 23
-    for k, pair in enumerate(pairs):
-        assert pair.window.curves[0].op_index == k
-        assert pair.target.op_index == k + 7
+    cs = curves(30)
+    pairs = make_dataset(cs, 7)
+    assert len(pairs) == 23 and pairs.window == 7
+    assert all(a is b for a, b in zip(pairs.curves, cs, strict=True))
+    matrix = pairs.as_matrix()
+    assert matrix.shape == (30, 4)
+    assert all(np.array_equal(row, c.samples) for row, c in zip(matrix, cs))
+
+
+def test_dataset_is_immutable():
+    pairs = make_dataset(curves(5), 2)
+    assert isinstance(pairs.curves, tuple)
+    with pytest.raises(AttributeError):
+        pairs.window = 3
 
 
 @settings(max_examples=40, deadline=None)
@@ -110,10 +119,16 @@ def test_window_matrix_is_oldest_first():
 
 def test_pair_rejects_misaligned_target():
     cs = curves(5)
-    from turnoutguard.dataio import SupervisedPair
+    with pytest.raises(ValueError, match="target op 4 does not follow window ending at op 2"):
+        make_dataset(cs[:3] + [cs[4]], 3)
+    # a gap inside the first window has no target after it
+    assert len(make_dataset([cs[0]] + cs[2:], 2)) == 2
 
-    with pytest.raises(ValueError, match="does not follow"):
-        SupervisedPair(CurveWindow(cs[:3]), cs[4])
+
+def test_dataset_rejects_curves_of_two_lengths():
+    short, long = curves(3, length=4), curves(3, length=5)
+    with pytest.raises(ValueError, match="curves differ in length"):
+        make_dataset(short[:2] + long[2:], 1)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from turnoutguard import comparator, forecaster
 from turnoutguard.comparator import calibrate, save_thresholds
 from turnoutguard.curvegen import GeneratorConfig, PowerCurve, generate_lifecycle
-from turnoutguard.dataio import CurveWindow, SupervisedPair, curves_digest, make_dataset
+from turnoutguard.dataio import CurveWindow, curves_digest, make_dataset
 from turnoutguard.forecaster import (
     DTYPES,
     GATES,
@@ -28,7 +28,6 @@ from turnoutguard.forecaster import (
     TrainConfig,
     TrainingDiverged,
     _chunks,
-    _curves,
     _forward_seq,
     _init_params,
     _loss_and_grads,
@@ -82,9 +81,8 @@ def zero_model(length, hidden, window, bias=None, mean=None, scale=None):
 
 
 def chunks_of(normalize, pairs):
-    """The training chunks of ``pairs``, their curves mapped through ``normalize``."""
-    matrix = normalize(np.stack([c.samples for c in _curves(pairs)]))
-    return _chunks(matrix, pairs[0].window.size, 0, len(pairs))
+    """The training chunks of the dataset ``pairs``, its curves mapped through ``normalize``."""
+    return _chunks(normalize(pairs.as_matrix()), pairs.window, 0, len(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -322,24 +320,22 @@ def test_gradient_clipping_scales_to_the_norm():
 
 def test_gradient_check_on_random_small_models():
     for seed in range(5):
-        model, pair = random_check_instance(seed)
-        assert gradient_check(model, pair) < 1e-4
+        model, dataset = random_check_instance(seed)
+        assert gradient_check(model, dataset) < 1e-4
 
 
 def test_gradient_check_zero_model_readout_blocks():
     model = zero_model(4, 3, window=2)
     curves = random_curves(3, 4, seed=5)
-    pair = make_dataset(curves, 2)[0]
-    assert gradient_check(model, pair) < 1e-6
+    assert gradient_check(model, make_dataset(curves, 2)) < 1e-6
 
 
 def test_perturbation_matches_first_order_taylor():
     model = small_model(3, 2, 2, seed=13)
     curves = random_curves(3, 3, seed=14)
-    pair = make_dataset(curves, 2)[0]
 
     params = {k: p.copy() for k, p in model.params().items()}
-    (chunk,) = chunks_of(model.normalize, [pair])
+    (chunk,) = chunks_of(model.normalize, make_dataset(curves, 2))
     scale = 1.0 / chunk.target.size
     loss0, grads = _loss_and_grads(params, chunk, scale)
 
@@ -377,47 +373,16 @@ def gathered_reference_grads(params, x, y_true, scale):
     return grads
 
 
-def scattered_windows(n_pairs, window, seed):
-    """Pairs whose windows are not runs of consecutive curves and share curves
-    at the same position: each window draws its first curves from a pool of 8."""
-    rng = np.random.default_rng(seed)
-    pool = random_curves(70, 6, seed=seed)
-    pairs = []
-    for last in rng.integers(8, 69, n_pairs):
-        head = [pool[j] for j in rng.integers(0, 8, window - 1)]
-        pairs.append(SupervisedPair(CurveWindow(head + [pool[last]]), pool[last + 1]))
-    return pairs
-
-
 def consecutive(n_pairs, window, seed):
     return make_dataset(random_curves(n_pairs + window, 6, seed=seed), window)
 
 
-def duplicated_pair(n_pairs, window, seed):
-    pairs = consecutive(n_pairs, window, seed)
-    return pairs[:5] + [pairs[2]] * 3 + pairs[5:]
-
-
-def two_corpora(n_pairs, window, seed):
-    """The pairs of two corpora whose op indices are the same, one after the other."""
-    return consecutive(n_pairs, window, seed) + consecutive(n_pairs, window, seed + 1)
-
-
 @pytest.mark.parametrize("dtype, rtol", [("float64", 1e-12), ("float32", 1e-5)])
-@pytest.mark.parametrize("pairs_of, n_pairs, n_chunks", [
-    (consecutive, 40, 1), (duplicated_pair, 30, None), (scattered_windows, 40, None),
-    (two_corpora, 20, None), (consecutive, forecaster._CHUNK + 27, 2),
-], ids=["make_dataset", "duplicated_pair", "not_consecutive", "two_corpora", "chunk_boundary"])
-def test_deduplicated_w_x_gradient_matches_the_gathered_product(pairs_of, n_pairs, n_chunks,
-                                                                 dtype, rtol):
-    pairs = pairs_of(n_pairs, 5, seed=21)
-    if n_chunks is None:
-        # windows that repeat or skip curves, or that start another corpus,
-        # are refused for training and for validation alike
-        for sets in ({"pairs": pairs}, {"pairs": consecutive(20, 5, seed=3), "val_pairs": pairs}):
-            with pytest.raises(ValueError, match=r"pair \d+ does not follow pair \d+"):
-                train(config=TrainConfig(hidden=3, epochs=1, dtype=dtype), **sets)
-        return
+@pytest.mark.parametrize("n_pairs, n_chunks", [
+    (40, 1), (forecaster._CHUNK + 27, 2),
+], ids=["make_dataset", "chunk_boundary"])
+def test_deduplicated_w_x_gradient_matches_the_gathered_product(n_pairs, n_chunks, dtype, rtol):
+    pairs = consecutive(n_pairs, 5, seed=21)
     chunks = chunks_of(lambda m: ((m - 5.0) / 2.3).astype(dtype), pairs)
     assert len(chunks) == n_chunks
     params = _init_params(6, 3, np.random.default_rng(4), np.dtype(dtype))
@@ -426,8 +391,9 @@ def test_deduplicated_w_x_gradient_matches_the_gathered_product(pairs_of, n_pair
     for chunk in chunks:
         _, grads = _loss_and_grads(params, chunk, scale)
         got = grads if got is None else {k: got[k] + grads[k] for k in got}
-    x = np.stack([p.window.as_matrix() for p in pairs])
-    y = np.stack([p.target.samples for p in pairs])
+    curves = pairs.as_matrix()
+    x = np.stack([curves[k:k + 5] for k in range(len(pairs))])
+    y = curves[5:]
     want = gathered_reference_grads(params, ((x - 5.0) / 2.3).astype(dtype),
                                     ((y - 5.0) / 2.3).astype(dtype), scale)
     for k, g in got.items():
@@ -482,16 +448,15 @@ def test_training_peak_memory_is_the_workspace_and_the_curve_matrices():
         tracemalloc.stop()
     workspace = forecaster._workspace(window, forecaster._CHUNK, hidden, np.float64).nbytes
     # the raw and the normalized curves
-    matrices = 2 * np.stack([c.samples for c in _curves(pairs)]).nbytes
+    matrices = 2 * pairs.as_matrix().nbytes
     assert peak <= workspace + matrices + workspace // 4, (peak, workspace, matrices)
 
 
 def test_gradient_check_tolerance_raises():
     model = small_model(3, 2, 2, seed=1)
     curves = random_curves(3, 3, seed=2)
-    pair = make_dataset(curves, 2)[0]
     with pytest.raises(AssertionError, match="gradient check"):
-        gradient_check(model, pair, tolerance=0.0)
+        gradient_check(model, make_dataset(curves, 2), tolerance=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -509,11 +474,12 @@ def test_constant_corpus_is_learned_to_spec_tolerance():
     )
     assert report.epochs_run <= 200
     assert report.val_losses[-1] < 1e-4
-    predicted = fresh_forecast(model, pairs[0].window.as_matrix())
-    error = model.normalize(predicted) - model.normalize(pairs[0].target.samples)
+    curves = pairs.as_matrix()
+    predicted = fresh_forecast(model, curves[:8])
+    error = model.normalize(predicted) - model.normalize(curves[8])
     assert np.mean(error * error) < 1e-4
     # the constant curve itself comes back
-    assert np.allclose(predicted, pairs[0].target.samples, rtol=1e-3)
+    assert np.allclose(predicted, curves[8], rtol=1e-3)
 
 
 def test_training_loss_decreases_on_structured_data():
@@ -669,13 +635,6 @@ def test_divergence_aborts_with_diagnostic(monkeypatch):
         train(pairs, TrainConfig(hidden=4, epochs=50, learning_rate=1e200, seed=1))
 
 
-def test_mixed_window_sizes_rejected():
-    curves = random_curves(10, 4)
-    pairs = make_dataset(curves, 3) + make_dataset(curves, 4)
-    with pytest.raises(ValueError, match="window sizes"):
-        train(pairs, TrainConfig(hidden=2, epochs=1))
-
-
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
@@ -687,7 +646,7 @@ def test_save_load_round_trip_preserves_predictions(tmp_path):
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded = load_model(path)
-    matrix = pairs[0].window.as_matrix()
+    matrix = pairs.as_matrix()[:pairs.window]
     assert np.array_equal(fresh_forecast(model, matrix), fresh_forecast(loaded, matrix))
     assert (loaded.window, loaded.hidden) == (model.window, 6)
     assert loaded.meta == model.meta
@@ -700,7 +659,7 @@ def test_save_load_round_trip_float32(tmp_path):
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded = load_model(path)
-    matrix = pairs[0].window.as_matrix()
+    matrix = pairs.as_matrix()[:pairs.window]
     assert np.array_equal(fresh_forecast(model, matrix), fresh_forecast(loaded, matrix))
 
 
@@ -718,8 +677,8 @@ def test_weights_given_column_major_forecast_the_bytes_of_row_major_ones():
     columns = dataclasses.replace(model, w_x=np.asfortranarray(model.w_x),
                                   w_h=np.asfortranarray(model.w_h))
     assert all(p.flags.c_contiguous for p in columns.params().values())
-    for pair in make_dataset(corpus, 10):
-        window = pair.window.as_matrix()
+    for k in range(len(corpus) - 10):
+        window = raw[k:k + 10]
         assert fresh_forecast(columns, window).tobytes() == fresh_forecast(model, window).tobytes()
 
 

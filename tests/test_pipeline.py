@@ -89,10 +89,11 @@ def test_bootstrap_takes_the_last_window(constant_world):
 
 def test_bootstrap_twice_resets_state(constant_world):
     pipe = fresh_pipeline(constant_world)
-    pipe.step(field_curve(constant_world, 100))
-    assert pipe.reports and pipe.validated_store
+    lc = field_curve(constant_world, 100)
+    pipe.step(lc)
+    assert pipe.reports and pipe.window.last is lc.curve
     pipe.bootstrap([lc.curve for lc in constant_world[1][:40]])
-    assert pipe.reports == [] and pipe.validated_store == []
+    assert pipe.reports == [] and all(c is not lc.curve for c in pipe.window)
     assert [c.op_index for c in pipe.window] == [35, 36, 37, 38, 39]
 
 
@@ -110,22 +111,24 @@ def test_step_requires_bootstrap(constant_world):
 
 def test_exact_match_validates_and_advances_the_window(constant_world):
     pipe = fresh_pipeline(constant_world)
+    before = pipe.window.curves
     lc = field_curve(constant_world, 50)
     report = pipe.step(lc)
     assert report.verdict.kind is VerdictKind.VALIDATED
     assert report.distances.euclidean == 0.0
     assert report.tampered is False
     assert pipe.window.last is lc.curve
-    assert pipe.validated_store == [lc.curve]
+    assert pipe.window.curves == before[1:] + [lc.curve]
 
 
 def test_rejected_curve_leaves_the_window_frozen(constant_world):
     pipe = fresh_pipeline(constant_world)
     before = pipe.window.curves
-    report = pipe.step(field_curve(constant_world, 50, bump=400.0))
+    lc = field_curve(constant_world, 50, bump=400.0)
+    report = pipe.step(lc)
     assert report.verdict.kind is not VerdictKind.VALIDATED
     assert pipe.window.curves == before
-    assert pipe.validated_store == []
+    assert all(c is not lc.curve for c in pipe.window)
 
 
 def test_window_purity_over_a_mixed_run(constant_world):
@@ -139,9 +142,12 @@ def test_window_purity_over_a_mixed_run(constant_world):
         field_curve(constant_world, 54),
     ]
     pipe.run(stream)
-    accepted = {id(c) for c in pipe.validated_store}
+    validated = {r.op_index for r in pipe.reports if r.verdict.kind is VerdictKind.VALIDATED}
+    sent = {lc.curve.op_index: lc.curve for lc in stream}
+    assert validated
     for curve in pipe.window:
-        assert id(curve) in bootstrap_ids | accepted
+        assert id(curve) in bootstrap_ids or (
+            sent.get(curve.op_index) is curve and curve.op_index in validated)
 
 
 def test_run_emits_one_report_per_curve_in_order(constant_world):
