@@ -374,15 +374,41 @@ def gathered_reference_grads(params, x, y_true, scale):
 
 
 def consecutive(n_pairs, window, seed):
-    return make_dataset(random_curves(n_pairs + window, 6, seed=seed), window)
+    return random_curves(n_pairs + window, 6, seed=seed)
+
+
+def duplicated_pair(n_pairs, window, seed):
+    curves = consecutive(n_pairs, window, seed)
+    return curves[:2 * window] + [curves[window + 2]] * 3 + curves[2 * window:]
+
+
+def scattered_windows(n_pairs, window, seed):
+    """Curves drawn from a pool of 70 at random, so runs skip and repeat ops."""
+    pool = random_curves(70, 6, seed=seed)
+    return [pool[j] for j in np.random.default_rng(seed).integers(0, 70, n_pairs + window)]
+
+
+def two_corpora(n_pairs, window, seed):
+    """The curves of two corpora whose op indices are the same, one after the other."""
+    return consecutive(n_pairs, window, seed) + consecutive(n_pairs, window, seed + 1)
 
 
 @pytest.mark.parametrize("dtype, rtol", [("float64", 1e-12), ("float32", 1e-5)])
-@pytest.mark.parametrize("n_pairs, n_chunks", [
-    (40, 1), (forecaster._CHUNK + 27, 2),
-], ids=["make_dataset", "chunk_boundary"])
-def test_deduplicated_w_x_gradient_matches_the_gathered_product(n_pairs, n_chunks, dtype, rtol):
-    pairs = consecutive(n_pairs, 5, seed=21)
+@pytest.mark.parametrize("curves_of, n_pairs, n_chunks", [
+    (consecutive, 40, 1), (duplicated_pair, 30, None), (scattered_windows, 40, None),
+    (two_corpora, 20, None), (consecutive, forecaster._CHUNK + 27, 2),
+], ids=["make_dataset", "duplicated_pair", "not_consecutive", "two_corpora", "chunk_boundary"])
+def test_deduplicated_w_x_gradient_matches_the_gathered_product(curves_of, n_pairs, n_chunks,
+                                                                 dtype, rtol):
+    curves = curves_of(n_pairs, 5, seed=21)
+    if n_chunks is None:
+        # a run that repeats or skips curves, or that starts another corpus,
+        # is no dataset, so neither training nor validation can be given it
+        with pytest.raises(ValueError,
+                           match=r"target op \d+ does not follow window ending at op \d+"):
+            make_dataset(curves, 5)
+        return
+    pairs = make_dataset(curves, 5)
     chunks = chunks_of(lambda m: ((m - 5.0) / 2.3).astype(dtype), pairs)
     assert len(chunks) == n_chunks
     params = _init_params(6, 3, np.random.default_rng(4), np.dtype(dtype))
@@ -411,7 +437,7 @@ def same_loss_and_grads(got, want):
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_workspace_reused_from_a_larger_chunk_gives_a_fresh_workspaces_results(dtype):
     """The last, shorter chunk of a batch runs in the front of the workspace."""
-    pairs = consecutive(forecaster._CHUNK + 27, 5, seed=9)
+    pairs = make_dataset(consecutive(forecaster._CHUNK + 27, 5, seed=9), 5)
     big, small = chunks_of(lambda m: ((m - 5.0) / 2.3).astype(dtype), pairs)
     params = _init_params(6, 3, np.random.default_rng(5), np.dtype(dtype))
     scale = 1.0 / (len(pairs) * 6)
@@ -633,6 +659,13 @@ def test_divergence_aborts_with_diagnostic(monkeypatch):
     pairs = make_dataset(random_curves(8, 6, seed=0), 3)
     with pytest.raises(TrainingDiverged, match="epoch"):
         train(pairs, TrainConfig(hidden=4, epochs=50, learning_rate=1e200, seed=1))
+
+
+def test_mixed_window_sizes_rejected():
+    curves = random_curves(10, 4)
+    with pytest.raises(ValueError, match="validation pairs do not match training dimensions"):
+        train(make_dataset(curves, 3), TrainConfig(hidden=2, epochs=1),
+              val_pairs=make_dataset(curves, 4))
 
 
 # ---------------------------------------------------------------------------
