@@ -82,18 +82,26 @@ def _features(s: np.ndarray) -> CurveFeatures:
     locking = s[k2:]
     tail = s[-max(1, int(TAIL_FRACTION * n)):]
 
-    plateau_mean = float(plateau.mean())
+    # means and median as ndarray.mean and np.median compute them (np.add.reduce
+    # over the count), without the cost of their wrappers
+    plateau_mean = float(np.add.reduce(plateau) / plateau.size)
     # closed-form least-squares slope over centred sample positions
     x = np.arange(plateau.size) - 0.5 * (plateau.size - 1)
     slope = float(np.dot(x, plateau - plateau_mean) / np.dot(x, x))
+    # the middle value, or the mean of the middle two; a NaN reaches the
+    # transient through plateau.max()
+    half = plateau.size // 2
+    lo = half - 1 + plateau.size % 2
+    middle = np.partition(plateau, (lo, half))[lo:half + 1]
+    median = np.add.reduce(middle) / middle.size
     return CurveFeatures(
         peak_amplitude=float(peak_region.max()),
         peak_position=float(np.argmax(peak_region)) / n,
         plateau_mean=plateau_mean,
         plateau_slope=slope,
         bump_amplitude=float(locking.max()) - plateau_mean,
-        transient_amplitude=float(plateau.max() - np.median(plateau)),
-        truncated=bool(tail.mean() < 0.3 * max(plateau_mean, 1.0)),
+        transient_amplitude=float(plateau.max() - median),
+        truncated=bool(np.add.reduce(tail) / tail.size < 0.3 * max(plateau_mean, 1.0)),
     )
 
 

@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .classifier import ClassifierReference
 from .curvegen import PowerCurve
@@ -118,15 +118,19 @@ def _dtw_cost(long: np.ndarray, short: np.ndarray) -> float:
     exact and IEEE addition and |x - y| are symmetric, so the results are
     identical.
 
-    Diagonals go in blocks of ``_DIAGONALS_PER_BLOCK``.  Each diagonal of a
-    block computes the block's span of rows [first, last], the union of their
-    ranges, so buffer views are taken once per block and each diagonal costs
-    two minimums and an addition.  A span cell off the matrix costs inf
-    through the inf padding of ``long``, and an inf cost makes the cell inf
-    whatever its neighbours hold.  Slot first-1 lies outside every range of
-    the block and gets inf, which hides what the buffer held from an earlier
-    diagonal; slots above ``last`` were never written, because ``last`` never
-    decreases, and keep their initial inf.
+    Diagonal 2, D[1, 1] = |short[0] - long[0]|, is computed before the loop,
+    so the path's start D[0, 0] = 0 never sits in a buffer and every slot
+    starts at inf.  The loop's diagonals go in blocks of
+    ``_DIAGONALS_PER_BLOCK``.  Each diagonal of a block computes the block's
+    span of rows [first, last], the union of their ranges, so buffer views
+    are taken once per block and each diagonal costs two minimums and an
+    addition.  A span cell off the matrix costs inf through the inf padding
+    of ``long``, and an inf cost makes the cell inf whatever its neighbours
+    hold.  Slot first-1 is read only by the cell in row first, which lies on
+    the matrix only on a block's first diagonal or in row 1: there the slot
+    holds what the previous block computed for it, or the inf of row 0,
+    which is never written.  Slots above ``last`` were never written either,
+    because ``last`` never decreases, and keep their initial inf.
     """
     n, m = long.size, short.size
     inf = np.inf
@@ -135,16 +139,17 @@ def _dtw_cost(long: np.ndarray, short: np.ndarray) -> float:
     padded = np.full(n + 2 * m, inf)
     padded[m:m + n] = long[::-1]
     # diagonal k = b + 2 reads long[k-i-1] at diagonals[n+m-1-b][i-1]
-    diagonals = sliding_window_view(padded, m)
+    step = padded.strides[0]
+    diagonals = as_strided(padded, (n + m + 1, m), (step, step), writeable=False)
     short = np.ascontiguousarray(short)
-    prev2 = np.full(m + 1, inf)   # diagonal 0: D[0, 0] = 0, the path's start
-    prev2[0] = 0.0
-    prev1 = np.full(m + 1, inf)   # diagonal 1: D[0, 1] = D[1, 0] = inf
+    prev2 = np.full(m + 1, inf)   # diagonal 1: D[0, 1] = D[1, 0] = inf
+    prev1 = np.full(m + 1, inf)   # diagonal 2: D[1, 1], the path's first cell
+    prev1[1] = abs(short[0] - long[0])
     cur = np.full(m + 1, inf)
     costs = np.empty((_DIAGONALS_PER_BLOCK, m))
-    # the loop runs n + m - 1 times; local names save an attribute lookup per call
+    # the loop runs n + m - 2 times; local names save an attribute lookup per call
     minimum, add = np.minimum, np.add
-    for b0 in range(0, n + m - 1, _DIAGONALS_PER_BLOCK):
+    for b0 in range(1, n + m - 1, _DIAGONALS_PER_BLOCK):
         b1 = min(b0 + _DIAGONALS_PER_BLOCK, n + m - 1)   # diagonals b0+2 .. b1+1
         # rows of diagonal k run from max(1, k - n) to min(m, k - 1)
         first, last = max(1, b0 + 2 - n), min(m, b1)
@@ -160,7 +165,6 @@ def _dtw_cost(long: np.ndarray, short: np.ndarray) -> float:
             minimum(v1[1], v1[2], out=out)
             minimum(out, v2[1], out=out)
             add(row, out, out=out)
-            v0[0][first - 1] = inf
             v2, v1, v0 = v1, v0, v2
         prev2, prev1, cur = v2[0], v1[0], v0[0]
     return float(prev1[m])

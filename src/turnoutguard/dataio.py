@@ -147,15 +147,26 @@ def read_document(path, what: str, version: int, error) -> dict:
 class CurveWindow:
     """FIFO buffer of the most recent curves, oldest first.
 
-    Holds exactly ``size`` curves once constructed; pushing a new curve
-    discards the oldest one.
+    Holds exactly ``size`` curves of one length once constructed, and their
+    samples as the rows of one matrix; pushing a new curve discards the
+    oldest one.  ValueError for no curves, or for a curve whose length is
+    not the window's.
     """
 
     def __init__(self, curves):
         curves = list(curves)
         if not curves:
             raise ValueError("window needs at least one curve")
+        for curve in curves:
+            self._check_length(curve, len(curves[0]))
         self._buf = deque(curves, maxlen=len(curves))
+        self._rows = np.stack([c.samples for c in curves])
+
+    @staticmethod
+    def _check_length(curve: PowerCurve, length: int):
+        if len(curve) != length:
+            raise ValueError(f"curve op {curve.op_index} has {len(curve)} samples, "
+                             f"the window's curves have {length}")
 
     @property
     def size(self) -> int:
@@ -170,11 +181,14 @@ class CurveWindow:
         return self._buf[-1]
 
     def push(self, curve: PowerCurve):
+        self._check_length(curve, self._rows.shape[1])
         self._buf.append(curve)
+        self._rows[:-1] = self._rows[1:]
+        self._rows[-1] = curve.samples
 
     def as_matrix(self) -> np.ndarray:
-        """(size, curve_length) float64 view of the window, oldest row first."""
-        return np.stack([c.samples for c in self._buf])
+        """(size, curve_length) float64 copy of the window, oldest row first."""
+        return self._rows.copy()
 
     def __len__(self):
         return len(self._buf)

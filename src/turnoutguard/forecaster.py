@@ -600,10 +600,14 @@ def forward_samples(session: ForecastSession, window_matrix: np.ndarray) -> np.n
     # bytes, not values: -0.0 equals 0.0 but may not forecast the same
     if data != latest:
         params = model.params()
-        # the whole window, as the row of a shorter product may round otherwise
-        proj = model.normalize(x).astype(model.w_x.dtype) @ params["w_x"]
-        if latest and data.startswith(memoryview(latest)[len(data) // model.window:]):
-            proj = proj[-1:]   # the latest window shifted by one curve
+        shifted = bool(latest) and data.startswith(memoryview(latest)[len(data) // model.window:])
+        # the latest window shifted by one curve projects only its new row,
+        # as the last of a two-row product: that row rounds as it does in
+        # the whole window's product, and a one-row product takes numpy's
+        # vector path, which may round otherwise
+        proj = model.normalize(x[-2:] if shifted else x).astype(model.w_x.dtype) @ params["w_x"]
+        if shifted:
+            proj = proj[-1:]
         proj += params["b"]
         session.latest = b""   # the states are rebuilt unless this call completes
         # a saturated gate overflows exp() harmlessly: 1 / (1 + inf) is 0

@@ -1,5 +1,7 @@
 """Feature extraction and the rule-based curve classifier."""
 
+import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,12 +15,16 @@ from turnoutguard.classifier import (
     extract_features,
 )
 from turnoutguard.curvegen import (
+    FAILURE_MODES,
     PROGRESSIVE_KINDS,
+    AttackKind,
+    AttackScenario,
     BaseShape,
     CurveKind,
     GeneratorConfig,
     Phase,
     generate_lifecycle,
+    inject_attack,
     nominal_shape,
 )
 
@@ -81,6 +87,57 @@ def test_cached_features_equal_the_features_of_the_bare_samples(kind):
         assert cached == extract_features(curve.samples)
         assert extract_features(curve) is cached is curve.features
         assert replace(curve, op_index=curve.op_index + 1).features is None
+
+
+def _reference_features(s):
+    """The features computed with ``ndarray.mean`` and ``np.median``, which
+    ``extract_features`` must equal bit for bit."""
+    n = s.size
+    k1, k2 = int(0.2 * n), int(0.8 * n)
+    peak_region, plateau, locking = s[:k1], s[k1:k2], s[k2:]
+    tail = s[-max(1, int(0.05 * n)):]
+    plateau_mean = float(plateau.mean())
+    x = np.arange(plateau.size) - 0.5 * (plateau.size - 1)
+    with warnings.catch_warnings():   # some numpy versions warn on a NaN median
+        warnings.simplefilter("ignore", RuntimeWarning)
+        median = np.median(plateau)
+    return (float(peak_region.max()), float(np.argmax(peak_region)) / n, plateau_mean,
+            float(np.dot(x, plateau - plateau_mean) / np.dot(x, x)),
+            float(locking.max()) - plateau_mean, float(plateau.max() - median),
+            bool(tail.mean() < 0.3 * max(plateau_mean, 1.0)))
+
+
+def _feature_bytes(values):
+    return struct.pack("6d?", *values)
+
+
+# plateaus of 60 and 67 samples: an even and an odd median
+@pytest.mark.parametrize("length", [100, 112])
+def test_features_equal_the_mean_and_median_formula_bit_for_bit(length):
+    kinds = [(CurveKind.EARLY_LIFE_NORMAL, 0.0, 0.0), (CurveKind.AGING, 0.3, 0.9),
+             (CurveKind.MINOR_ANOMALY, 0.0, 0.0), (CurveKind.SUDDEN_FAILURE, 0.0, 0.0),
+             (CurveKind.PROGRESSIVE_PRE_FAULT, 0.2, 1.0), (CurveKind.END_OF_LIFE, 0.5, 1.0)]
+    cfg, corpus = make_corpus([(kind, 10 * k, 10 * k + 10, s0, s1)
+                               for k, (kind, s0, s1) in enumerate(kinds)],
+                              10 * len(kinds), seed=length, length=length)
+    assert {lc.label.kind for lc in corpus} == set(CurveKind)
+    for k, mode in enumerate(FAILURE_MODES):
+        corpus = inject_attack(corpus, AttackScenario(AttackKind.SPURIOUS_FAILURE, 3 * k,
+                                                      3 * k + 3, failure_mode=mode), cfg)
+    corpus = inject_attack(corpus, AttackScenario(AttackKind.SPURIOUS_PRE_FAULT, 10, 20), cfg)
+    assert sum(lc.tampered for lc in corpus) == 19
+    rng = np.random.default_rng(length)
+    raw = [rng.normal(600.0, 50.0, n) for n in (5, 6, 12, 37, 200, 201)]
+    raw.append(np.where(rng.random(length) < 0.5, -0.0, 0.0))   # signed zeros
+    raw.append(np.where(rng.random(length) < 0.5, -1.0, 1.0))   # ties
+    with_nan = rng.normal(600.0, 50.0, length)
+    with_nan[length // 2] = np.nan
+    raw.append(with_nan)
+    for s in [lc.curve.samples for lc in corpus] + raw:
+        f = extract_features(s)
+        got = (*f.as_dict().values(), f.truncated)
+        assert _feature_bytes(got) == _feature_bytes(_reference_features(s))
+    assert np.isnan(extract_features(with_nan).transient_amplitude)
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 4, 5])

@@ -8,6 +8,7 @@ from dtw_oracle import dtw_cost as oracle_dtw_cost
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from turnoutguard import comparator
 from turnoutguard.classifier import FEATURE_NAMES, ClassifierReference
 from turnoutguard.comparator import (
     CalibrationWarning,
@@ -108,6 +109,24 @@ def test_dtw_equals_the_loop_oracle_exactly(a, b):
     want = oracle_dtw_cost(a, b)
     assert dtw(a, b) == want
     assert dtw(b, a) == want
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+@settings(max_examples=100, deadline=None)
+@given(a=series, b=series)
+@example(a=_values(200, 1), b=_values(200, 2))
+@example(a=_values(200, 3), b=_values(137, 4))
+@example(a=_values(60, 11), b=_values(1, 12))
+def test_dtw_equals_the_loop_oracle_at_every_block_boundary(block, a, b):
+    # with blocks of 1 to 3 diagonals a block starts on every diagonal or
+    # every few, so its first row sits up to 3 above the first row of the
+    # block before; each block's first diagonal reads the slot below its
+    # first row, which the block before wrote
+    want = oracle_dtw_cost(a, b)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(comparator, "_DIAGONALS_PER_BLOCK", block)
+        assert dtw(a, b) == want
+        assert dtw(b, a) == want
 
 
 def test_phase_shift_fails_euclidean_while_dtw_forgives():

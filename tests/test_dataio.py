@@ -117,6 +117,39 @@ def test_window_matrix_is_oldest_first():
     assert np.array_equal(m[-1], cs[2].samples)
 
 
+def test_window_refuses_curves_of_another_length():
+    cs = curves(3)
+    short = PowerCurve(np.ones(3), op_index=7, timestamp=200.0)
+    with pytest.raises(ValueError, match="curve op 7 has 3 samples, the window's curves have 4"):
+        CurveWindow(cs + [short])
+    window = CurveWindow(cs)
+    with pytest.raises(ValueError, match="curve op 7 has 3 samples, the window's curves have 4"):
+        window.push(short)
+    # the refused push leaves the window as it was
+    assert [c.op_index for c in window] == [0, 1, 2]
+    assert np.array_equal(window.as_matrix(), np.stack([c.samples for c in cs]))
+
+
+def test_window_matrix_is_a_copy_that_later_pushes_do_not_change():
+    cs = curves(5)
+    window = CurveWindow(cs[:3])
+    m = window.as_matrix()
+    window.push(cs[3])
+    assert np.array_equal(m, np.stack([c.samples for c in cs[:3]]))
+    m[:] = -1.0
+    assert np.array_equal(window.as_matrix(), np.stack([c.samples for c in cs[1:4]]))
+
+
+@pytest.mark.parametrize("size", [1, 2, 5])
+def test_window_rows_follow_its_curves_over_many_pushes(size):
+    cs = curves(3 * size + 4, length=6)
+    window = CurveWindow(cs[:size])
+    for k, curve in enumerate(cs[size:], start=1):
+        window.push(curve)
+        assert [c.op_index for c in window] == list(range(k, k + size))
+        assert window.as_matrix().tobytes() == np.stack([c.samples for c in window]).tobytes()
+
+
 def test_pair_rejects_misaligned_target():
     cs = curves(5)
     with pytest.raises(ValueError, match="target op 4 does not follow window ending at op 2"):

@@ -1009,7 +1009,7 @@ def benchmark_model(request, tmp_path_factory):
 
 
 @pytest.mark.parametrize("starts", [
-    list(range(120, 150)),                                  # consecutive windows
+    list(range(60, 210)),                                   # consecutive windows
     [120, 121, 121, 121, 122, 124, 125, 200, 201, 130, 131],    # repeats, shift by two, jumps
 ], ids=["consecutive", "mixed"])
 def test_forecasts_at_the_benchmark_shape_are_those_of_a_fresh_session(
