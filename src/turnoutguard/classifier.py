@@ -61,10 +61,8 @@ class CurveFeatures:
         return {name: float(getattr(self, name)) for name in FEATURE_NAMES}
 
 
-def extract_features(curve: PowerCurve | np.ndarray) -> CurveFeatures:
-    """The curve's signature features; a PowerCurve computes them once and keeps them."""
-    if not isinstance(curve, PowerCurve):
-        return _features(np.asarray(curve, dtype=np.float64))
+def extract_features(curve: PowerCurve) -> CurveFeatures:
+    """The curve's signature features, computed once and kept on the curve."""
     if curve.features is None:
         curve.features = _features(curve.samples)
     return curve.features
@@ -164,7 +162,7 @@ def _band(ref: ClassifierReference, name: str, scale: float) -> float:
     return max(3.0 * ref.std[name], REL_FLOOR * abs(scale), 1e-9)
 
 
-def classify(curve: PowerCurve | np.ndarray, ref: ClassifierReference) -> CurveKind:
+def classify(curve: PowerCurve, ref: ClassifierReference) -> CurveKind:
     """Assign a curve kind relative to the healthy baseline.
 
     Decision order matters: hard discontinuities first (truncation, inrush

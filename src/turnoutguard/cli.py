@@ -22,13 +22,11 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import classifier, comparator, curvegen, dataio, forecaster, investigator
-from .comparator import ThresholdsFormatError
 from .curvegen import (FAILURE_MODES, AttackKind, AttackScenario, BaseShape, CurveKind,
                        GeneratorConfig, Phase)
-from .dataio import (ARRAY, OBJECT, CorpusFormatError, json_field, json_integer, json_number,
-                     json_numbers)
-from .forecaster import ModelFormatError, TrainConfig
-from .investigator import ReportFormatError, VerdictKind
+from .dataio import ARRAY, OBJECT, FormatError, json_field, json_integer, json_number, json_numbers
+from .forecaster import TrainConfig
+from .investigator import VerdictKind
 from .pipeline import Pipeline, PipelineConfig
 
 EXIT_OK = 0
@@ -140,7 +138,7 @@ SECTIONS = {
 def _load_config(path) -> dict:
     if path is None:
         return {}
-    cfg = dataio.read_json(path, "config file", CorpusFormatError)
+    cfg = dataio.read_json(path, "config file")
     if not isinstance(cfg, dict):
         raise UsageError("config file must hold a JSON object")
     for name, section in cfg.items():
@@ -219,7 +217,7 @@ def cmd_train(args, cfg) -> int:
                          f"of {window} plus a target; lower --train-fraction or --window")
     val_pairs = dataio.make_dataset(test_part, window)
     # calibrate classifies these curves, all of one length, so refuse them now
-    classifier.extract_features(corpus[0].curve.samples)
+    classifier.extract_features(corpus[0].curve)
 
     print(
         f"training on {len(train_pairs)} pairs (window {window}, hidden "
@@ -246,7 +244,7 @@ def cmd_calibrate(args, cfg) -> int:
     model = forecaster.load_model(_require_file(args.model, "train a model first"))
     training_pairs = model.meta.get("training_pairs")
     if training_pairs is None:
-        raise ModelFormatError("weights file records no training_pairs; train the model again")
+        raise FormatError("weights file records no training_pairs; train the model again")
 
     # the test split starts where the model's training curves ended
     cut = training_pairs + model.window
@@ -259,7 +257,7 @@ def cmd_calibrate(args, cfg) -> int:
     for key, name, part, which in recorded:
         expected = model.meta.get(key)
         if expected is None:
-            raise ModelFormatError(f"weights file records no {name} digest; train the model again")
+            raise FormatError(f"weights file records no {name} digest; train the model again")
         digest = dataio.curves_digest(part)
         if digest != expected:
             raise UsageError(
@@ -356,7 +354,7 @@ def cmd_run(args, cfg) -> int:
     reference = classifier.ClassifierReference.from_dict(ref_dict)
     expected = thresholds.calibration.get("model_sha256")
     if expected is None:
-        raise ThresholdsFormatError("thresholds file records no model digest; re-run calibrate")
+        raise FormatError("thresholds file records no model digest; re-run calibrate")
     digest = _file_sha256(args.model)
     if digest != expected:
         raise UsageError(
@@ -490,8 +488,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args, _load_config(getattr(args, "config", None)))
-    except (CorpusFormatError, ModelFormatError, ReportFormatError, ThresholdsFormatError,
-            UnicodeDecodeError, OSError) as exc:
+    except (FormatError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:   # UsageError included

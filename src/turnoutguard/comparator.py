@@ -41,10 +41,6 @@ class CalibrationWarning(UserWarning):
     pass
 
 
-class ThresholdsFormatError(ValueError):
-    """Thresholds file is corrupt, incomplete, or of an unsupported version."""
-
-
 @dataclass(frozen=True, slots=True)
 class DistancePair:
     euclidean: float
@@ -257,34 +253,32 @@ def save_thresholds(path, thresholds: Thresholds, classifier_reference: dict):
 def load_thresholds(path) -> tuple[Thresholds, dict]:
     """Thresholds and the classifier baseline dict.
 
-    Raises ThresholdsFormatError on every schema violation, including one in
+    Raises dataio.FormatError on every schema violation, including one in
     the classifier baseline, so a corrupt file never reaches the pipeline.
     """
-    doc = read_document(path, "thresholds file", THRESHOLDS_FORMAT_VERSION, ThresholdsFormatError)
-    try:
-        reference = doc["classifier_reference"]
-        th = Thresholds(
-            tau_euclidean=json_number(doc["tau_euclidean"], "tau_euclidean"),
-            tau_dtw=json_number(doc["tau_dtw"], "tau_dtw"),
-            calibration=doc.get("calibration", {}),
-        )
-        if not isinstance(th.calibration, dict):
-            raise ValueError("calibration must be a JSON object")
-        cal = th.calibration
-        if "test_size" in cal:
-            json_integer(cal["test_size"], "calibration test_size", 1)
-        if cal.get("band") is not None:   # null: the full matrix, as earlier files record it
-            raise ValueError(f"calibration band {cal['band']!r} is not supported: distances "
-                             "search the full warping matrix; re-run calibrate")
-        if "model_sha256" in cal:
-            json_sha256(cal["model_sha256"], "calibration model_sha256")
-        _check_calibration(
-            json_number(cal.get("percentile", 100.0), "calibration percentile"),
-            json_number(cal.get("safety_factor", 1.0), "calibration safety_factor"),
-        )
-        ClassifierReference.from_dict(reference)
-    except KeyError as exc:
-        raise ThresholdsFormatError(f"malformed thresholds file: missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ThresholdsFormatError(f"malformed thresholds file: {exc}") from exc
+    return read_document(path, "thresholds file", THRESHOLDS_FORMAT_VERSION, _thresholds)
+
+
+def _thresholds(doc: dict) -> tuple[Thresholds, dict]:
+    reference = doc["classifier_reference"]
+    th = Thresholds(
+        tau_euclidean=json_number(doc["tau_euclidean"], "tau_euclidean"),
+        tau_dtw=json_number(doc["tau_dtw"], "tau_dtw"),
+        calibration=doc.get("calibration", {}),
+    )
+    if not isinstance(th.calibration, dict):
+        raise ValueError("calibration must be a JSON object")
+    cal = th.calibration
+    if "test_size" in cal:
+        json_integer(cal["test_size"], "calibration test_size", 1)
+    if cal.get("band") is not None:   # null: the full matrix, as earlier files record it
+        raise ValueError(f"calibration band {cal['band']!r} is not supported: distances "
+                         "search the full warping matrix; re-run calibrate")
+    if "model_sha256" in cal:
+        json_sha256(cal["model_sha256"], "calibration model_sha256")
+    _check_calibration(
+        json_number(cal.get("percentile", 100.0), "calibration percentile"),
+        json_number(cal.get("safety_factor", 1.0), "calibration safety_factor"),
+    )
+    ClassifierReference.from_dict(reference)
     return th, reference

@@ -1,8 +1,10 @@
 """Corpus persistence, chronological splits, and sliding-window datasets.
 
-Corpora are NDJSON: one record per operation, in op order, with the full
-sample vector serialized at full precision (``repr``-based JSON floats
-round-trip float64 exactly).
+Every artifact file is read here, as a JSON document (weights, thresholds,
+config) or NDJSON lines (corpora, reports), and a file the readers refuse
+raises one ``FormatError``.  A corpus holds one record per operation, in op
+order, with the full sample vector serialized at full precision
+(``repr``-based JSON floats round-trip float64 exactly).
 """
 
 from __future__ import annotations
@@ -20,14 +22,10 @@ import numpy as np
 from .curvegen import CurveKind, CurveLabel, LabeledCurve, PowerCurve
 
 
-class CorpusFormatError(ValueError):
-    """A corpus file violates the NDJSON schema; carries the line number."""
-
-    def __init__(self, message: str, line_number: int | None = None):
-        if line_number is not None:
-            message = f"line {line_number}: {message}"
-        super().__init__(message)
-        self.line_number = line_number
+class FormatError(ValueError):
+    """An artifact file is not what its writer writes: not JSON, of another
+    format version, or holding a value its reader refuses.  For an NDJSON
+    file the message starts with the line number."""
 
 
 #: JSON types for ``json_field``: a name, and the Python types json.load gives
@@ -41,14 +39,14 @@ OBJECT = ("object", (dict,))
 ARRAY = ("array", (list,))
 
 
-def json_field(value, kind: tuple[str, tuple], name: str, error=ValueError):
+def json_field(value, kind: tuple[str, tuple], name: str):
     """``value`` if json.load gave it one of ``kind``'s types (a boolean is no number).
 
-    ``error`` (a ValueError) naming ``name`` otherwise.
+    ValueError naming ``name`` otherwise.
     """
     wanted, types = kind
     if type(value) not in types:
-        raise error(f"{name} must be a JSON {wanted}, got {value!r}")
+        raise ValueError(f"{name} must be a JSON {wanted}, got {value!r}")
     return value
 
 
@@ -119,29 +117,62 @@ def open_text(path):
             raise
 
 
-def read_json(path, what: str, error):
-    """The JSON value of the UTF-8 file ``path``; ``error`` (a ValueError) if
-    it is not JSON, naming ``what`` the file should be."""
-    with open_text(path) as fh:
-        text = fh.read()
+def _loads(text: str, what: str):
+    """The JSON value of ``text``; FormatError naming ``what`` it should be if none."""
     try:
         return json.loads(text)
-    except ValueError as exc:   # JSONDecodeError, or an integer of over 4300 digits
-        raise error(f"not a valid {what}: {exc}") from exc
+    # JSONDecodeError, an integer of over 4300 digits, or arrays or objects
+    # nested deeper than the recursion limit
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"not a valid {what}: {exc}") from exc
 
 
-def read_document(path, what: str, version: int, error) -> dict:
-    """The JSON object of ``path`` if its ``format_version`` is the integer ``version``.
+def _parsed(parse, value, where: str):
+    """``parse(value)``; FormatError starting with ``where`` for the KeyError,
+    TypeError or ValueError it raises."""
+    try:
+        return parse(value)
+    except KeyError as exc:
+        raise FormatError(f"{where}missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{where}{exc}") from exc
 
-    ``error`` (a ValueError) otherwise, naming ``what`` the file should be.
-    """
-    doc = read_json(path, what, error)
-    if not isinstance(doc, dict):
-        raise error(f"not a {what} (expected a JSON object)")
-    found = json_field(doc.get("format_version"), INTEGER, "format_version", error)
-    if found != version:
-        raise error(f"unsupported {what} format version {found} (expected {version})")
-    return doc
+
+def read_json(path, what: str):
+    """The JSON value of the UTF-8 file ``path``, which should be ``what``."""
+    with open_text(path) as fh:
+        return _loads(fh.read(), what)
+
+
+def read_document(path, what: str, version: int, parse):
+    """``parse`` of the JSON object of ``path`` if its ``format_version`` is the
+    integer ``version``; FormatError naming ``what`` the file should be otherwise."""
+    def versioned(doc):
+        if not isinstance(doc, dict):
+            raise ValueError("expected a JSON object")
+        found = json_field(doc.get("format_version"), INTEGER, "format_version")
+        if found != version:
+            raise ValueError(f"unsupported format version {found} (expected {version})")
+        return parse(doc)
+
+    return _parsed(versioned, read_json(path, what), f"malformed {what}: ")
+
+
+def read_ndjson(path, what: str, parse):
+    """The number and ``parse`` of the JSON value of each non-blank line of
+    ``path``; FormatError starting ``line N: `` for a line that fails."""
+    with open_text(path) as fh:
+        for n, line in enumerate(fh, start=1):
+            if line.strip():
+                yield n, _parsed(lambda text: parse(_loads(text, what)), line, f"line {n}: ")
+
+
+def write_ndjson(path, records):
+    """Write each JSON-serializable record on a line of its own."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record))
+            fh.write("\n")
 
 
 class CurveWindow:
@@ -289,45 +320,33 @@ def _record(lc: LabeledCurve) -> dict:
 
 
 def write_corpus(path, corpus: list[LabeledCurve]):
-    with open(path, "w", encoding="utf-8") as fh:
-        for lc in corpus:
-            fh.write(json.dumps(_record(lc)))
-            fh.write("\n")
+    write_ndjson(path, map(_record, corpus))
 
 
 def read_corpus(path) -> list[LabeledCurve]:
-    """Parse an NDJSON corpus; schema violations name the offending line."""
+    """Parse an NDJSON corpus; FormatError names the offending line."""
     corpus: list[LabeledCurve] = []
-    with open_text(path) as fh:
-        for n, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                lc = _parse_record(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"invalid JSON ({exc.msg})", n) from exc
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorpusFormatError(str(exc), n) from exc
-            if corpus and len(lc.curve) != len(corpus[0].curve):
-                raise CorpusFormatError(
-                    f"curve has {len(lc.curve)} samples, corpus uses {len(corpus[0].curve)}", n
-                )
-            if corpus and lc.curve.op_index <= corpus[-1].curve.op_index:
-                raise CorpusFormatError("op_index must strictly increase", n)
-            if corpus and lc.curve.timestamp <= corpus[-1].curve.timestamp:
-                raise CorpusFormatError("timestamps must strictly increase", n)
-            corpus.append(lc)
+    for n, lc in read_ndjson(path, "corpus", _parse_record):
+        if corpus and len(lc.curve) != len(corpus[0].curve):
+            raise FormatError(f"line {n}: curve has {len(lc.curve)} samples, "
+                              f"corpus uses {len(corpus[0].curve)}")
+        if corpus and lc.curve.op_index <= corpus[-1].curve.op_index:
+            raise FormatError(f"line {n}: op_index must strictly increase")
+        if corpus and lc.curve.timestamp <= corpus[-1].curve.timestamp:
+            raise FormatError(f"line {n}: timestamps must strictly increase")
+        corpus.append(lc)
     return corpus
 
 
-def _parse_record(rec: dict) -> LabeledCurve:
-    missing = {"op_index", "timestamp", "samples", "label"} - set(json_field(rec, OBJECT, "record"))
-    if missing:
-        raise ValueError(f"missing fields {sorted(missing)}")
-    label = json_field(rec["label"], OBJECT, "label")
+def _parse_record(rec) -> LabeledCurve:
+    label = json_field(json_field(rec, OBJECT, "record")["label"], OBJECT, "label")
+    op_index = json_field(rec["op_index"], INTEGER, "op_index")
+    # curves_digest hashes op indices as int64
+    if not -2**63 <= op_index < 2**63:
+        raise ValueError(f"op_index must lie in [-2**63, 2**63), got {op_index}")
     curve = PowerCurve(
         samples=json_numbers(rec["samples"], "samples"),
-        op_index=json_field(rec["op_index"], INTEGER, "op_index"),
+        op_index=op_index,
         timestamp=json_number(rec["timestamp"], "timestamp"),
     )
     return LabeledCurve(

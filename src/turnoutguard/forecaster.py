@@ -48,10 +48,6 @@ CLIP_NORM = 5.0
 _SCALE_RTOL = 1e-9
 
 
-class ModelFormatError(ValueError):
-    """Weights file is corrupt, incomplete, or of an unsupported version."""
-
-
 class TrainingDiverged(RuntimeError):
     """Non-finite values appeared during training."""
 
@@ -718,52 +714,52 @@ def save_model(model: ForecastModel, path):
 def load_model(path) -> ForecastModel:
     """The model ``save_model`` wrote to ``path``.
 
-    ModelFormatError naming the key of any value it would not write: a
+    dataio.FormatError naming the key of any value it would not write: a
     wrong JSON type, a non-finite number, a count below 1, a digest that is
     not 64 lowercase hex digits or a block of another shape.
     """
-    doc = read_document(path, "weights file", MODEL_FORMAT_VERSION, ModelFormatError)
-    try:
-        hyper = json_field(doc["hyper"], OBJECT, "hyper")
-        window, length, hidden = (json_integer(hyper[key], f"hyper.{key}", 1)
-                                  for key in ("window", "length", "hidden"))
-        dtype = hyper.get("dtype", "float64")
-        if dtype not in DTYPES:
-            raise ValueError(f"hyper.dtype must be one of {list(DTYPES)}, got {dtype!r}")
-        if doc["input_order"] != "oldest_first":
-            raise ValueError(f"input_order must be 'oldest_first', got {doc['input_order']!r}")
-        meta = {key: json_sha256(hyper[key], f"hyper.{key}") if least is None
-                else json_integer(hyper[key], f"hyper.{key}", least)
-                for key, least in META_KEYS.items() if key in hyper}
-        shapes = {}
-        for gate in GATES:
-            shapes |= {f"w_{gate}": [hidden, length], f"u_{gate}": [hidden, hidden],
-                       f"b_{gate}": [hidden]}
-        shapes |= {"v_out": [length, hidden], "b_out": [length]}
-        parameters = json_field(doc["parameters"], OBJECT, "parameters")
-        blocks = {}
-        # each block exactly as saved, so none can broadcast
-        for name, shape in shapes.items():
-            entry = json_field(parameters[name], OBJECT, f"parameters.{name}")
-            if entry["shape"] != shape or not all(type(n) is int for n in entry["shape"]):
-                raise ValueError(f"parameters.{name} has shape {entry['shape']}, expected {shape}")
-            data = json_numbers(entry["data"], f"parameters.{name}")
-            if data.size != math.prod(shape):
-                raise ValueError(f"parameters.{name} holds {data.size} numbers, "
-                                 f"expected {math.prod(shape)}")
-            blocks[name] = data.reshape(shape).astype(dtype)
-        w, u, b = (np.concatenate([blocks[f"{key}_{gate}"] for gate in GATES]) for key in "wub")
-        norm = json_field(doc["normalization"], OBJECT, "normalization")
-        return ForecastModel(
-            w_x=w.T,
-            w_h=u.T,
-            b=b,
-            v_out=blocks["v_out"],
-            b_out=blocks["b_out"],
-            norm_mean=json_numbers(norm["mean"], "normalization.mean"),
-            norm_scale=json_numbers(norm["scale"], "normalization.scale"),
-            window=window,
-            meta=meta,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"malformed weights file: {exc}") from exc
+    return read_document(path, "weights file", MODEL_FORMAT_VERSION, _model)
+
+
+def _model(doc: dict) -> ForecastModel:
+    hyper = json_field(doc["hyper"], OBJECT, "hyper")
+    window, length, hidden = (json_integer(hyper[key], f"hyper.{key}", 1)
+                              for key in ("window", "length", "hidden"))
+    dtype = hyper.get("dtype", "float64")
+    if dtype not in DTYPES:
+        raise ValueError(f"hyper.dtype must be one of {list(DTYPES)}, got {dtype!r}")
+    if doc["input_order"] != "oldest_first":
+        raise ValueError(f"input_order must be 'oldest_first', got {doc['input_order']!r}")
+    meta = {key: json_sha256(hyper[key], f"hyper.{key}") if least is None
+            else json_integer(hyper[key], f"hyper.{key}", least)
+            for key, least in META_KEYS.items() if key in hyper}
+    shapes = {}
+    for gate in GATES:
+        shapes |= {f"w_{gate}": [hidden, length], f"u_{gate}": [hidden, hidden],
+                   f"b_{gate}": [hidden]}
+    shapes |= {"v_out": [length, hidden], "b_out": [length]}
+    parameters = json_field(doc["parameters"], OBJECT, "parameters")
+    blocks = {}
+    # each block exactly as saved, so none can broadcast
+    for name, shape in shapes.items():
+        entry = json_field(parameters[name], OBJECT, f"parameters.{name}")
+        if entry["shape"] != shape or not all(type(n) is int for n in entry["shape"]):
+            raise ValueError(f"parameters.{name} has shape {entry['shape']}, expected {shape}")
+        data = json_numbers(entry["data"], f"parameters.{name}")
+        if data.size != math.prod(shape):
+            raise ValueError(f"parameters.{name} holds {data.size} numbers, "
+                             f"expected {math.prod(shape)}")
+        blocks[name] = data.reshape(shape).astype(dtype)
+    w, u, b = (np.concatenate([blocks[f"{key}_{gate}"] for gate in GATES]) for key in "wub")
+    norm = json_field(doc["normalization"], OBJECT, "normalization")
+    return ForecastModel(
+        w_x=w.T,
+        w_h=u.T,
+        b=b,
+        v_out=blocks["v_out"],
+        b_out=blocks["b_out"],
+        norm_mean=json_numbers(norm["mean"], "normalization.mean"),
+        norm_scale=json_numbers(norm["scale"], "normalization.scale"),
+        window=window,
+        meta=meta,
+    )

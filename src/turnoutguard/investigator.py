@@ -14,7 +14,6 @@ streams are scriptable; see the README for the code table.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -22,8 +21,8 @@ from enum import Enum
 from .classifier import ClassifierReference, classify, decision_kind
 from .comparator import DistancePair, Thresholds
 from .curvegen import CurveKind
-from .dataio import (BOOLEAN, INTEGER, OPTIONAL_BOOLEAN, OPTIONAL_STRING, STRING,
-                     CurveWindow, json_field, json_number, open_text)
+from .dataio import (BOOLEAN, INTEGER, OBJECT, OPTIONAL_BOOLEAN, OPTIONAL_STRING, STRING,
+                     CurveWindow, json_field, json_number, read_ndjson, write_ndjson)
 
 REASON_VALIDATED = "VALIDATED"
 REASON_UNEXPECTED_HEALTHY = "FIG4_1"
@@ -154,10 +153,6 @@ def investigate(
 # reports
 # ---------------------------------------------------------------------------
 
-class ReportFormatError(ValueError):
-    """A reports file violates the NDJSON schema; names the line."""
-
-
 @dataclass(slots=True)
 class InvestigationReport:
     op_index: int
@@ -194,7 +189,7 @@ class InvestigationReport:
     def from_dict(cls, d: dict) -> "InvestigationReport":
         """Inverse of ``to_dict``; ValueError names a field of the wrong JSON type
         or a non-finite number."""
-        v = d["verdict"]
+        v = json_field(d, OBJECT, "report")["verdict"]
         number = {k: json_number(d[k], k) for k in ("euclidean", "dtw", "tau_euclidean", "tau_dtw")}
         verdict = Verdict(VerdictKind(v["kind"]), json_field(v["reason"], STRING, "reason"),
                           json_field(v["rationale"], STRING, "rationale"))
@@ -213,23 +208,12 @@ class InvestigationReport:
 
 
 def write_reports(path, reports: list[InvestigationReport]):
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in reports:
-            fh.write(json.dumps(r.to_dict()))
-            fh.write("\n")
+    write_ndjson(path, (r.to_dict() for r in reports))
 
 
 def read_reports(path) -> list[InvestigationReport]:
-    """Parse an NDJSON report stream; a bad line raises ReportFormatError."""
-    reports = []
-    with open_text(path) as fh:
-        for n, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
-                    reports.append(InvestigationReport.from_dict(json.loads(line)))
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ReportFormatError(f"line {n}: malformed report ({exc!r})") from exc
-    return reports
+    """Parse an NDJSON report stream; a bad line raises dataio.FormatError."""
+    return [r for _, r in read_ndjson(path, "reports file", InvestigationReport.from_dict)]
 
 
 def score_run(reports: list[InvestigationReport]) -> dict:

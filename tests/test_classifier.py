@@ -9,6 +9,7 @@ import pytest
 
 from turnoutguard.classifier import (
     ClassifierReference,
+    _features,
     build_reference,
     classify,
     decision_kind,
@@ -23,6 +24,7 @@ from turnoutguard.curvegen import (
     CurveKind,
     GeneratorConfig,
     Phase,
+    PowerCurve,
     generate_lifecycle,
     inject_attack,
     nominal_shape,
@@ -43,7 +45,7 @@ def make_corpus(phases, operations, seed=0, noise=None, length=100):
 def test_zero_noise_base_shape_features_close_the_loop():
     shape = BaseShape()
     curve = nominal_shape(shape, 200)
-    f = extract_features(curve)
+    f = extract_features(PowerCurve(curve, 0, 0.0))
     assert f.plateau_mean == shape.plateau_level          # exact by construction
     assert f.peak_amplitude == pytest.approx(shape.peak_amplitude, rel=0.05)
     assert f.peak_position < 0.15
@@ -53,7 +55,7 @@ def test_zero_noise_base_shape_features_close_the_loop():
 
 
 def test_flat_zero_curve_reads_as_truncated():
-    f = extract_features(np.zeros(80))
+    f = extract_features(PowerCurve(np.zeros(80), 0, 0.0))
     assert f.peak_amplitude == 0.0
     assert f.plateau_mean == 0.0
     assert f.bump_amplitude == 0.0
@@ -84,7 +86,7 @@ def test_cached_features_equal_the_features_of_the_bare_samples(kind):
         curve = lc.curve
         assert curve.features is None
         cached = extract_features(curve)
-        assert cached == extract_features(curve.samples)
+        assert cached == _features(curve.samples)
         assert extract_features(curve) is cached is curve.features
         assert replace(curve, op_index=curve.op_index + 1).features is None
 
@@ -134,10 +136,10 @@ def test_features_equal_the_mean_and_median_formula_bit_for_bit(length):
     with_nan[length // 2] = np.nan
     raw.append(with_nan)
     for s in [lc.curve.samples for lc in corpus] + raw:
-        f = extract_features(s)
+        f = _features(s)
         got = (*f.as_dict().values(), f.truncated)
         assert _feature_bytes(got) == _feature_bytes(_reference_features(s))
-    assert np.isnan(extract_features(with_nan).transient_amplitude)
+    assert np.isnan(_features(with_nan).transient_amplitude)
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 4, 5])
@@ -145,9 +147,9 @@ def test_a_curve_needs_a_sample_in_its_peak_region(length):
     samples = np.full(length, 600.0)
     if length < 5:
         with pytest.raises(ValueError, match=f"a curve of {length} samples is too short"):
-            extract_features(samples)
+            extract_features(PowerCurve(samples, 0, 0.0))
     else:
-        assert extract_features(samples).plateau_mean == 600.0
+        assert extract_features(PowerCurve(samples, 0, 0.0)).plateau_mean == 600.0
 
 
 @pytest.mark.parametrize("length", [20, 101, 200])
@@ -289,10 +291,19 @@ def test_gross_plateau_discontinuity_reads_as_failure(reference):
     curve = nominal_shape(BaseShape(), 100)
     k1, k2 = 20, 80
     curve[k1:k2] *= 2.0   # +100% plateau, far beyond the progressive corridor
-    assert classify(curve, reference) is CurveKind.SUDDEN_FAILURE
+    assert classify(PowerCurve(curve, 0, 0.0), reference) is CurveKind.SUDDEN_FAILURE
 
 
 def test_sustained_power_loss_reads_as_failure(reference):
     curve = nominal_shape(BaseShape(), 100)
     curve[20:80] *= 0.6
-    assert classify(curve, reference) is CurveKind.SUDDEN_FAILURE
+    assert classify(PowerCurve(curve, 0, 0.0), reference) is CurveKind.SUDDEN_FAILURE
+
+
+def test_an_all_nan_curve_raises_instead_of_getting_a_kind(reference):
+    """NaN features fail every rule, which would read as early-life normal."""
+    samples = np.full(100, np.nan)
+    with pytest.raises(ValueError, match="non-finite power sample"):
+        classify(PowerCurve(samples, 0, 0.0), reference)
+    with pytest.raises(AttributeError):
+        classify(samples, reference)

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 from turnoutguard import dataio
 from turnoutguard.cli import SECTIONS, UsageError, _generator_config, _load_config, _options, main
-from turnoutguard.comparator import ThresholdsFormatError, load_thresholds
+from turnoutguard.comparator import load_thresholds
 from turnoutguard.curvegen import BaseShape, CurveKind, GeneratorConfig, Phase
-from turnoutguard.forecaster import ModelFormatError, TrainConfig, load_model, save_model, train
+from turnoutguard.forecaster import TrainConfig, load_model, save_model, train
 from turnoutguard.investigator import read_reports
 
 WINDOW = 10
@@ -1013,6 +1013,43 @@ def test_integer_too_large_for_a_float_is_a_schema_error(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("artifact", ["corpus", "reports", "config", "weights", "thresholds"])
+def test_json_nested_deeper_than_the_recursion_limit_is_a_schema_error(
+        workdir, fixture_reports, tmp_path, capsys, artifact):
+    """json.loads raises RecursionError, not ValueError, on such a file."""
+    root, cfg = workdir
+    bad = tmp_path / "bad"
+    bad.write_text("[" * 200_000)
+    argv = (["generate", "--config", str(bad), "--out", str(tmp_path / "out")]
+            if artifact == "config" else _reading_argv(artifact, root, cfg, bad, tmp_path / "out"))
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert artifact not in ("corpus", "reports") or err.startswith("error: line 1: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "calibrate", "inject", "run"])
+def test_op_index_outside_int64_is_a_schema_error(workdir, tmp_path, capsys, command):
+    """The corpus digest hashes op indices as int64; one past it exited 1 with an
+    OverflowError from train and calibrate."""
+    root, cfg = workdir
+    lines = []
+    for line in (root / "corpus.ndjson").read_text().splitlines():
+        rec = json.loads(line)
+        rec["op_index"] += 10**19
+        lines.append(json.dumps(rec))
+    bad = tmp_path / "corpus.ndjson"
+    bad.write_text("\n".join(lines) + "\n")
+    argv = _argv(command, root, cfg, tmp_path / "out") + ["--corpus", str(bad)]
+    if command == "inject":
+        argv += ["--attack", "replay_conceal", "--start", "210", "--end", "230"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: op_index must lie in [-2**63, 2**63)")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("path, value, message", [
     (("classifier_reference", "std", "peak_amplitude"), -0.5, "std peak_amplitude must be >= 0"),
     (("classifier_reference", "n_reference"), 0, "n_reference must be an integer >= 1"),
@@ -1173,8 +1210,8 @@ def test_no_type_change_gets_past_the_weights_or_thresholds_reader(workdir, tmp_
     A field is a node path with list indices dropped.
     """
     root, _ = workdir
-    read, error = {"weights": (load_model, ModelFormatError),
-                   "thresholds": (load_thresholds, ThresholdsFormatError)}[artifact]
+    read, error = {"weights": (load_model, dataio.FormatError),
+                   "thresholds": (load_thresholds, dataio.FormatError)}[artifact]
     text = (root / _MUTATED[artifact]).read_text()
     fields: dict[tuple, tuple] = {}
     for node in _nodes(json.loads(text)):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from turnoutguard.curvegen import GeneratorConfig, PowerCurve, generate_lifecycle
 from turnoutguard.dataio import (
-    CorpusFormatError,
     CurveWindow,
+    FormatError,
     make_dataset,
     read_corpus,
     split,
@@ -195,7 +195,7 @@ def test_malformed_json_names_the_line(tmp_path):
     lines = path.read_text().splitlines()
     lines[1] = "{not json"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CorpusFormatError, match="line 2"):
+    with pytest.raises(FormatError, match="line 2"):
         read_corpus(path)
 
 
@@ -208,14 +208,14 @@ def test_inconsistent_length_names_the_line(tmp_path):
     rec["samples"] = rec["samples"][:-3]
     lines[2] = json.dumps(rec)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CorpusFormatError, match="line 3"):
+    with pytest.raises(FormatError, match="line 3"):
         read_corpus(path)
 
 
 def test_missing_field_names_the_line(tmp_path):
     path = tmp_path / "corpus.ndjson"
     path.write_text('{"op_index": 0, "timestamp": 1.0, "samples": [1, 2]}\n')
-    with pytest.raises(CorpusFormatError, match="line 1.*label"):
+    with pytest.raises(FormatError, match="line 1.*label"):
         read_corpus(path)
 
 
@@ -224,7 +224,7 @@ def test_non_monotone_timestamps_rejected(tmp_path):
     corpus[2].curve.timestamp = corpus[0].curve.timestamp
     path = tmp_path / "corpus.ndjson"
     write_corpus(path, corpus)
-    with pytest.raises(CorpusFormatError, match="line 3.*increase"):
+    with pytest.raises(FormatError, match="line 3.*increase"):
         read_corpus(path)
 
 
@@ -234,7 +234,7 @@ def test_non_increasing_op_index_names_the_line(tmp_path, op_index):
     corpus[2].curve.op_index = op_index
     path = tmp_path / "corpus.ndjson"
     write_corpus(path, corpus)
-    with pytest.raises(CorpusFormatError, match="line 3.*op_index"):
+    with pytest.raises(FormatError, match="line 3.*op_index"):
         read_corpus(path)
 
 
@@ -250,7 +250,7 @@ def test_corpus_value_of_the_wrong_json_type_names_line_and_key(tmp_path, key, v
     rec[key] = value
     lines[2] = json.dumps(rec)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CorpusFormatError, match=f"line 3: {key} must be a JSON"):
+    with pytest.raises(FormatError, match=f"line 3: {key} must be a JSON"):
         read_corpus(path)
 
 
@@ -265,7 +265,7 @@ def test_corpus_sample_that_is_not_a_number_names_line_and_samples(tmp_path, sam
     rec["samples"][5] = sample
     lines[2] = json.dumps(rec)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CorpusFormatError, match="line 3: samples must be a JSON array of numbers"):
+    with pytest.raises(FormatError, match="line 3: samples must be a JSON array of numbers"):
         read_corpus(path)
 
 
@@ -278,3 +278,25 @@ def test_corpus_tamper_flag_may_be_null_or_absent(tmp_path):
     del second["tampered"]
     path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
     assert [lc.tampered for lc in read_corpus(path)] == [False, False]
+
+
+@pytest.mark.parametrize("op_index, accepted", [(2**63 - 1, True), (-2**63, True), (2**63, False),
+                                                (-2**63 - 1, False), (10**19, False)])
+def test_op_index_must_fit_in_int64(tmp_path, op_index, accepted):
+    """curves_digest hashes op indices as int64, so a corpus may hold no other."""
+    corpus = generate_lifecycle(GeneratorConfig(length=32, operations=3, seed=1))
+    path = tmp_path / "corpus.ndjson"
+    write_corpus(path, corpus)
+    lines = path.read_text().splitlines()
+    # the first line for a negative index and the last for a positive one,
+    # so the indices still increase
+    line = 1 if op_index < 0 else 3
+    rec = json.loads(lines[line - 1])
+    rec["op_index"] = op_index
+    lines[line - 1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    if accepted:
+        assert read_corpus(path)[line - 1].curve.op_index == op_index
+    else:
+        with pytest.raises(FormatError, match=f"line {line}: op_index must lie in"):
+            read_corpus(path)

@@ -17,14 +17,13 @@ from hypothesis import strategies as st
 from turnoutguard import comparator, forecaster
 from turnoutguard.comparator import calibrate, save_thresholds
 from turnoutguard.curvegen import GeneratorConfig, PowerCurve, generate_lifecycle
-from turnoutguard.dataio import CurveWindow, curves_digest, make_dataset
+from turnoutguard.dataio import CurveWindow, FormatError, curves_digest, make_dataset
 from turnoutguard.forecaster import (
     DTYPES,
     GATES,
     AdamState,
     ForecastModel,
     ForecastSession,
-    ModelFormatError,
     TrainConfig,
     TrainingDiverged,
     _chunks,
@@ -721,7 +720,7 @@ def test_truncated_weights_file_fails_cleanly(tmp_path):
     save_model(model, path)
     blob = path.read_text()
     path.write_text(blob[: len(blob) // 2])
-    with pytest.raises(ModelFormatError, match="not a valid weights file"):
+    with pytest.raises(FormatError, match="not a valid weights file"):
         load_model(path)
 
 
@@ -734,7 +733,7 @@ def test_version_mismatch_fails_cleanly(tmp_path):
     doc = json.loads(path.read_text())
     doc["format_version"] = 999
     path.write_text(json.dumps(doc))
-    with pytest.raises(ModelFormatError, match="version 999"):
+    with pytest.raises(FormatError, match="version 999"):
         load_model(path)
 
 
@@ -747,7 +746,7 @@ def test_missing_block_fails_cleanly(tmp_path):
     doc = json.loads(path.read_text())
     del doc["parameters"]["u_forget"]
     path.write_text(json.dumps(doc))
-    with pytest.raises(ModelFormatError, match="malformed"):
+    with pytest.raises(FormatError, match="malformed"):
         load_model(path)
 
 
@@ -760,7 +759,7 @@ def test_non_object_parameters_fail_cleanly(tmp_path, parameters):
     doc = json.loads(path.read_text())
     doc["parameters"] = parameters
     path.write_text(json.dumps(doc))
-    with pytest.raises(ModelFormatError, match="malformed"):
+    with pytest.raises(FormatError, match="malformed"):
         load_model(path)
 
 
