@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvegen import CurveKind, LabeledCurve, PowerCurve
-from .dataio import json_integer, json_number
+from .dataio import json_integer, json_number, short_repr
 
 # feature windows as fractions of the curve
 PEAK_REGION = 0.2      # first 20%: unlocking inrush
@@ -37,23 +37,14 @@ SPIKE_FACTOR = 1.5
 REL_FLOOR = 0.005
 TRANSIENT_FLOOR = 0.05
 
-FEATURE_NAMES = (
-    "peak_amplitude",
-    "peak_position",
-    "plateau_mean",
-    "plateau_slope",
-    "bump_amplitude",
-    "transient_amplitude",
-)
+#: the features a decision rule reads, tabled in the classifier reference
+FEATURE_NAMES = ("peak_amplitude", "plateau_mean", "transient_amplitude")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CurveFeatures:
     peak_amplitude: float       # W, max of the inrush region
-    peak_position: float        # argmax as a fraction of the whole curve
     plateau_mean: float         # W
-    plateau_slope: float        # W per sample, linear fit over the plateau
-    bump_amplitude: float       # W above the plateau mean, locking region
     transient_amplitude: float  # W, max minus median inside the plateau
     truncated: bool             # curve ends far below its plateau baseline
 
@@ -77,15 +68,11 @@ def _features(s: np.ndarray) -> CurveFeatures:
                          f"(the first {PEAK_REGION:.0%}) holds no sample")
     peak_region = s[:k1]
     plateau = s[k1:k2]
-    locking = s[k2:]
     tail = s[-max(1, int(TAIL_FRACTION * n)):]
 
     # means and median as ndarray.mean and np.median compute them (np.add.reduce
     # over the count), without the cost of their wrappers
     plateau_mean = float(np.add.reduce(plateau) / plateau.size)
-    # closed-form least-squares slope over centred sample positions
-    x = np.arange(plateau.size) - 0.5 * (plateau.size - 1)
-    slope = float(np.dot(x, plateau - plateau_mean) / np.dot(x, x))
     # the middle value, or the mean of the middle two; a NaN reaches the
     # transient through plateau.max()
     half = plateau.size // 2
@@ -94,10 +81,7 @@ def _features(s: np.ndarray) -> CurveFeatures:
     median = np.add.reduce(middle) / middle.size
     return CurveFeatures(
         peak_amplitude=float(peak_region.max()),
-        peak_position=float(np.argmax(peak_region)) / n,
         plateau_mean=plateau_mean,
-        plateau_slope=slope,
-        bump_amplitude=float(locking.max()) - plateau_mean,
         transient_amplitude=float(plateau.max() - median),
         truncated=bool(np.add.reduce(tail) / tail.size < 0.3 * max(plateau_mean, 1.0)),
     )
@@ -117,17 +101,15 @@ class ClassifierReference:
     @classmethod
     def from_dict(cls, d: dict) -> "ClassifierReference":
         """Inverse of ``to_dict``; ValueError on a missing, unknown or bad entry."""
-        if not isinstance(d, dict):
-            raise ValueError("classifier reference must be a JSON object")
-        try:
-            ref = cls(**d)
-        except TypeError as exc:   # a key missing or unknown
-            raise ValueError(f"classifier reference: {exc}") from None
+        if not (isinstance(d, dict) and set(d) == {"mean", "std", "n_reference"}):
+            raise ValueError("classifier reference must be a JSON object of mean, std and "
+                             f"n_reference, got {short_repr(d)}")
+        ref = cls(**d)
         for table in (ref.mean, ref.std):
             if not (isinstance(table, dict) and set(table) == set(FEATURE_NAMES)):
                 raise ValueError(
                     "classifier reference mean and std must map each of "
-                    f"{', '.join(FEATURE_NAMES)} to a finite number"
+                    f"{', '.join(FEATURE_NAMES)} to a finite number, got {short_repr(table)}"
                 )
         for name in FEATURE_NAMES:
             json_number(ref.mean[name], f"classifier reference mean {name}")

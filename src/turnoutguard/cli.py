@@ -24,7 +24,8 @@ from typing import Callable, NamedTuple
 from . import classifier, comparator, curvegen, dataio, forecaster, investigator
 from .curvegen import (FAILURE_MODES, AttackKind, AttackScenario, BaseShape, CurveKind,
                        GeneratorConfig, Phase)
-from .dataio import ARRAY, OBJECT, FormatError, json_field, json_integer, json_number, json_numbers
+from .dataio import (ARRAY, OBJECT, FormatError, json_enum, json_field, json_integer,
+                     json_number, json_numbers, short_repr)
 from .forecaster import TrainConfig
 from .investigator import VerdictKind
 from .pipeline import Pipeline, PipelineConfig
@@ -60,9 +61,10 @@ class Key(NamedTuple):
             try:
                 value = self.convert(str(value))
             except (TypeError, ValueError) as exc:
-                raise UsageError(f"config {where}: bad value {value!r}") from exc
+                raise UsageError(f"config {where}: bad value {short_repr(value)}") from exc
         if self.choices is not None and value not in self.choices:
-            raise UsageError(f"config {where}: {value!r} is not one of {list(self.choices)}")
+            raise UsageError(f"config {where}: {short_repr(value)} is not one of "
+                             f"{list(self.choices)}")
         return value
 
 
@@ -70,7 +72,7 @@ def _base_shape(value, name: str) -> BaseShape:
     keys = [f.name for f in dataclasses.fields(BaseShape)]
     unknown = set(json_field(value, OBJECT, name)) - set(keys)
     if unknown:
-        raise UsageError(f"{name}: unknown keys {sorted(unknown)}; expected {keys}")
+        raise UsageError(f"{name}: unknown keys {short_repr(sorted(unknown))}; expected {keys}")
     numbers = {key: json_number(x, f"{name}.{key}") for key, x in value.items()}
     try:
         return BaseShape(**numbers)
@@ -81,13 +83,13 @@ def _base_shape(value, name: str) -> BaseShape:
 def _phase(value, name: str) -> Phase:
     unknown = set(json_field(value, OBJECT, name)) - {"kind", "start", "end", "severity"}
     if unknown:
-        raise UsageError(f"{name}: unknown keys {sorted(unknown)}")
+        raise UsageError(f"{name}: unknown keys {short_repr(sorted(unknown))}")
     start, end = (json_integer(value.get(key), f"{name}.{key}", 0) for key in ("start", "end"))
     severity = json_numbers(value.get("severity", [0.0, 0.0]), f"{name}.severity")
     if severity.shape != (2,):
         raise UsageError(f"{name}.severity must be a [start, end] pair, got {len(severity)} numbers")
     try:
-        return Phase(CurveKind(value.get("kind")), start, end, *map(float, severity))
+        return Phase(json_enum(CurveKind, value.get("kind")), start, end, *map(float, severity))
     except ValueError as exc:
         raise UsageError(f"{name}: {exc}") from None
 
@@ -143,7 +145,8 @@ def _load_config(path) -> dict:
         raise UsageError("config file must hold a JSON object")
     for name, section in cfg.items():
         if name not in SECTIONS:
-            raise UsageError(f"config file: unknown section {name!r}; expected {list(SECTIONS)}")
+            raise UsageError(f"config file: unknown section {short_repr(name)}; "
+                             f"expected {list(SECTIONS)}")
         if not isinstance(section, dict):
             raise UsageError(f"config section {name!r} must be a JSON object")
     return cfg
@@ -158,7 +161,8 @@ def _options(args, cfg: dict, name: str) -> dict:
     unknown = set(section) - set(keys)
     if unknown:
         raise UsageError(
-            f"config section {name!r}: unknown keys {sorted(unknown)}; expected {list(keys)}"
+            f"config section {name!r}: unknown keys {short_repr(sorted(unknown))}; "
+            f"expected {list(keys)}"
         )
     options = {}
     for key, spec in keys.items():

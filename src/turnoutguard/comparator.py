@@ -24,7 +24,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .classifier import ClassifierReference
 from .curvegen import PowerCurve
-from .dataio import Dataset, json_integer, json_number, json_sha256, read_document
+from .dataio import Dataset, json_integer, json_number, json_sha256, read_document, short_repr
 from .forecaster import ForecastModel, ForecastSession, forward_samples
 
 #: the warping kernel, recorded in run provenance
@@ -34,7 +34,7 @@ DTW_BACKEND = "numpy-wavefront"
 # block's memory to this many rows of the shorter series
 _DIAGONALS_PER_BLOCK = 64
 
-THRESHOLDS_FORMAT_VERSION = 2
+THRESHOLDS_FORMAT_VERSION = 3
 
 
 class CalibrationWarning(UserWarning):
@@ -272,7 +272,7 @@ def _thresholds(doc: dict) -> tuple[Thresholds, dict]:
     if "test_size" in cal:
         json_integer(cal["test_size"], "calibration test_size", 1)
     if cal.get("band") is not None:   # null: the full matrix, as earlier files record it
-        raise ValueError(f"calibration band {cal['band']!r} is not supported: distances "
+        raise ValueError(f"calibration band {short_repr(cal['band'])} is not supported: distances "
                          "search the full warping matrix; re-run calibrate")
     if "model_sha256" in cal:
         json_sha256(cal["model_sha256"], "calibration model_sha256")

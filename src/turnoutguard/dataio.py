@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import reprlib
 import sys
 from collections import deque
 from contextlib import contextmanager
@@ -39,6 +40,26 @@ OBJECT = ("object", (dict,))
 ARRAY = ("array", (list,))
 
 
+_SHORT = reprlib.Repr()
+# a sha256 digest, a float and a small array print whole
+_SHORT.maxstring = _SHORT.maxother = 100
+_SHORT.maxlevel = 2
+
+
+def short_repr(value) -> str:
+    """``repr(value)``, with long strings, numbers and containers cut to ``...``,
+    so that a message printing a refused value stays short however big it is."""
+    return _SHORT.repr(value)
+
+
+def json_enum(cls, value):
+    """``cls(value)`` for an Enum ``cls``; its ValueError with ``value`` cut short."""
+    try:
+        return cls(value)
+    except ValueError:
+        raise ValueError(f"{short_repr(value)} is not a valid {cls.__qualname__}") from None
+
+
 def json_field(value, kind: tuple[str, tuple], name: str):
     """``value`` if json.load gave it one of ``kind``'s types (a boolean is no number).
 
@@ -46,7 +67,7 @@ def json_field(value, kind: tuple[str, tuple], name: str):
     """
     wanted, types = kind
     if type(value) not in types:
-        raise ValueError(f"{name} must be a JSON {wanted}, got {value!r}")
+        raise ValueError(f"{name} must be a JSON {wanted}, got {short_repr(value)}")
     return value
 
 
@@ -59,14 +80,14 @@ def json_number(value, name: str) -> float:
     """
     # false for NaN, the infinities and an integer too large for a float
     if not abs(json_field(value, NUMBER, name)) <= sys.float_info.max:
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
+        raise ValueError(f"{name} must be a finite number, got {short_repr(value)}")
     return float(value)
 
 
 def json_integer(value, name: str, minimum: int) -> int:
     """``value`` if json.load gave it an integer of at least ``minimum``."""
     if type(value) is not int or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {short_repr(value)}")
     return value
 
 
@@ -77,7 +98,7 @@ def json_sha256(value, name: str) -> str:
     """``value`` if json.load gave it a sha256 digest: 64 lowercase hex digits."""
     if type(value) is not str or not _SHA256.fullmatch(value):
         raise ValueError(f"{name} must be a sha256 digest of 64 lowercase hex digits, "
-                         f"got {value!r}")
+                         f"got {short_repr(value)}")
     return value
 
 
@@ -91,7 +112,7 @@ def json_numbers(value, name: str) -> np.ndarray:
     # one type test per value
     if not set(map(type, value)) <= set(NUMBER[1]):
         bad = next(v for v in value if type(v) not in NUMBER[1])
-        raise ValueError(f"{name} must be a JSON array of numbers, got {bad!r}")
+        raise ValueError(f"{name} must be a JSON array of numbers, got {short_repr(bad)}")
     try:
         array = np.asarray(value, dtype=np.float64)
         finite = np.all(np.isfinite(array))
@@ -343,7 +364,7 @@ def _parse_record(rec) -> LabeledCurve:
     op_index = json_field(rec["op_index"], INTEGER, "op_index")
     # curves_digest hashes op indices as int64
     if not -2**63 <= op_index < 2**63:
-        raise ValueError(f"op_index must lie in [-2**63, 2**63), got {op_index}")
+        raise ValueError(f"op_index must lie in [-2**63, 2**63), got {short_repr(op_index)}")
     curve = PowerCurve(
         samples=json_numbers(rec["samples"], "samples"),
         op_index=op_index,
@@ -351,7 +372,7 @@ def _parse_record(rec) -> LabeledCurve:
     )
     return LabeledCurve(
         curve=curve,
-        label=CurveLabel(CurveKind(label["kind"]), json_number(label.get("severity", 0.0),
-                                                               "label severity")),
+        label=CurveLabel(json_enum(CurveKind, label["kind"]),
+                         json_number(label.get("severity", 0.0), "label severity")),
         tampered=bool(json_field(rec.get("tampered"), OPTIONAL_BOOLEAN, "tampered")),
     )

@@ -30,7 +30,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .curvegen import OP_PERIOD_S, PowerCurve
 from .dataio import (OBJECT, CurveWindow, Dataset, curves_digest, json_field, json_integer,
-                     json_numbers, json_sha256, read_document)
+                     json_numbers, json_sha256, read_document, short_repr)
 
 MODEL_FORMAT_VERSION = 1
 DTYPES = ("float32", "float64")
@@ -727,9 +727,10 @@ def _model(doc: dict) -> ForecastModel:
                               for key in ("window", "length", "hidden"))
     dtype = hyper.get("dtype", "float64")
     if dtype not in DTYPES:
-        raise ValueError(f"hyper.dtype must be one of {list(DTYPES)}, got {dtype!r}")
+        raise ValueError(f"hyper.dtype must be one of {list(DTYPES)}, got {short_repr(dtype)}")
     if doc["input_order"] != "oldest_first":
-        raise ValueError(f"input_order must be 'oldest_first', got {doc['input_order']!r}")
+        raise ValueError(f"input_order must be 'oldest_first', "
+                         f"got {short_repr(doc['input_order'])}")
     meta = {key: json_sha256(hyper[key], f"hyper.{key}") if least is None
             else json_integer(hyper[key], f"hyper.{key}", least)
             for key, least in META_KEYS.items() if key in hyper}
@@ -744,7 +745,8 @@ def _model(doc: dict) -> ForecastModel:
     for name, shape in shapes.items():
         entry = json_field(parameters[name], OBJECT, f"parameters.{name}")
         if entry["shape"] != shape or not all(type(n) is int for n in entry["shape"]):
-            raise ValueError(f"parameters.{name} has shape {entry['shape']}, expected {shape}")
+            raise ValueError(f"parameters.{name} has shape {short_repr(entry['shape'])}, "
+                             f"expected {shape}")
         data = json_numbers(entry["data"], f"parameters.{name}")
         if data.size != math.prod(shape):
             raise ValueError(f"parameters.{name} holds {data.size} numbers, "

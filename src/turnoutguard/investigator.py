@@ -14,7 +14,6 @@ streams are scriptable; see the README for the code table.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -22,13 +21,20 @@ from .classifier import ClassifierReference, classify, decision_kind
 from .comparator import DistancePair, Thresholds
 from .curvegen import CurveKind
 from .dataio import (BOOLEAN, INTEGER, OBJECT, OPTIONAL_BOOLEAN, OPTIONAL_STRING, STRING,
-                     CurveWindow, json_field, json_number, read_ndjson, write_ndjson)
+                     CurveWindow, json_enum, json_field, json_number, read_ndjson, write_ndjson)
 
 REASON_VALIDATED = "VALIDATED"
 REASON_UNEXPECTED_HEALTHY = "FIG4_1"
 REASON_UNHERALDED_PRE_FAULT = "FIG4_2_1"
 REASON_MINOR_ANOMALY = "FIG4_2_2"
 REASON_SUDDEN_FAILURE = "FIG4_2_3"
+
+# a window progresses when at least PROGRESSION_FRACTION of its last
+# RECENT_CURVES curves read as progressive pre-fault; a rejected pre-fault
+# curve beyond ESCALATION_FACTOR times either threshold is a gross mismatch
+RECENT_CURVES = 10
+PROGRESSION_FRACTION = 0.3
+ESCALATION_FACTOR = 2.0
 
 
 class VerdictKind(str, Enum):
@@ -75,40 +81,26 @@ _SHARED = {v: v for v in (VALIDATED, *FIG4_1.values(), FIG4_2_1_UNHERALDED, FIG4
                           FIG4_2_1_CONTINUES, FIG4_2_2, FIG4_2_3, FIG4_2_3_NO_PROGRESSION)}
 
 
-@dataclass(frozen=True)
 class InvestigatorParams:
-    recent_curves: int = 10        # window suffix checked for progression
-    progression_fraction: float = 0.3
-    escalation_factor: float = 2.0  # gross-mismatch multiple on both thresholds
+    """perfbench's tracer reads ``InvestigatorParams().recent_curves``; this
+    stub goes when the benchmark next changes."""
 
-    def __post_init__(self):
-        # window.curves[-0:] is the whole window; a fraction <= 0 makes every
-        # window progressive, a factor < 1 every rejected pre-fault curve gross
-        if self.recent_curves < 1:
-            raise ValueError(f"recent_curves must be >= 1, got {self.recent_curves}")
-        if not 0.0 < self.progression_fraction <= 1.0:
-            raise ValueError(f"progression_fraction must lie in (0, 1], got {self.progression_fraction}")
-        if not 1.0 <= self.escalation_factor < math.inf:
-            raise ValueError(f"escalation_factor must be finite and >= 1, got {self.escalation_factor}")
+    recent_curves = RECENT_CURVES
 
 
-def window_shows_progression(
-    window: CurveWindow,
-    reference: ClassifierReference,
-    params: InvestigatorParams = InvestigatorParams(),
-) -> bool:
+def window_shows_progression(window: CurveWindow, reference: ClassifierReference) -> bool:
     """True when the window's recent curves establish a progression.
 
-    The classifier is applied to the last ``recent_curves`` window entries;
+    The classifier is applied to the last ``RECENT_CURVES`` window entries;
     the sequence counts as progressing when at least
-    ``progression_fraction`` of them read as progressive pre-fault.
+    ``PROGRESSION_FRACTION`` of them read as progressive pre-fault.
     """
-    recent = window.curves[-params.recent_curves:]
+    recent = window.curves[-RECENT_CURVES:]
     hits = sum(
         1 for c in recent
         if classify(c, reference) is CurveKind.PROGRESSIVE_PRE_FAULT
     )
-    return hits >= params.progression_fraction * len(recent)
+    return hits >= PROGRESSION_FRACTION * len(recent)
 
 
 def investigate(
@@ -118,7 +110,6 @@ def investigate(
     reference: ClassifierReference,
     distances: DistancePair,
     thresholds: Thresholds,
-    params: InvestigatorParams = InvestigatorParams(),
 ) -> Verdict:
     """Verdict for a non-validated field curve.
 
@@ -132,11 +123,11 @@ def investigate(
         return FIG4_1[decision_kind(predicted_kind)]
 
     if kind is CurveKind.PROGRESSIVE_PRE_FAULT:
-        if not window_shows_progression(window, reference, params):
+        if not window_shows_progression(window, reference):
             return FIG4_2_1_UNHERALDED
         gross = (
-            distances.euclidean > params.escalation_factor * thresholds.tau_euclidean
-            or distances.dtw > params.escalation_factor * thresholds.tau_dtw
+            distances.euclidean > ESCALATION_FACTOR * thresholds.tau_euclidean
+            or distances.dtw > ESCALATION_FACTOR * thresholds.tau_dtw
         )
         return FIG4_2_1_GROSS if gross else FIG4_2_1_CONTINUES
 
@@ -144,7 +135,7 @@ def investigate(
         return FIG4_2_2
 
     # sudden failure: not predictable from the sequence, defer to expertise
-    if not window_shows_progression(window, reference, params):
+    if not window_shows_progression(window, reference):
         return FIG4_2_3_NO_PROGRESSION
     return FIG4_2_3
 
@@ -191,15 +182,16 @@ class InvestigationReport:
         or a non-finite number."""
         v = json_field(d, OBJECT, "report")["verdict"]
         number = {k: json_number(d[k], k) for k in ("euclidean", "dtw", "tau_euclidean", "tau_dtw")}
-        verdict = Verdict(VerdictKind(v["kind"]), json_field(v["reason"], STRING, "reason"),
+        verdict = Verdict(json_enum(VerdictKind, v["kind"]),
+                          json_field(v["reason"], STRING, "reason"),
                           json_field(v["rationale"], STRING, "rationale"))
         return cls(
             op_index=json_field(d["op_index"], INTEGER, "op_index"),
             distances=DistancePair(number["euclidean"], number["dtw"]),
             tau_euclidean=number["tau_euclidean"],
             tau_dtw=number["tau_dtw"],
-            predicted_kind=CurveKind(d["predicted_kind"]),
-            field_kind=CurveKind(d["field_kind"]),
+            predicted_kind=json_enum(CurveKind, d["predicted_kind"]),
+            field_kind=json_enum(CurveKind, d["field_kind"]),
             window_progressive=json_field(d["window_progressive"], BOOLEAN, "window_progressive"),
             verdict=_SHARED.get(verdict, verdict),
             tampered=json_field(d.get("tampered"), OPTIONAL_BOOLEAN, "tampered"),

@@ -11,7 +11,7 @@ reproduces the same reports bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import comparator, forecaster
 from .classifier import ClassifierReference, classify
@@ -19,15 +19,13 @@ from .comparator import Thresholds
 from .curvegen import LabeledCurve, PowerCurve
 from .dataio import CurveWindow, as_power_curves
 from .forecaster import ForecastModel, ForecastSession
-from .investigator import (VALIDATED, InvestigationReport, InvestigatorParams, investigate,
-                           window_shows_progression)
+from .investigator import VALIDATED, InvestigationReport, investigate, window_shows_progression
 
 
 @dataclass
 class PipelineConfig:
     alarm_after: int = 5   # consecutive rejections before a stream alert
     band: None = None   # perfbench still passes it; goes when the benchmark next changes
-    investigator: InvestigatorParams = field(default_factory=InvestigatorParams)
 
     def __post_init__(self):
         if self.alarm_after < 1:
@@ -100,9 +98,7 @@ class Pipeline:
         outcome = comparator.validate(field_curve, predicted, self.thresholds)
         field_kind = classify(field_curve, self.reference)
         predicted_kind = classify(predicted, self.reference)
-        progressive = window_shows_progression(
-            self.window, self.reference, self.config.investigator
-        )
+        progressive = window_shows_progression(self.window, self.reference)
 
         if outcome.validated:
             verdict = VALIDATED
@@ -116,7 +112,6 @@ class Pipeline:
                 self.reference,
                 outcome.distances,
                 self.thresholds,
-                self.config.investigator,
             )
             self._rejection_streak += 1
 

@@ -799,18 +799,54 @@ def test_truncated_artifact_never_raises(workdir, fixture_reports, artifact, dat
     assert main(argv) in codes
 
 
-def test_thresholds_of_format_version_1_is_a_schema_error(workdir, tmp_path, capsys):
+@pytest.mark.parametrize("version", [1, 2])
+def test_thresholds_of_an_earlier_format_version_is_a_schema_error(
+        workdir, tmp_path, capsys, version):
+    """Versions 1 and 2 tabled six features, and version 1 the decision
+    constants too; the fix is to re-run calibrate."""
     root, cfg = workdir
     doc = json.loads((root / "thresholds.json").read_text())
-    doc["format_version"] = 1
-    doc["classifier_reference"].update(corridor=0.5, spike_factor=1.5, rel_floor=0.005,
-                                       transient_floor=0.05)
+    doc["format_version"] = version
+    reference = doc["classifier_reference"]
+    for table in (reference["mean"], reference["std"]):
+        table.update(peak_position=0.05, plateau_slope=0.0, bump_amplitude=200.0)
+    if version == 1:
+        reference.update(corridor=0.5, spike_factor=1.5, rel_floor=0.005, transient_floor=0.05)
     bad = tmp_path / "t.json"
     bad.write_text(json.dumps(doc))
     rc = main(_argv("run", root, cfg, tmp_path / "r.ndjson") + ["--thresholds", str(bad)])
     assert rc == 3
-    assert "format version 1 (expected 2)" in capsys.readouterr().err
+    assert f"unsupported format version {version} (expected 3)" in capsys.readouterr().err
     assert not (tmp_path / "r.ndjson").exists()
+
+
+@pytest.mark.parametrize("artifact, path, value, named, code", [
+    ("corpus", ("timestamp",), [0.5] * 100_000, "timestamp", 3),
+    ("corpus", ("label", "kind"), "x" * 100_000, "is not a valid CurveKind", 3),
+    ("config", ("train", "window"), "x" * 100_000, "train.window", 2),
+], ids=["corpus-timestamp", "corpus-label-kind", "config-train-window"])
+def test_a_huge_refused_value_gets_a_short_message(workdir, tmp_path, capsys, artifact, path,
+                                                   value, named, code):
+    """The message names what it refuses and cuts the value, however big it is."""
+    root, cfg = workdir
+    corpus, config = root / "corpus.ndjson", cfg
+    if artifact == "corpus":
+        lines = corpus.read_text().splitlines()
+        rec = json.loads(lines[0])
+        _set(rec, path, value)
+        corpus = tmp_path / "corpus.ndjson"
+        corpus.write_text("\n".join([json.dumps(rec)] + lines[1:]) + "\n")
+    else:
+        doc = json.loads(cfg.read_text())
+        _set(doc, path, value)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+    out = tmp_path / "m.json"
+    rc = main(["train", "--config", str(config), "--corpus", str(corpus), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == code
+    assert named in err and len(err) < 300
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, value", [

@@ -1,11 +1,10 @@
 """Decision table for non-validated curves, and run scoring."""
 
 import itertools
-import math
 
 import pytest
 
-from turnoutguard.classifier import build_reference
+from turnoutguard.classifier import build_reference, classify
 from turnoutguard.comparator import DistancePair, Thresholds
 from turnoutguard.curvegen import CurveKind, GeneratorConfig, Phase, generate_lifecycle
 from turnoutguard.dataio import CurveWindow
@@ -16,7 +15,6 @@ from turnoutguard.investigator import (
     REASON_UNHERALDED_PRE_FAULT,
     VALIDATED,
     InvestigationReport,
-    InvestigatorParams,
     Verdict,
     VerdictKind,
     investigate,
@@ -53,6 +51,33 @@ def test_progression_detector(setup):
     reference, early_window, progressing_window = setup
     assert not window_shows_progression(early_window, reference)
     assert window_shows_progression(progressing_window, reference)
+
+
+@pytest.fixture(scope="module")
+def kinds(setup):
+    """Generated curves of each kind, as the classifier reads them."""
+    reference, early_window, progressing_window = setup
+    healthy = [c for c in early_window
+               if classify(c, reference) is CurveKind.EARLY_LIFE_NORMAL]
+    progressive = [c for c in progressing_window
+                   if classify(c, reference) is CurveKind.PROGRESSIVE_PRE_FAULT]
+    assert len(healthy) >= 15 and len(progressive) >= 3
+    return reference, healthy, progressive
+
+
+@pytest.mark.parametrize("slots, progressing", [
+    ("HHHHHPHHPHHHHP", True),
+    ("HHHHHPHHHHHHHP", False),
+    ("PHPHHHHHHHP", False),
+    ("HPHPH", True),
+    ("HHHPH", False),
+], ids=["3-of-last-10", "2-of-last-10", "11th-from-end-not-counted", "2-of-5", "1-of-5"])
+def test_progression_rule_at_its_boundaries(kinds, slots, progressing):
+    """At least 0.3 of the last 10 window curves (P: progressive, oldest first)."""
+    reference, healthy, progressive = kinds
+    h, p = iter(healthy), iter(progressive)
+    window = CurveWindow([next(p) if slot == "P" else next(h) for slot in slots])
+    assert window_shows_progression(window, reference) is progressing
 
 
 def test_healthy_curve_in_progressing_sequence_is_suspicious(setup):
@@ -109,7 +134,6 @@ def test_prefault_in_progressing_window_needs_gross_mismatch(setup):
 
 def test_escalation_factor_boundary(setup):
     reference, _, progressing_window = setup
-    params = InvestigatorParams(escalation_factor=2.0)
     at_double = DistancePair(euclidean=200.0, dtw=2000.0)   # exactly 2x: not gross
     verdict = investigate(
         CurveKind.PROGRESSIVE_PRE_FAULT,
@@ -118,7 +142,6 @@ def test_escalation_factor_boundary(setup):
         reference,
         at_double,
         THRESHOLDS,
-        params,
     )
     assert verdict.kind is VerdictKind.NO_SUSPICION
     over = DistancePair(euclidean=200.1, dtw=2000.0)
@@ -129,31 +152,8 @@ def test_escalation_factor_boundary(setup):
         reference,
         over,
         THRESHOLDS,
-        params,
     )
     assert verdict.kind is VerdictKind.SUSPICIOUS
-
-
-@pytest.mark.parametrize("options, match", [
-    ({"recent_curves": 0}, "recent_curves must be >= 1"),
-    ({"recent_curves": -3}, "recent_curves must be >= 1"),
-    ({"progression_fraction": 0.0}, "progression_fraction"),
-    ({"progression_fraction": -0.5}, "progression_fraction"),
-    ({"progression_fraction": 1.01}, "progression_fraction"),
-    ({"progression_fraction": math.nan}, "progression_fraction"),
-    ({"escalation_factor": 0.99}, "escalation_factor"),
-    ({"escalation_factor": math.inf}, "escalation_factor"),
-    ({"escalation_factor": math.nan}, "escalation_factor"),
-], ids=["zero-recent", "negative-recent", "zero-fraction", "negative-fraction",
-        "fraction-above-1", "nan-fraction", "factor-below-1", "infinite-factor", "nan-factor"])
-def test_investigator_params_check_themselves(options, match):
-    with pytest.raises(ValueError, match=match):
-        InvestigatorParams(**options)
-
-
-def test_investigator_params_bounds_are_inclusive():
-    InvestigatorParams(recent_curves=1, progression_fraction=1.0, escalation_factor=1.0)
-    assert InvestigatorParams() == InvestigatorParams(10, 0.3, 2.0)
 
 
 def test_minor_anomaly_raises_no_suspicion(setup):
