@@ -136,6 +136,29 @@ def test_features_equal_the_mean_and_median_formula_bit_for_bit(length):
     assert np.isnan(_features(with_nan).transient_amplitude)
 
 
+# plateaus of 12, 61 and 120 samples; the rising kinds move the plateau
+@pytest.mark.parametrize("length", [20, 101, 200])
+def test_generated_features_equal_the_formula_bit_for_bit(length):
+    _, corpus = make_corpus(
+        [(CurveKind.EARLY_LIFE_NORMAL, 0, 20, 0.0, 0.0),
+         (CurveKind.PROGRESSIVE_PRE_FAULT, 20, 40, 0.0, 1.0),
+         (CurveKind.AGING, 40, 60, 0.0, 1.0)],
+        60, seed=length, length=length,
+    )
+    for lc in corpus:
+        f = extract_features(lc.curve)
+        got = (*f.as_dict().values(), f.truncated)
+        assert _feature_bytes(got) == _feature_bytes(_reference_features(lc.curve.samples))
+
+
+def test_curve_features_are_frozen_and_slotted():
+    f = _features(np.full(20, 600.0))
+    assert not hasattr(f, "__dict__")
+    assert f.__slots__ == ("peak_amplitude", "plateau_mean", "transient_amplitude", "truncated")
+    with pytest.raises(AttributeError):
+        f.plateau_mean = 0.0
+
+
 @pytest.mark.parametrize("length", [1, 2, 3, 4, 5])
 def test_a_curve_needs_a_sample_in_its_peak_region(length):
     samples = np.full(length, 600.0)

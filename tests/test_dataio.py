@@ -13,6 +13,7 @@ from turnoutguard.dataio import (
     FormatError,
     make_dataset,
     read_corpus,
+    short_repr,
     split,
     write_corpus,
 )
@@ -300,3 +301,18 @@ def test_op_index_must_fit_in_int64(tmp_path, op_index, accepted):
     else:
         with pytest.raises(FormatError, match=f"line {line}: op_index must lie in"):
             read_corpus(path)
+
+
+@pytest.mark.parametrize("value", [
+    "x" * 100_000, [0.5] * 100_000, {str(k): k for k in range(100_000)}, 10**1000,
+    [[[[0.5] * 1000]]],
+], ids=["string", "list", "dict", "int", "nested"])
+def test_short_repr_cuts_a_huge_value(value):
+    text = short_repr(value)
+    assert len(text) < 200 and "..." in text
+
+
+@pytest.mark.parametrize("value", ["0" * 64, 0.1, -2**63, [1.0, 2.0, 3.0], {"band": 5}, None],
+                         ids=["sha256", "float", "int64", "short-list", "small-dict", "null"])
+def test_short_repr_keeps_a_small_value_whole(value):
+    assert short_repr(value) == repr(value)
