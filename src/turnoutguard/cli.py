@@ -16,7 +16,6 @@ import argparse
 import csv
 import dataclasses
 import hashlib
-import json
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -88,8 +87,9 @@ def _phase(value, name: str) -> Phase:
     severity = json_numbers(value.get("severity", [0.0, 0.0]), f"{name}.severity")
     if severity.shape != (2,):
         raise UsageError(f"{name}.severity must be a [start, end] pair, got {len(severity)} numbers")
+    kind = json_enum(CurveKind, value.get("kind"), name)
     try:
-        return Phase(json_enum(CurveKind, value.get("kind")), start, end, *map(float, severity))
+        return Phase(kind, start, end, *map(float, severity))
     except ValueError as exc:
         raise UsageError(f"{name}: {exc}") from None
 
@@ -236,8 +236,7 @@ def cmd_train(args, cfg) -> int:
     )
     print(f"wrote weights to {out}")
     if args.report_out:
-        with open(args.report_out, "w", encoding="utf-8") as fh:
-            json.dump(dataclasses.asdict(report), fh)
+        dataio.write_json(args.report_out, dataclasses.asdict(report))
         print(f"wrote training report to {args.report_out}")
     return EXIT_OK
 
@@ -391,8 +390,7 @@ def cmd_run(args, cfg) -> int:
     _print_summary(summary)
     print(f"wrote {len(pipe.reports)} reports to {out}")
     if args.summary_out:
-        with open(args.summary_out, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh)
+        dataio.write_json(args.summary_out, summary)
         print(f"wrote summary to {args.summary_out}")
     if plot_dir is not None:
         print(f"wrote {plotted} curve-pair CSVs to {plot_dir}")
@@ -415,8 +413,7 @@ def cmd_report(args, cfg) -> int:
     summary = _summarize(reports)
     _print_summary(summary)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh)
+        dataio.write_json(args.out, summary)
         print(f"wrote summary to {args.out}")
     return EXIT_SUSPICION if summary["suspicious"] else EXIT_OK
 

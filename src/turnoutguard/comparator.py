@@ -15,7 +15,7 @@ Nothing is compiled.
 
 from __future__ import annotations
 
-import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -24,7 +24,8 @@ from numpy.lib.stride_tricks import as_strided
 
 from .classifier import ClassifierReference
 from .curvegen import PowerCurve
-from .dataio import Dataset, json_integer, json_number, json_sha256, read_document, short_repr
+from .dataio import (Dataset, json_integer, json_number, json_sha256, read_document, short_repr,
+                     write_document)
 from .forecaster import ForecastModel, ForecastSession, forward_samples
 
 #: the warping kernel, recorded in run provenance
@@ -167,7 +168,17 @@ def _dtw_cost(long: np.ndarray, short: np.ndarray) -> float:
 
 
 def distance_pair(a, b) -> DistancePair:
-    return DistancePair(euclidean=euclidean(a, b), dtw=dtw(a, b))
+    """Both distances; ValueError if either is not finite.
+
+    Samples near the float maximum overflow a distance to inf, which no
+    threshold or report can hold; numpy's overflow warning is silenced.
+    """
+    with np.errstate(over="ignore"):
+        d = DistancePair(euclidean=euclidean(a, b), dtw=dtw(a, b))
+    if not (math.isfinite(d.euclidean) and math.isfinite(d.dtw)):
+        raise ValueError(f"the distances overflow (euclidean {d.euclidean}, dtw {d.dtw}): "
+                         "a sample is too large")
+    return d
 
 
 def calibrate(
@@ -181,7 +192,8 @@ def calibrate(
     Runs the forecaster over every test window in one session, measures
     both distances between prediction and the true next curve, and takes
     the given percentile of each (by default 100, the maximum), times the
-    safety factor; ValueError if a product is not finite.
+    safety factor; ValueError naming the test op whose distances overflow,
+    or if a product is not finite.
     """
     _check_calibration(percentile, safety_factor)
 
@@ -191,8 +203,11 @@ def calibrate(
     warp = np.empty(len(test_pairs))
     for k, target in enumerate(test_pairs.curves[w:]):
         predicted = np.clip(forward_samples(session, matrix[k:k + w]), 0.0, None)
-        eucl[k] = euclidean(predicted, target)
-        warp[k] = dtw(predicted, target)
+        try:
+            d = distance_pair(predicted, target)
+        except ValueError as exc:
+            raise ValueError(f"test op {target.op_index}: {exc}") from None
+        eucl[k], warp[k] = d.euclidean, d.dtw
 
     tau_e = float(np.percentile(eucl, percentile)) * safety_factor
     tau_d = float(np.percentile(warp, percentile)) * safety_factor
@@ -226,7 +241,8 @@ def _check_calibration(percentile: float, safety_factor: float):
 def validate(field, predicted, thresholds: Thresholds) -> ValidationResult:
     """Both criteria must pass; either distance beyond its bound rejects.
 
-    ValueError, from ``euclidean``, if the two curves differ in length.
+    ValueError, from ``distance_pair``, if the two curves differ in length
+    or a distance is not finite.
     """
     d = distance_pair(field, predicted)
     ok = d.euclidean <= thresholds.tau_euclidean and d.dtw <= thresholds.tau_dtw
@@ -239,15 +255,12 @@ def validate(field, predicted, thresholds: Thresholds) -> ValidationResult:
 # ---------------------------------------------------------------------------
 
 def save_thresholds(path, thresholds: Thresholds, classifier_reference: dict):
-    doc = {
-        "format_version": THRESHOLDS_FORMAT_VERSION,
+    write_document(path, THRESHOLDS_FORMAT_VERSION, {
         "tau_euclidean": thresholds.tau_euclidean,
         "tau_dtw": thresholds.tau_dtw,
         "calibration": thresholds.calibration,
         "classifier_reference": classifier_reference,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    })
 
 
 def load_thresholds(path) -> tuple[Thresholds, dict]:

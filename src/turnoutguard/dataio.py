@@ -1,16 +1,17 @@
 """Corpus persistence, chronological splits, and sliding-window datasets.
 
-Every artifact file is read here, as a JSON document (weights, thresholds,
-config) or NDJSON lines (corpora, reports), and a file the readers refuse
-raises one ``FormatError``.  A corpus holds one record per operation, in op
-order, with the full sample vector serialized at full precision
-(``repr``-based JSON floats round-trip float64 exactly).
+Every artifact file is read and written here as strict JSON, a document
+(weights, thresholds, config, summaries) or NDJSON lines (corpora, reports);
+a file the readers refuse raises one ``FormatError``.  A corpus holds one
+record per operation, in op order, with the full sample vector at full
+precision (``repr``-based JSON floats round-trip float64 exactly).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import reprlib
 import sys
@@ -52,12 +53,13 @@ def short_repr(value) -> str:
     return _SHORT.repr(value)
 
 
-def json_enum(cls, value):
-    """``cls(value)`` for an Enum ``cls``; its ValueError with ``value`` cut short."""
+def json_enum(cls, value, name: str):
+    """``cls(value)`` for an Enum ``cls``; its ValueError naming ``name``, with
+    ``value`` cut short."""
     try:
         return cls(value)
     except ValueError:
-        raise ValueError(f"{short_repr(value)} is not a valid {cls.__qualname__}") from None
+        raise ValueError(f"{name}: {short_repr(value)} is not a valid {cls.__qualname__}") from None
 
 
 def json_field(value, kind: tuple[str, tuple], name: str):
@@ -188,12 +190,42 @@ def read_ndjson(path, what: str, parse):
                 yield n, _parsed(lambda text: parse(_loads(text, what)), line, f"line {n}: ")
 
 
+def _write(path, values, end: str):
+    """Write each of ``values`` as strict JSON, then ``end``; ValueError for NaN or ±inf.
+
+    The text goes to a new file beside ``path`` that replaces it once every
+    value is written, and is removed on any failure, so ``path`` is written
+    whole or left as it was.  OSError for a ``path`` that is a link or is
+    there but is no regular file, such as ``/dev/stdout`` or a directory,
+    which the new file would replace instead of writing through.
+    """
+    if os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
+        raise OSError(f"{path} is not a regular file")
+    tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            for value in values:
+                fh.write(json.dumps(value, allow_nan=False) + end)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
+def write_json(path, value):
+    """The twin of ``read_json``: ``value`` as one JSON document."""
+    _write(path, [value], "")
+
+
+def write_document(path, version: int, body: dict):
+    """The twin of ``read_document``: ``{"format_version": version, **body}``."""
+    write_json(path, {"format_version": version, **body})
+
+
 def write_ndjson(path, records):
-    """Write each JSON-serializable record on a line of its own."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record))
-            fh.write("\n")
+    """The twin of ``read_ndjson``: each record on a line of its own."""
+    _write(path, records, "\n")
 
 
 class CurveWindow:
@@ -372,7 +404,7 @@ def _parse_record(rec) -> LabeledCurve:
     )
     return LabeledCurve(
         curve=curve,
-        label=CurveLabel(json_enum(CurveKind, label["kind"]),
+        label=CurveLabel(json_enum(CurveKind, label["kind"], "label.kind"),
                          json_number(label.get("severity", 0.0), "label severity")),
         tampered=bool(json_field(rec.get("tampered"), OPTIONAL_BOOLEAN, "tampered")),
     )

@@ -19,7 +19,6 @@ of a whole run, and rounds to the bytes of that run.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -30,7 +29,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .curvegen import OP_PERIOD_S, PowerCurve
 from .dataio import (OBJECT, CurveWindow, Dataset, curves_digest, json_field, json_integer,
-                     json_numbers, json_sha256, read_document, short_repr)
+                     json_numbers, json_sha256, read_document, short_repr, write_document)
 
 MODEL_FORMAT_VERSION = 1
 DTYPES = ("float32", "float64")
@@ -435,7 +434,9 @@ def train(
     pairs (all pairs with ``batch_size=None``) accumulates its gradient over
     chunks of at most ``_CHUNK`` pairs, in fixed order, and then takes one
     clipped Adam step.  When no validation pairs are given the reported
-    validation losses repeat the training losses.
+    validation losses repeat the training losses.  ValueError naming the op
+    and sample position of a training sample so large that the per-position
+    normalization statistics overflow.
     """
     config = config or TrainConfig()
     dtype = np.dtype(config.dtype)
@@ -443,8 +444,16 @@ def train(
 
     raw = pairs.as_matrix()
     window, length = pairs.window, raw.shape[1]
-    norm_mean = raw.mean(axis=0)
-    std = raw.std(axis=0)
+    # samples near the float maximum overflow the sums; refused below
+    with np.errstate(over="ignore"):
+        norm_mean = raw.mean(axis=0)
+        std = raw.std(axis=0)
+    overflow = ~(np.isfinite(norm_mean) & np.isfinite(std))
+    if overflow.any():
+        k = int(np.argmax(overflow))
+        worst = int(np.argmax(np.abs(raw[:, k])))
+        raise ValueError(f"sample {k} of training op {pairs.curves[worst].op_index} "
+                         f"({float(raw[worst, k])!r} W) overflows the normalization statistics")
     tol = _SCALE_RTOL * np.maximum(np.abs(norm_mean), 1.0)
     norm_scale = np.where(std <= tol, 1.0, std)
     matrix = ((raw - norm_mean) / norm_scale).astype(dtype)
@@ -694,8 +703,7 @@ def save_model(model: ForecastModel, path):
         "dtype": model.w_x.dtype.name,
     }
     hyper.update((key, model.meta[key]) for key in META_KEYS if key in model.meta)
-    doc = {
-        "format_version": MODEL_FORMAT_VERSION,
+    write_document(path, MODEL_FORMAT_VERSION, {
         "hyper": hyper,
         "input_order": "oldest_first",
         "normalization": {
@@ -706,9 +714,7 @@ def save_model(model: ForecastModel, path):
             name: {"shape": list(arr.shape), "data": np.asarray(arr, dtype=np.float64).ravel().tolist()}
             for name, arr in blocks.items()
         },
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    })
 
 
 def load_model(path) -> ForecastModel:

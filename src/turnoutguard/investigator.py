@@ -182,7 +182,7 @@ class InvestigationReport:
         or a non-finite number."""
         v = json_field(d, OBJECT, "report")["verdict"]
         number = {k: json_number(d[k], k) for k in ("euclidean", "dtw", "tau_euclidean", "tau_dtw")}
-        verdict = Verdict(json_enum(VerdictKind, v["kind"]),
+        verdict = Verdict(json_enum(VerdictKind, v["kind"], "verdict.kind"),
                           json_field(v["reason"], STRING, "reason"),
                           json_field(v["rationale"], STRING, "rationale"))
         return cls(
@@ -190,8 +190,8 @@ class InvestigationReport:
             distances=DistancePair(number["euclidean"], number["dtw"]),
             tau_euclidean=number["tau_euclidean"],
             tau_dtw=number["tau_dtw"],
-            predicted_kind=json_enum(CurveKind, d["predicted_kind"]),
-            field_kind=json_enum(CurveKind, d["field_kind"]),
+            predicted_kind=json_enum(CurveKind, d["predicted_kind"], "predicted_kind"),
+            field_kind=json_enum(CurveKind, d["field_kind"], "field_kind"),
             window_progressive=json_field(d["window_progressive"], BOOLEAN, "window_progressive"),
             verdict=_SHARED.get(verdict, verdict),
             tampered=json_field(d.get("tampered"), OPTIONAL_BOOLEAN, "tampered"),

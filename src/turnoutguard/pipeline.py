@@ -76,7 +76,11 @@ class Pipeline:
         return self
 
     def step(self, field_curve: PowerCurve | LabeledCurve) -> InvestigationReport:
-        """Process one incoming operation; always emits exactly one report."""
+        """Process one incoming operation; always emits exactly one report.
+
+        ValueError, and no report, for a curve of the wrong length, an op that
+        does not advance the stream, or a curve whose distances overflow.
+        """
         tampered = None
         if isinstance(field_curve, LabeledCurve):
             tampered = field_curve.tampered
@@ -95,7 +99,10 @@ class Pipeline:
             )
 
         predicted = self.last_prediction = forecaster.forward(self.session, self.window)
-        outcome = comparator.validate(field_curve, predicted, self.thresholds)
+        try:
+            outcome = comparator.validate(field_curve, predicted, self.thresholds)
+        except ValueError as exc:
+            raise ValueError(f"field op {field_curve.op_index}: {exc}") from None
         field_kind = classify(field_curve, self.reference)
         predicted_kind = classify(predicted, self.reference)
         progressive = window_shows_progression(self.window, self.reference)

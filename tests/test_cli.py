@@ -16,7 +16,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from turnoutguard import dataio
-from turnoutguard.cli import SECTIONS, UsageError, _generator_config, _load_config, _options, main
+from turnoutguard.cli import (SECTIONS, UsageError, _generator_config, _load_config, _options,
+                              _summarize, main)
 from turnoutguard.comparator import load_thresholds
 from turnoutguard.curvegen import BaseShape, CurveKind, GeneratorConfig, Phase
 from turnoutguard.forecaster import TrainConfig, load_model, save_model, train
@@ -81,7 +82,8 @@ def test_clean_run_exits_zero(workdir, capsys):
         "--summary-out", str(root / "summary_clean.json"),
     ])
     assert rc == 0
-    summary = json.loads((root / "summary_clean.json").read_text())
+    summary = dataio.read_json(root / "summary_clean.json", "summary")
+    assert summary == _summarize(read_reports(root / "reports_clean.ndjson"))
     assert summary["operations"] == 40
     assert summary["suspicious"] == 0
     out = capsys.readouterr().out
@@ -107,7 +109,8 @@ def test_replay_attack_run_exits_one_and_lists_ops(workdir, capsys):
         "--plot-dir", str(root / "plots"),
     ])
     assert rc == 1
-    summary = json.loads((root / "summary_attack.json").read_text())
+    summary = dataio.read_json(root / "summary_attack.json", "summary")
+    assert summary == _summarize(read_reports(root / "reports_attack.ndjson"))
     assert summary["suspicious"] > 0
     assert 210 in summary["suspicious_ops"]
     assert summary["detection_rate"] > 0.5
@@ -128,7 +131,9 @@ def test_report_command_aggregates(workdir, capsys):
         "--out", str(root / "aggregate.json"),
     ])
     assert rc == 1   # the attack reports carry suspicion
-    agg = json.loads((root / "aggregate.json").read_text())
+    agg = dataio.read_json(root / "aggregate.json", "summary")
+    assert agg == _summarize([*read_reports(root / "reports_clean.ndjson"),
+                              *read_reports(root / "reports_attack.ndjson")])
     assert agg["operations"] == 80
     rc = main(["report", str(root / "reports_clean.ndjson")])
     assert rc == 0
@@ -822,7 +827,7 @@ def test_thresholds_of_an_earlier_format_version_is_a_schema_error(
 
 @pytest.mark.parametrize("artifact, path, value, named, code", [
     ("corpus", ("timestamp",), [0.5] * 100_000, "timestamp", 3),
-    ("corpus", ("label", "kind"), "x" * 100_000, "is not a valid CurveKind", 3),
+    ("corpus", ("label", "kind"), "x" * 100_000, "label.kind: 'xxx", 3),
     ("config", ("train", "window"), "x" * 100_000, "train.window", 2),
 ], ids=["corpus-timestamp", "corpus-label-kind", "config-train-window"])
 def test_a_huge_refused_value_gets_a_short_message(workdir, tmp_path, capsys, artifact, path,
@@ -1135,6 +1140,52 @@ def test_report_value_of_the_wrong_json_type_names_line_and_key(
     assert main(["report", str(bad)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: line 2: ") and f"{path[-1]} must be a JSON" in err
+
+
+@pytest.mark.parametrize("path, enum", [
+    (("verdict", "kind"), "VerdictKind"),
+    (("predicted_kind",), "CurveKind"),
+    (("field_kind",), "CurveKind"),
+], ids=lambda p: p if isinstance(p, str) else ".".join(p))
+def test_report_kind_that_is_not_a_kind_names_line_and_key(
+        workdir, fixture_reports, tmp_path, capsys, path, enum):
+    root, _ = workdir
+    lines = (root / _TRUNCATED["reports"][0]).read_text().splitlines()
+    rec = json.loads(lines[1])
+    _set(rec, path, "agin")
+    lines[1] = json.dumps(rec)
+    bad = tmp_path / "reports.ndjson"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["report", str(bad)]) == 3
+    expected = f"error: line 2: {'.'.join(path)}: 'agin' is not a valid {enum}\n"
+    assert capsys.readouterr().err == expected
+
+
+def _with_huge_sample(corpus: Path, op: int, out: Path) -> Path:
+    lines = corpus.read_text().splitlines()
+    rec = json.loads(lines[op])
+    rec["samples"][7] = 1e308
+    lines[op] = json.dumps(rec)
+    out.write_text("\n".join(lines) + "\n")
+    return out
+
+
+@pytest.mark.parametrize("command, op, message", [
+    ("train", 5, "error: sample 7 of training op 5 (1e+308 W) overflows the normalization"),
+    ("run", 220, "error: field op 220: the distances overflow (euclidean inf, dtw "),
+], ids=["train", "run"])
+def test_a_sample_near_the_float_maximum_is_refused_where_it_overflows(
+        workdir, tmp_path, capsys, command, op, message):
+    """A 1e308 W sample is a finite JSON number every reader takes, but no
+    weights or report could hold the inf it grows into: exit 2, as for any
+    value a command cannot use.  A numpy warning would fail the test."""
+    root, cfg = workdir
+    bad = _with_huge_sample(root / "corpus.ndjson", op, tmp_path / "corpus.ndjson")
+    out = tmp_path / "out"
+    assert main(_argv(command, root, cfg, out) + ["--corpus", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [bad]
 
 
 def _nodes(doc, path=()) -> list[tuple]:

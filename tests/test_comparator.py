@@ -22,7 +22,7 @@ from turnoutguard.comparator import (
     save_thresholds,
     validate,
 )
-from turnoutguard.curvegen import GeneratorConfig, generate_lifecycle
+from turnoutguard.curvegen import GeneratorConfig, PowerCurve, generate_lifecycle
 from turnoutguard.dataio import make_dataset
 from turnoutguard.forecaster import TrainConfig, train
 
@@ -223,6 +223,30 @@ def test_calibrated_thresholds_validate_their_own_test_set(trained_bundle):
     for k, target in enumerate(pairs.curves[8:]):
         predicted = np.clip(forward_samples(ForecastSession(model), matrix[k:k + 8]), 0.0, None)
         assert validate(target, predicted, th).validated
+
+
+def test_distances_that_overflow_are_refused_without_a_warning():
+    """One sample near the float maximum squares past it; no report or
+    threshold can hold the inf.  A numpy warning would fail the test."""
+    base = np.full(40, 600.0)
+    huge = base.copy()
+    huge[7] = 1e308
+    with pytest.raises(ValueError, match=r"distances overflow \(euclidean inf"):
+        distance_pair(huge, base)
+    with pytest.raises(ValueError, match="distances overflow"):
+        validate(huge, base, Thresholds(1.0, 1.0))
+    assert distance_pair(base, base) == DistancePair(0.0, 0.0)
+
+
+def test_calibrate_names_the_test_op_whose_distances_overflow(trained_bundle):
+    model, pairs = trained_bundle
+    curves = list(pairs.curves)
+    target = curves[11]
+    samples = target.samples.copy()
+    samples[7] = 1e308
+    curves[11] = PowerCurve(samples, op_index=target.op_index, timestamp=target.timestamp)
+    with pytest.raises(ValueError, match=f"^test op {target.op_index}: the distances overflow"):
+        calibrate(model, make_dataset(curves, 8))
 
 
 def test_percentile_and_safety_factor(trained_bundle):

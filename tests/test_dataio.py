@@ -1,6 +1,9 @@
-"""Dataset preparation, chronological splits, and NDJSON round trips."""
+"""Dataset preparation, chronological splits, and the artifact readers and writers."""
 
+import dataclasses
 import json
+import math
+import os
 
 import numpy as np
 import pytest
@@ -13,10 +16,17 @@ from turnoutguard.dataio import (
     FormatError,
     make_dataset,
     read_corpus,
+    read_document,
+    read_json,
+    read_ndjson,
     short_repr,
     split,
     write_corpus,
+    write_document,
+    write_json,
+    write_ndjson,
 )
+from turnoutguard.forecaster import TrainConfig, TrainReport, train
 
 
 def curves(n, length=4):
@@ -316,3 +326,90 @@ def test_short_repr_cuts_a_huge_value(value):
                          ids=["sha256", "float", "int64", "short-list", "small-dict", "null"])
 def test_short_repr_keeps_a_small_value_whole(value):
     assert short_repr(value) == repr(value)
+
+
+def test_corpus_label_kind_names_its_key(tmp_path):
+    corpus = generate_lifecycle(GeneratorConfig(length=32, operations=3, seed=1))
+    path = tmp_path / "corpus.ndjson"
+    write_corpus(path, corpus)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[2])
+    rec["label"]["kind"] = "agin"
+    lines[2] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match="line 3: label.kind: 'agin' is not a valid CurveKind"):
+        read_corpus(path)
+
+
+def test_training_report_round_trips(tmp_path):
+    corpus = generate_lifecycle(GeneratorConfig(length=20, operations=40, seed=4))
+    _, report = train(make_dataset(corpus[:30], 5), TrainConfig(hidden=4, epochs=3),
+                      val_pairs=make_dataset(corpus[30:], 5))
+    path = tmp_path / "report.json"
+    write_json(path, dataclasses.asdict(report))
+    assert TrainReport(**read_json(path, "training report")) == report
+
+
+def test_document_puts_its_format_version_first(tmp_path):
+    path = tmp_path / "doc.json"
+    write_document(path, 7, {"b": [1.5, -0.0], "a": {"n": None}})
+    assert path.read_text() == '{"format_version": 7, "b": [1.5, -0.0], "a": {"n": null}}'
+    assert read_document(path, "document", 7, dict) == {"format_version": 7, "b": [1.5, -0.0],
+                                                        "a": {"n": None}}
+
+
+# what each writer is asked to write, with ``bad`` somewhere inside it
+_WRITES = {
+    "json": lambda path, bad: write_json(path, {"summary": {"rate": bad}}),
+    "document": lambda path, bad: write_document(path, 1, {"scale": [1.0, bad]}),
+    "ndjson": lambda path, bad: write_ndjson(path, [{"x": 1.0}, {"x": [bad]}]),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "neg-inf"])
+@pytest.mark.parametrize("writer", list(_WRITES))
+def test_every_writer_refuses_a_non_finite_number(tmp_path, writer, value):
+    """No reader takes NaN or the infinities, so no writer writes them."""
+    path = tmp_path / "out"
+    with pytest.raises(ValueError, match="Out of range float"):
+        _WRITES[writer](path, value)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad", [math.inf, object()], ids=["inf", "not-serializable"])
+def test_a_write_that_fails_part_way_leaves_the_old_file_and_no_temporary(tmp_path, bad):
+    """Records 1 and 2 are written before record 3 fails; a reader must see
+    none of them, and a file already there must keep its bytes."""
+    records = [{"op_index": k, "x": 1.0} for k in range(5)]
+    records[2]["x"] = bad
+    fresh = tmp_path / "fresh.ndjson"
+    with pytest.raises((ValueError, TypeError)):
+        write_ndjson(fresh, iter(records))
+    assert list(tmp_path.iterdir()) == []
+
+    kept = tmp_path / "kept.ndjson"
+    write_ndjson(kept, [{"op_index": 9}])
+    before = kept.read_bytes()
+    with pytest.raises((ValueError, TypeError)):
+        write_ndjson(kept, iter(records))
+    assert kept.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.ndjson"]
+    assert list(read_ndjson(kept, "records", dict)) == [(1, {"op_index": 9})]
+
+
+@pytest.mark.parametrize("kind", ["fifo", "link", "directory"])
+def test_a_target_that_is_no_regular_file_is_refused_and_kept(tmp_path, kind):
+    """Replacing a link such as /dev/stdout, or a pipe, would destroy it."""
+    target = tmp_path / "target"
+    if kind == "fifo":
+        os.mkfifo(target)
+    elif kind == "link":
+        (tmp_path / "file").write_text("kept")
+        target.symlink_to(tmp_path / "file")
+    else:
+        target.mkdir()
+    before = sorted((p.name, p.is_symlink(), p.is_file()) for p in tmp_path.iterdir())
+    with pytest.raises(OSError, match="target is not a regular file"):
+        write_json(target, {})
+    assert sorted((p.name, p.is_symlink(), p.is_file()) for p in tmp_path.iterdir()) == before
+    assert kind != "link" or (tmp_path / "file").read_text() == "kept"

@@ -571,6 +571,18 @@ def test_train_config_rejects_values_training_cannot_use(bad):
         TrainConfig(**bad)
 
 
+def test_a_training_sample_that_overflows_the_normalization_is_refused():
+    """A 1e308 W sample squares past the float maximum in the per-position
+    spread; the scale would be inf, which no weights file can hold."""
+    corpus = generate_lifecycle(GeneratorConfig(length=16, operations=30, seed=9))
+    curves = [lc.curve for lc in corpus]
+    samples = curves[5].samples.copy()
+    samples[7] = 1e308
+    curves[5] = PowerCurve(samples, op_index=5, timestamp=curves[5].timestamp)
+    with pytest.raises(ValueError, match=r"^sample 7 of training op 5 \(1e\+308 W\) overflows"):
+        train(make_dataset(curves, 4), TrainConfig(hidden=4, epochs=1))
+
+
 @pytest.mark.parametrize("batch_size", [None, 11])
 def test_report_records_epoch_seconds_and_pre_clip_gradient_norms(monkeypatch, batch_size):
     norms = []

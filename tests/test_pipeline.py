@@ -204,6 +204,19 @@ def test_wrong_length_curve_is_rejected(constant_world):
         pipe.step(bad)
 
 
+def test_a_field_curve_whose_distances_overflow_is_refused(constant_world):
+    """Its report could hold no finite distance, so the step refuses the op."""
+    pipe = fresh_pipeline(constant_world)
+    before = pipe.window.as_matrix()
+    samples = field_curve(constant_world, 50).curve.samples.copy()
+    samples[7] = 1e308
+    huge = PowerCurve(samples, op_index=50, timestamp=2_000_000_050.0)
+    with pytest.raises(ValueError, match="^field op 50: the distances overflow"):
+        pipe.step(huge)
+    assert pipe.reports == [] and np.array_equal(pipe.window.as_matrix(), before)
+    assert pipe.step(field_curve(constant_world, 51)).verdict.kind is VerdictKind.VALIDATED
+
+
 def test_rejection_streak_raises_an_alert(constant_world):
     pipe = fresh_pipeline(constant_world, alarm_after=3)
     reports = pipe.run(
