@@ -492,7 +492,7 @@ def main(argv=None) -> int:
     except (FormatError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:   # UsageError included
+    except (ValueError, forecaster.TrainingDiverged) as exc:   # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -10,17 +10,20 @@ field curves that never pass through the model's normalizer.
 The warping distance runs on one exact numpy kernel over the full cost
 matrix: an anti-diagonal wavefront that does the same arithmetic as the
 textbook row-by-row loop, so its results equal the loop's bit for bit.
-Nothing is compiled.
+Each diagonal is three numpy calls on views that a plan builds once per
+pair of lengths and each thread keeps, and memory stays O(n + m) plus one
+block of cell costs, never the whole matrix.  Nothing is compiled.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .classifier import ClassifierReference
 from .curvegen import PowerCurve
@@ -89,11 +92,12 @@ def dtw(a, b) -> float:
     differ, and the path may cross the whole cost matrix.  The result equals
     the row-by-row dynamic program bit for bit.  Time O(len(a)*len(b)) in
     three numpy calls per anti-diagonal plus two per block of
-    ``_DIAGONALS_PER_BLOCK`` diagonals.  Each block computes a rectangle of
-    cells that covers its diagonals' ranges, so somewhat more slots than
-    cells are computed.  Memory: a padded copy of the longer series and
-    ``_DIAGONALS_PER_BLOCK`` + 3 rows the length of the shorter one, so a
-    long pair never allocates its whole cost matrix.
+    ``_DIAGONALS_PER_BLOCK`` diagonals, each on views planned once for the
+    pair of lengths.  Memory O(len(a) + len(b)) plus one block of
+    ``_DIAGONALS_PER_BLOCK`` rows the length of the shorter series: the
+    plan, with its buffers and views, takes about 0.4 MB for 200 x 200 and
+    3.5 MB for 2,000 x 2,000, where the whole cost matrix would take 32 MB.
+    Each thread keeps its own plan, so threads may warp at once.
     """
     xa, xb = _samples(a), _samples(b)
     if xa.size == 0 or xb.size == 0:
@@ -105,66 +109,92 @@ def dtw(a, b) -> float:
     return float(_dtw_cost(xa, xb))
 
 
+class _Plan:
+    """Buffers, and every view ``_dtw_cost`` computes on, for lengths n >= m.
+
+    Cell (i, j) of the accumulated cost D, row i of ``short`` and column j
+    of ``long``, lies on anti-diagonal k = i + j and on line d = i - j, and
+    d has the parity of k.  ``lines[k % 2]`` holds one slot per line of
+    that parity, slot (d + n) // 2, so the cells of a diagonal are
+    consecutive slots.  Diagonal k reads lines d - 1 and d + 1 of the other
+    buffer, D[i-1, j] and D[i, j-1] from diagonal k - 1, and line d of its
+    own, D[i-1, j-1] from diagonal k - 2, which it then overwrites with
+    D[i, j].  A slot not yet written holds the border of D: inf, or
+    D[0, 0] = 0 on line 0 of buffer 0.  A diagonal's views cover exactly
+    its cells, rows max(1, k - n) to min(m, k - 1), so no slot off the
+    matrix is read.
+
+    The cell costs of a block of diagonals come from one subtraction over
+    the rectangle of rows the block spans.  ``padded`` holds ``long``
+    reversed after m slots of inf, so with the block's diagonals in
+    descending k a sliding view of it reads long[k - i - 1] with positive
+    strides.  Rectangle cells off the matrix cost inf and are never read.
+    """
+
+    def __init__(self, n: int, m: int, per_block: int):
+        self.key = (n, m, per_block)
+        self.lines = np.empty((2, (n + m) // 2 + 1))
+        self.short = np.empty(m)
+        self.padded = np.full(n + 2 * m, np.inf)
+        costs = np.empty((per_block, m))
+
+        def cells(buf, d, count):   # slots of lines d, d + 2, ... of one parity
+            return buf[(d + n) // 2:(d + n) // 2 + count]
+
+        # per block: (the subtraction's operands, its out, the diagonals'
+        # (out, up, left, cost, (out,)) in ascending k)
+        self.blocks = []
+        for k0 in range(2, n + m + 1, per_block):
+            k1 = min(k0 + per_block - 1, n + m)
+            first, last = max(1, k0 - n), min(m, k1 - 1)
+            block = costs[:k1 - k0 + 1, :last - first + 1]
+            # row r is diagonal k1 - r: long[k - i - 1] = padded[m + n - k + i]
+            windows = sliding_window_view(self.padded, last - first + 1)
+            operands = (self.short[first - 1:last], windows[m + n - k1 + first:][:k1 - k0 + 1])
+            diagonals = []
+            for k in range(k0, k1 + 1):
+                lo, hi = max(1, k - n), min(m, k - 1)
+                own, other = self.lines[k % 2], self.lines[1 - k % 2]
+                d, count = 2 * lo - k, hi - lo + 1   # the line of the first cell
+                out = cells(own, d, count)
+                diagonals.append((out, cells(other, d - 1, count), cells(other, d + 1, count),
+                                  block[k1 - k, lo - first:hi + 1 - first], (out,)))
+            self.blocks.append((operands, (block,), diagonals))
+
+
+# per thread, the plan for the lengths it warped last
+_plans = threading.local()
+
+
 def _dtw_cost(long: np.ndarray, short: np.ndarray) -> float:
     """Accumulated cost D[n, m] by anti-diagonals k = i + j of the cost matrix.
 
-    Rows i index ``short`` (m), columns j index ``long`` (n >= m).  Three
-    buffers of m + 1 slots hold diagonals k-2, k-1 and k, indexed by i.  The
-    cells of diagonal k read i-1 and i of diagonal k-1 and i-1 of diagonal
-    k-2.  Each cell is d + min(three neighbours) as in the row loop; min is
+    Each cell is |x - y| + min(three neighbours) as in the row loop; min is
     exact and IEEE addition and |x - y| are symmetric, so the results are
-    identical.
-
-    Diagonal 2, D[1, 1] = |short[0] - long[0]|, is computed before the loop,
-    so the path's start D[0, 0] = 0 never sits in a buffer and every slot
-    starts at inf.  The loop's diagonals go in blocks of
-    ``_DIAGONALS_PER_BLOCK``.  Each diagonal of a block computes the block's
-    span of rows [first, last], the union of their ranges, so buffer views
-    are taken once per block and each diagonal costs two minimums and an
-    addition.  A span cell off the matrix costs inf through the inf padding
-    of ``long``, and an inf cost makes the cell inf whatever its neighbours
-    hold.  Slot first-1 is read only by the cell in row first, which lies on
-    the matrix only on a block's first diagonal or in row 1: there the slot
-    holds what the previous block computed for it, or the inf of row 0,
-    which is never written.  Slots above ``last`` were never written either,
-    because ``last`` never decreases, and keep their initial inf.
+    identical.  The plan (see ``_Plan``) is kept for the next call on the
+    same lengths and block size; a call copies the two series into it and
+    resets the lines, and then each diagonal is two minimums and an
+    addition on prebuilt views.
     """
     n, m = long.size, short.size
-    inf = np.inf
-    # padded[n-k+m+i] == long[k-i-1]; the inf fill is the cost of every span
-    # cell whose column j = k - i leaves [1, n]
-    padded = np.full(n + 2 * m, inf)
-    padded[m:m + n] = long[::-1]
-    # diagonal k = b + 2 reads long[k-i-1] at diagonals[n+m-1-b][i-1]
-    step = padded.strides[0]
-    diagonals = as_strided(padded, (n + m + 1, m), (step, step), writeable=False)
-    short = np.ascontiguousarray(short)
-    prev2 = np.full(m + 1, inf)   # diagonal 1: D[0, 1] = D[1, 0] = inf
-    prev1 = np.full(m + 1, inf)   # diagonal 2: D[1, 1], the path's first cell
-    prev1[1] = abs(short[0] - long[0])
-    cur = np.full(m + 1, inf)
-    costs = np.empty((_DIAGONALS_PER_BLOCK, m))
-    # the loop runs n + m - 2 times; local names save an attribute lookup per call
-    minimum, add = np.minimum, np.add
-    for b0 in range(1, n + m - 1, _DIAGONALS_PER_BLOCK):
-        b1 = min(b0 + _DIAGONALS_PER_BLOCK, n + m - 1)   # diagonals b0+2 .. b1+1
-        # rows of diagonal k run from max(1, k - n) to min(m, k - 1)
-        first, last = max(1, b0 + 2 - n), min(m, b1)
-        block = costs[:b1 - b0, :last - first + 1]
-        np.subtract(short[first - 1:last],
-                    diagonals[n + m - b1:n + m - b0][::-1, first - 1:last], out=block)
-        np.absolute(block, out=block)
-        # per buffer: the whole buffer, slots first-1 .. last-1, slots first .. last
-        v2, v1, v0 = ((buf, buf[first - 1:last], buf[first:last + 1])
-                      for buf in (prev2, prev1, cur))
-        for row in block:
-            out = v0[2]
-            minimum(v1[1], v1[2], out=out)
-            minimum(out, v2[1], out=out)
-            add(row, out, out=out)
-            v2, v1, v0 = v1, v0, v2
-        prev2, prev1, cur = v2[0], v1[0], v0[0]
-    return float(prev1[m])
+    plan = getattr(_plans, "plan", None)
+    if plan is None or plan.key != (n, m, _DIAGONALS_PER_BLOCK):
+        plan = _plans.plan = _Plan(n, m, _DIAGONALS_PER_BLOCK)
+    lines = plan.lines
+    lines.fill(np.inf)
+    lines[0, n // 2] = 0.0   # D[0, 0], the path's start
+    plan.short[:] = short
+    plan.padded[m:m + n] = long[::-1]
+    # the loop makes about 3 (n + m) calls; local names save an attribute lookup each
+    minimum, add, subtract, absolute = np.minimum, np.add, np.subtract, np.absolute
+    for operands, costs, diagonals in plan.blocks:
+        subtract(*operands, out=costs)
+        absolute(costs[0], out=costs)
+        for out, up, left, cost, o in diagonals:
+            minimum(out, up, out=o)
+            minimum(out, left, out=o)
+            add(cost, out, out=o)
+    return float(lines[(n + m) % 2, m // 2])
 
 
 def distance_pair(a, b) -> DistancePair:

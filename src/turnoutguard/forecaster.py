@@ -308,11 +308,13 @@ def _loss_and_grads(params: dict, chunk: _Chunk, scale: float,
     ones = np.ones((3, batch, hidden), dtype=dtype)
     one_minus = np.empty((3, batch, hidden), dtype=dtype)
     tc = np.empty((batch, hidden), dtype=dtype)
+    # the gates' gradients, gate-major like the cache, so the elementwise
+    # work runs on contiguous blocks; each step copies them once into da,
+    # the (batch, 4*hidden) layout the matmuls read
+    da_gates = np.empty((4, batch, hidden), dtype=dtype)
+    da_ifo, (da_i, da_f, da_o, da_g) = da_gates[:3], da_gates
     da = np.empty((batch, 4 * hidden), dtype=dtype)
-    # the input, forget and output blocks of da, gate-major like the cache
-    da_ifo = da[:, :3 * hidden].reshape(batch, 3, hidden).transpose(1, 0, 2)
-    da_i, da_f, da_o = da_ifo
-    da_g = da[:, 3 * hidden:]
+    da_by_gate = da.reshape(batch, 4, hidden).transpose(1, 0, 2)
     d_w_h = np.empty_like(w_h)
     # gradient of each curve's projection, summed over the windows and
     # positions that hold it: position t of window k is row t + k
@@ -341,6 +343,7 @@ def _loss_and_grads(params: dict, chunk: _Chunk, scale: float,
         np.subtract(ones[0], tc, out=tc)
         np.multiply(dc, i, out=da_g)
         np.multiply(da_g, tc, out=da_g)
+        np.copyto(da_by_gate, da_gates)
         np.matmul(h_prev.T, da, out=d_w_h)
         grads["w_h"] += d_w_h
         grads["b"] += da.sum(axis=0)
@@ -436,7 +439,8 @@ def train(
     clipped Adam step.  When no validation pairs are given the reported
     validation losses repeat the training losses.  ValueError naming the op
     and sample position of a training sample so large that the per-position
-    normalization statistics overflow.
+    normalization statistics overflow, or of a validation sample whose
+    normalized value, or its square, is not finite in the training dtype.
     """
     config = config or TrainConfig()
     dtype = np.dtype(config.dtype)
@@ -463,7 +467,17 @@ def train(
     if val_pairs is not None:
         if (val_pairs.window, len(val_pairs.curves[0])) != (window, length):
             raise ValueError("validation pairs do not match training dimensions")
-        v_matrix = ((val_pairs.as_matrix() - norm_mean) / norm_scale).astype(dtype)
+        v_raw = val_pairs.as_matrix()
+        # a sample far outside the training spread overflows the cast or the
+        # validation loss's square; refused below
+        with np.errstate(over="ignore"):
+            v_matrix = ((v_raw - norm_mean) / norm_scale).astype(dtype)
+            too_large = ~np.isfinite(v_matrix * v_matrix)
+        if too_large.any():
+            row, k = (int(x) for x in np.argwhere(too_large)[0])
+            raise ValueError(f"sample {k} of validation op {val_pairs.curves[row].op_index} "
+                             f"({float(v_raw[row, k])!r} W) is too large: its normalized square "
+                             f"overflows {dtype}")
         val_set = _chunks(v_matrix, window, 0, len(val_pairs))
 
     rng = np.random.default_rng(config.seed)
@@ -511,6 +525,9 @@ def train(
             train_losses.append(loss)
             if val_set is not None:
                 val_losses.append(_dataset_loss(params, val_set))
+                # finite weights can still forecast past the float maximum
+                if not np.isfinite(val_losses[-1]):
+                    raise TrainingDiverged(f"epoch {epoch}: validation loss is not finite")
             else:
                 val_losses.append(loss)
             grad_norms.append(norm)
@@ -561,6 +578,7 @@ class ForecastSession:
         window, hidden, dtype = model.window, model.hidden, model.w_x.dtype
         self.model = model
         self.latest, self.forecast = b"", None   # the latest input's bytes and forecast
+        self.curve = None   # the curve ``forward`` built from that forecast
         self.kept = np.zeros((_KEPT, window, hidden), dtype=dtype)   # i, f, o, g, c, h per slot
         self.a = np.empty((window, 4 * hidden), dtype=dtype)
         self.tc = np.empty((window, hidden), dtype=dtype)
@@ -614,7 +632,7 @@ def forward_samples(session: ForecastSession, window_matrix: np.ndarray) -> np.n
         if shifted:
             proj = proj[-1:]
         proj += params["b"]
-        session.latest = b""   # the states are rebuilt unless this call completes
+        session.latest, session.curve = b"", None   # rebuilt unless this call completes
         # a saturated gate overflows exp() harmlessly: 1 / (1 + inf) is 0
         with np.errstate(over="ignore"):
             for a_x in proj:
@@ -628,14 +646,17 @@ def forward(session: ForecastSession, window: CurveWindow) -> PowerCurve:
     """Predict the curve expected at the operation after the window.
 
     The readout is clipped at 0 W so the prediction is itself a valid
-    power curve.
+    power curve.  A window that repeats the session's latest input for the
+    same next op (a window frozen by rejections) gets the curve built for
+    it before: the same object, with whatever was derived from it, such as
+    its features.
     """
-    samples = np.clip(forward_samples(session, window.as_matrix()), 0.0, None)
-    return PowerCurve(
-        samples=samples,
-        op_index=window.last.op_index + 1,
-        timestamp=window.last.timestamp + OP_PERIOD_S,
-    )
+    samples = forward_samples(session, window.as_matrix())
+    op, timestamp = window.last.op_index + 1, window.last.timestamp + OP_PERIOD_S
+    curve = session.curve
+    if curve is None or curve.op_index != op or curve.timestamp != timestamp:
+        curve = session.curve = PowerCurve(np.clip(samples, 0.0, None), op, timestamp)
+    return curve
 
 
 # ---------------------------------------------------------------------------

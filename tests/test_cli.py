@@ -1188,6 +1188,21 @@ def test_a_sample_near_the_float_maximum_is_refused_where_it_overflows(
     assert list(tmp_path.iterdir()) == [bad]
 
 
+def test_a_diverging_training_run_exits_two_and_writes_no_weights(tmp_path, capsys):
+    """A learning rate that blows the weights up is a value training cannot
+    use: one error line, exit 2 (not 1, the suspicion code), no file."""
+    corpus, model = tmp_path / "corpus.ndjson", tmp_path / "model.json"
+    assert main(["generate", "--length", "60", "--operations", "400", "--seed", "3",
+                 "--out", str(corpus)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--corpus", str(corpus), "--window", "10", "--hidden", "8",
+                 "--epochs", "3", "--lr", "1e300", "--out", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: epoch \d+: ((training|validation) loss is not finite|"
+                        r"non-finite values in \w+)\n", err), err
+    assert "Traceback" not in err and not model.exists()
+
+
 def _nodes(doc, path=()) -> list[tuple]:
     """Paths to the non-null nodes of a JSON document below its root: leaves,
     objects and arrays."""

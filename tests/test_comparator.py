@@ -1,6 +1,9 @@
 """Distance metrics, calibration, and the dual-criteria validation rule."""
 
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,14 +122,77 @@ def test_dtw_equals_the_loop_oracle_exactly(a, b):
 @example(a=_values(60, 11), b=_values(1, 12))
 def test_dtw_equals_the_loop_oracle_at_every_block_boundary(block, a, b):
     # with blocks of 1 to 3 diagonals a block starts on every diagonal or
-    # every few, so its first row sits up to 3 above the first row of the
-    # block before; each block's first diagonal reads the slot below its
-    # first row, which the block before wrote
+    # every few, so the rectangles of cell costs, and the sliding-view
+    # offsets they read the long series at, take every alignment against
+    # the diagonals' row ranges
     want = oracle_dtw_cost(a, b)
+    assert dtw(a, b) == want   # planned for these lengths at the default block size
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(comparator, "_DIAGONALS_PER_BLOCK", block)
         assert dtw(a, b) == want
         assert dtw(b, a) == want
+        # the plan is keyed on the block size too, so these calls planned anew
+        assert comparator._plans.plan.key == (max(len(a), len(b)), min(len(a), len(b)), block)
+
+
+@pytest.mark.parametrize("shapes", [
+    [(50, 31), (29, 52), (50, 31)],
+    [(200, 200), (137, 200), (200, 200)],
+    [(7, 1), (1, 8), (7, 1)],
+    [(40, 40), (41, 40), (40, 41), (40, 40)],
+], ids=["wider", "curve-sized", "one-sample", "one-longer"])
+def test_dtw_stays_exact_when_the_shape_switches(shapes):
+    """Each call on new lengths plans anew; a plan kept from the lengths
+    before would warp the wrong cells."""
+    for seed, (n, m) in enumerate(shapes):
+        a, b = _values(n, 2 * seed), _values(m, 2 * seed + 1)
+        assert dtw(a, b) == oracle_dtw_cost(a, b), (n, m)
+
+
+def test_threads_warping_different_shapes_match_the_oracle():
+    """Each thread keeps its own plan: four threads on a two-core host, two
+    of them on the same lengths, with the interpreter switching threads every
+    microsecond, all give the oracle's distances."""
+    pairs = [(_values(n, seed), _values(m, seed + 1))
+             for seed, (n, m) in enumerate([(60, 45), (60, 45), (45, 70), (80, 12)], 20)]
+    wants = [oracle_dtw_cost(a, b) for a, b in pairs]
+    results = [[] for _ in pairs]
+
+    def warp(k):
+        a, b = pairs[k]
+        for _ in range(40):
+            results[k].append(dtw(a, b))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=warp, args=(k,)) for k in range(len(pairs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [[want] * 40 for want in wants]
+
+
+def test_a_long_pair_never_allocates_its_cost_matrix():
+    """2,000 x 2,000 cells of float64 are 32 MB; the plan, its buffers and
+    the calls stay below a quarter of that (3.7 MB).  A new thread starts
+    with no plan, so its first call builds one."""
+    a, b = _values(2000, 30), _values(2000, 31)
+    results = []
+    tracemalloc.start()
+    try:
+        thread = threading.Thread(target=lambda: results.extend((dtw(a, b), dtw(b, a))))
+        thread.start()
+        thread.join(timeout=60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not thread.is_alive() and len(results) == 2 and results[0] == results[1]
+    assert peak < 8e6, f"{peak} bytes"
 
 
 def test_phase_shift_fails_euclidean_while_dtw_forgives():

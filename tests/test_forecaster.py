@@ -583,6 +583,22 @@ def test_a_training_sample_that_overflows_the_normalization_is_refused():
         train(make_dataset(curves, 4), TrainConfig(hidden=4, epochs=1))
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_a_validation_sample_that_overflows_the_loss_is_refused(dtype):
+    """A 1e308 W validation sample normalizes past float32's maximum, and
+    past the square root of float64's, so the validation loss would be inf;
+    train refuses it, naming op and sample, without a numpy warning."""
+    corpus = generate_lifecycle(GeneratorConfig(length=16, operations=30, seed=9))
+    curves = [lc.curve for lc in corpus]
+    samples = curves[25].samples.copy()
+    samples[7] = 1e308
+    curves[25] = PowerCurve(samples, op_index=25, timestamp=curves[25].timestamp)
+    with pytest.raises(ValueError, match=r"^sample 7 of validation op 25 \(1e\+308 W\) is too "
+                                         rf"large: its normalized square overflows {dtype}$"):
+        train(make_dataset(curves[:20], 4), TrainConfig(hidden=4, epochs=1, dtype=dtype),
+              val_pairs=make_dataset(curves[20:], 4))
+
+
 @pytest.mark.parametrize("batch_size", [None, 11])
 def test_report_records_epoch_seconds_and_pre_clip_gradient_norms(monkeypatch, batch_size):
     norms = []
@@ -670,6 +686,17 @@ def test_divergence_aborts_with_diagnostic(monkeypatch):
     pairs = make_dataset(random_curves(8, 6, seed=0), 3)
     with pytest.raises(TrainingDiverged, match="epoch"):
         train(pairs, TrainConfig(hidden=4, epochs=50, learning_rate=1e200, seed=1))
+
+
+def test_a_validation_loss_past_the_float_maximum_aborts_training():
+    """One Adam step at a huge learning rate leaves float32 weights finite,
+    and the training loss, taken before the step, finite too; the forecasts
+    of the validation windows square past the float maximum."""
+    curves = [lc.curve for lc in generate_lifecycle(GeneratorConfig(length=16, operations=30,
+                                                                    seed=9))]
+    config = TrainConfig(hidden=4, epochs=1, learning_rate=1e20, dtype="float32")
+    with pytest.raises(TrainingDiverged, match=r"^epoch 0: validation loss is not finite$"):
+        train(make_dataset(curves[:20], 4), config, val_pairs=make_dataset(curves[20:], 4))
 
 
 def test_mixed_window_sizes_rejected():

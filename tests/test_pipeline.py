@@ -8,9 +8,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from turnoutguard import classifier, forecaster
 from turnoutguard.classifier import build_reference
 from turnoutguard.comparator import DistancePair, Thresholds, calibrate, validate
 from turnoutguard.curvegen import (
+    OP_PERIOD_S,
     AttackKind,
     AttackScenario,
     CurveKind,
@@ -296,6 +298,44 @@ def test_reused_forecasts_replay_a_fresh_session_before_every_step(attacked_worl
     assert len(advances) - advances.count(one.session) == WINDOW * len(stream)
     streaks = "".join(".x"[not v] for v in validated).split(".")
     assert max(map(len, streaks)) >= 4 and sum(validated) >= 10
+
+
+def test_a_frozen_window_is_forecast_as_one_curve(attacked_world, monkeypatch):
+    """Over a rejection streak the window repeats, and so does the forecast:
+    one curve object, whose features are extracted once.  The reports equal
+    those of a forward that builds a fresh curve on every step."""
+    model, thresholds, reference, corpus = attacked_world
+    history, stream = corpus[:100], corpus[100:]
+
+    def fresh_forward(session, window):
+        samples = np.clip(forecaster.forward_samples(session, window.as_matrix()), 0.0, None)
+        return PowerCurve(samples, window.last.op_index + 1,
+                          window.last.timestamp + OP_PERIOD_S)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(forecaster, "forward", fresh_forward)
+        fresh = Pipeline(model, thresholds, reference).bootstrap(history).run(stream)
+
+    extracted = []
+    real_features = classifier._features
+    monkeypatch.setattr(classifier, "_features",
+                        lambda samples: extracted.append(samples) or real_features(samples))
+    pipe = Pipeline(model, thresholds, reference).bootstrap(history)
+    predictions = []
+    for lc in stream:
+        pipe.step(lc)
+        predictions.append(pipe.last_prediction)
+    assert [json.dumps(r.to_dict()) for r in pipe.reports] == \
+        [json.dumps(r.to_dict()) for r in fresh]
+
+    # step k forecasts from the window step k - 1 left, which a rejection froze
+    validated = [r.verdict.kind is VerdictKind.VALIDATED for r in pipe.reports]
+    for k in range(1, len(stream)):
+        assert (predictions[k] is predictions[k - 1]) is not validated[k - 1], k
+    for prediction in {id(p): p for p in predictions}.values():
+        assert sum(samples is prediction.samples for samples in extracted) == 1
+    streaks = "".join(".x"[not v] for v in validated).split(".")
+    assert max(map(len, streaks)) >= 4
 
 
 def test_pipelines_sharing_a_model_each_step_as_a_lone_one(attacked_world, monkeypatch):
