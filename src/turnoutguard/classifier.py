@@ -15,7 +15,9 @@ smaller than the noise bands and is healthy by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -47,9 +49,6 @@ class CurveFeatures:
     plateau_mean: float         # W
     transient_amplitude: float  # W, max minus median inside the plateau
     truncated: bool             # curve ends far below its plateau baseline
-
-    def as_dict(self) -> dict[str, float]:
-        return {name: float(getattr(self, name)) for name in FEATURE_NAMES}
 
 
 def extract_features(curve: PowerCurve) -> CurveFeatures:
@@ -87,13 +86,46 @@ def _features(s: np.ndarray) -> CurveFeatures:
     )
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class ClassifierReference:
-    """Baseline feature statistics from trusted healthy curves."""
+    """Baseline feature statistics from trusted healthy curves: immutable and
+    checked when made, however it is made.  ``mean`` and ``std`` are kept as
+    read-only mappings of floats, and the limits (W) that ``classify``
+    compares features with are derived from them once, here."""
 
-    mean: dict[str, float]
-    std: dict[str, float]
+    mean: Mapping[str, float]
+    std: Mapping[str, float]
     n_reference: int
+    # derived here: the limits (W) that classify compares features with
+    spike: float = field(init=False, repr=False, compare=False)
+    transient: float = field(init=False, repr=False, compare=False)
+    plateau_low: float = field(init=False, repr=False, compare=False)
+    plateau_high: float = field(init=False, repr=False, compare=False)
+    corridor_top: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for table in (self.mean, self.std):
+            if not (isinstance(table, Mapping) and set(table) == set(FEATURE_NAMES)):
+                raise ValueError("classifier reference mean and std must map each of "
+                                 f"{', '.join(FEATURE_NAMES)} to a finite number, "
+                                 f"got {short_repr(table)}")
+        mean, std = {}, {}
+        for name in FEATURE_NAMES:
+            mean[name] = json_number(self.mean[name], f"classifier reference mean {name}")
+            std[name] = json_number(self.std[name], f"classifier reference std {name}")
+            if std[name] < 0.0:
+                raise ValueError(f"classifier reference std {name} must be >= 0, "
+                                 f"got {self.std[name]}")
+        json_integer(self.n_reference, "classifier reference n_reference", 1)
+        plateau = mean["plateau_mean"]
+        band = max(3.0 * std["plateau_mean"], REL_FLOOR * abs(plateau), 1e-9)
+        for name, value in (("mean", MappingProxyType(mean)), ("std", MappingProxyType(std)),
+                            ("spike", SPIKE_FACTOR * mean["peak_amplitude"]),
+                            ("transient", mean["transient_amplitude"] + max(
+                                3.0 * std["transient_amplitude"], TRANSIENT_FLOOR * plateau)),
+                            ("plateau_low", plateau - band), ("plateau_high", plateau + band),
+                            ("corridor_top", plateau * (1.0 + CORRIDOR))):
+            object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
         return {"mean": dict(self.mean), "std": dict(self.std), "n_reference": self.n_reference}
@@ -104,44 +136,18 @@ class ClassifierReference:
         if not (isinstance(d, dict) and set(d) == {"mean", "std", "n_reference"}):
             raise ValueError("classifier reference must be a JSON object of mean, std and "
                              f"n_reference, got {short_repr(d)}")
-        ref = cls(**d)
-        for table in (ref.mean, ref.std):
-            if not (isinstance(table, dict) and set(table) == set(FEATURE_NAMES)):
-                raise ValueError(
-                    "classifier reference mean and std must map each of "
-                    f"{', '.join(FEATURE_NAMES)} to a finite number, got {short_repr(table)}"
-                )
-        for name in FEATURE_NAMES:
-            json_number(ref.mean[name], f"classifier reference mean {name}")
-            if json_number(ref.std[name], f"classifier reference std {name}") < 0.0:
-                raise ValueError(f"classifier reference std {name} must be >= 0, "
-                                 f"got {ref.std[name]}")
-        json_integer(ref.n_reference, "classifier reference n_reference", 1)
-        return ref
+        return cls(**d)
 
 
 def build_reference(corpus: list[LabeledCurve]) -> ClassifierReference:
     """Baseline from the untampered early-life curves of a trusted corpus."""
-    healthy = [
-        lc.curve for lc in corpus
-        if lc.label.kind is CurveKind.EARLY_LIFE_NORMAL and not lc.tampered
-    ]
+    healthy = [extract_features(lc.curve) for lc in corpus
+               if lc.label.kind is CurveKind.EARLY_LIFE_NORMAL and not lc.tampered]
     if not healthy:
         raise ValueError("no healthy early-life curves to build a baseline from")
-    table = {name: [] for name in FEATURE_NAMES}
-    for curve in healthy:
-        feats = extract_features(curve).as_dict()
-        for name in FEATURE_NAMES:
-            table[name].append(feats[name])
-    return ClassifierReference(
-        mean={name: float(np.mean(v)) for name, v in table.items()},
-        std={name: float(np.std(v)) for name, v in table.items()},
-        n_reference=len(healthy),
-    )
-
-
-def _band(ref: ClassifierReference, name: str, scale: float) -> float:
-    return max(3.0 * ref.std[name], REL_FLOOR * abs(scale), 1e-9)
+    table = {name: [getattr(f, name) for f in healthy] for name in FEATURE_NAMES}
+    return ClassifierReference({name: float(np.mean(v)) for name, v in table.items()},
+                               {name: float(np.std(v)) for name, v in table.items()}, len(healthy))
 
 
 def classify(curve: PowerCurve, ref: ClassifierReference) -> CurveKind:
@@ -153,26 +159,15 @@ def classify(curve: PowerCurve, ref: ClassifierReference) -> CurveKind:
     inside the corridor and as a gross discontinuity beyond it.
     """
     f = extract_features(curve)
-    plateau_ref = ref.mean["plateau_mean"]
-
-    if f.truncated:
+    if f.truncated or f.peak_amplitude > ref.spike:
         return CurveKind.SUDDEN_FAILURE
-    if f.peak_amplitude > SPIKE_FACTOR * ref.mean["peak_amplitude"]:
-        return CurveKind.SUDDEN_FAILURE
-
-    transient_limit = ref.mean["transient_amplitude"] + max(
-        3.0 * ref.std["transient_amplitude"],
-        TRANSIENT_FLOOR * plateau_ref,
-    )
-    if f.transient_amplitude > transient_limit:
+    if f.transient_amplitude > ref.transient:
         return CurveKind.MINOR_ANOMALY
-
-    band = _band(ref, "plateau_mean", plateau_ref)
-    if f.plateau_mean > plateau_ref + band:
-        if f.plateau_mean <= plateau_ref * (1.0 + CORRIDOR):
+    if f.plateau_mean > ref.plateau_high:
+        if f.plateau_mean <= ref.corridor_top:
             return CurveKind.PROGRESSIVE_PRE_FAULT
         return CurveKind.SUDDEN_FAILURE
-    if f.plateau_mean < plateau_ref - band:
+    if f.plateau_mean < ref.plateau_low:
         # sustained power loss with an intact tail: discontinuous behavior
         return CurveKind.SUDDEN_FAILURE
     return CurveKind.EARLY_LIFE_NORMAL

@@ -616,8 +616,6 @@ def forward_samples(session: ForecastSession, window_matrix: np.ndarray) -> np.n
             f"expected a window of {model.window} curves of {model.length} "
             f"samples, got array of shape {x.shape}"
         )
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite value in forecaster input")
     data = x.tobytes()
     latest = session.latest
     # bytes, not values: -0.0 equals 0.0 but may not forecast the same
@@ -627,8 +625,14 @@ def forward_samples(session: ForecastSession, window_matrix: np.ndarray) -> np.n
         # the latest window shifted by one curve projects only its new row,
         # as the last of a two-row product: that row rounds as it does in
         # the whole window's product, and a one-row product takes numpy's
-        # vector path, which may round otherwise
-        proj = model.normalize(x[-2:] if shifted else x).astype(model.w_x.dtype) @ params["w_x"]
+        # vector path, which may round otherwise.  Rows shared with the latest
+        # window were checked with it
+        with np.errstate(over="ignore", invalid="ignore"):
+            normed = model.normalize(x[-2:] if shifted else x).astype(model.w_x.dtype)
+        if not np.all(np.isfinite(normed)):
+            raise ValueError("non-finite value in forecaster input, or one whose normalized "
+                             f"value overflows {model.w_x.dtype}")
+        proj = normed @ params["w_x"]
         if shifted:
             proj = proj[-1:]
         proj += params["b"]
@@ -778,6 +782,8 @@ def _model(doc: dict) -> ForecastModel:
         if data.size != math.prod(shape):
             raise ValueError(f"parameters.{name} holds {data.size} numbers, "
                              f"expected {math.prod(shape)}")
+        if np.any(np.abs(data) > np.finfo(dtype).max):   # the cast would overflow
+            raise ValueError(f"parameters.{name} holds a number beyond the {dtype} range")
         blocks[name] = data.reshape(shape).astype(dtype)
     w, u, b = (np.concatenate([blocks[f"{key}_{gate}"] for gate in GATES]) for key in "wub")
     norm = json_field(doc["normalization"], OBJECT, "normalization")

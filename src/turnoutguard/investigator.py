@@ -96,10 +96,7 @@ def window_shows_progression(window: CurveWindow, reference: ClassifierReference
     ``PROGRESSION_FRACTION`` of them read as progressive pre-fault.
     """
     recent = window.curves[-RECENT_CURVES:]
-    hits = sum(
-        1 for c in recent
-        if classify(c, reference) is CurveKind.PROGRESSIVE_PRE_FAULT
-    )
+    hits = sum(classify(c, reference) is CurveKind.PROGRESSIVE_PRE_FAULT for c in recent)
     return hits >= PROGRESSION_FRACTION * len(recent)
 
 

@@ -131,7 +131,7 @@ def test_features_equal_the_mean_and_median_formula_bit_for_bit(length):
     raw.append(with_nan)
     for s in [lc.curve.samples for lc in corpus] + raw:
         f = _features(s)
-        got = (*f.as_dict().values(), f.truncated)
+        got = (f.peak_amplitude, f.plateau_mean, f.transient_amplitude, f.truncated)
         assert _feature_bytes(got) == _feature_bytes(_reference_features(s))
     assert np.isnan(_features(with_nan).transient_amplitude)
 
@@ -147,7 +147,7 @@ def test_generated_features_equal_the_formula_bit_for_bit(length):
     )
     for lc in corpus:
         f = extract_features(lc.curve)
-        got = (*f.as_dict().values(), f.truncated)
+        got = (f.peak_amplitude, f.plateau_mean, f.transient_amplitude, f.truncated)
         assert _feature_bytes(got) == _feature_bytes(_reference_features(lc.curve.samples))
 
 
@@ -190,6 +190,47 @@ def test_reference_round_trip(reference):
     assert back == reference
 
 
+def test_reference_limits_are_the_decision_formulas(reference):
+    mean, std = reference.mean, reference.std
+    plateau = mean["plateau_mean"]
+    band = max(3.0 * std["plateau_mean"], 0.005 * abs(plateau), 1e-9)
+    assert reference.spike == 1.5 * mean["peak_amplitude"]
+    assert reference.transient == mean["transient_amplitude"] + max(
+        3.0 * std["transient_amplitude"], 0.05 * plateau)
+    assert reference.plateau_low == plateau - band
+    assert reference.plateau_high == plateau + band
+    assert reference.corridor_top == plateau * 1.5
+    # the fixture's plateau band is its 3-sigma term, not a floor
+    assert band == 3.0 * std["plateau_mean"] > 0.005 * plateau
+
+
+@pytest.mark.parametrize("change", [
+    lambda ref: setattr(ref, "n_reference", 2),
+    lambda ref: setattr(ref, "mean", dict(ref.mean)),
+    lambda ref: setattr(ref, "plateau_high", 0.0),
+    lambda ref: ref.mean.__setitem__("plateau_mean", 0.0),
+    lambda ref: ref.std.__setitem__("plateau_mean", 0.0),
+    lambda ref: ref.std.pop("plateau_mean"),
+], ids=["field", "table", "limit", "mean-entry", "std-entry", "std-pop"])
+def test_reference_is_immutable(reference, change):
+    """The limits are derived once, so nothing they derive from may change."""
+    before = (reference.to_dict(), reference.plateau_low, reference.plateau_high)
+    with pytest.raises((AttributeError, TypeError)):
+        change(reference)
+    assert (reference.to_dict(), reference.plateau_low, reference.plateau_high) == before
+
+
+def test_reference_keeps_a_copy_of_the_tables_it_is_given(reference):
+    d = reference.to_dict()
+    ref = ClassifierReference(**d)
+    d["mean"]["plateau_mean"] = 0.0
+    assert ref == reference and ref.plateau_high == reference.plateau_high
+    # replace passes the read-only tables back to the constructor
+    again = replace(reference, n_reference=reference.n_reference + 1)
+    assert again.to_dict()["mean"] == reference.to_dict()["mean"]
+    assert again.plateau_high == reference.plateau_high
+
+
 def test_reference_from_dict_refuses_the_features_no_rule_reads(reference):
     """A format-2 table also holds peak_position, plateau_slope and bump_amplitude."""
     d = reference.to_dict()
@@ -210,12 +251,20 @@ def test_reference_from_dict_refuses_the_features_no_rule_reads(reference):
     lambda d: d["std"].update(peak_amplitude=-0.5),
     lambda d: d.update(n_reference=0),
     lambda d: d.update(n_reference=40.5),
+    lambda d: d["mean"].update(plateau_mean=float("nan")),
+    lambda d: d["mean"].update(peak_amplitude=float("inf")),
+    lambda d: d["std"].update(peak_amplitude=True),
+    lambda d: d.update(mean=None),
+    lambda d: d.update(n_reference=True),
 ])
 def test_reference_from_dict_rejects_a_bad_entry(reference, edit):
     d = reference.to_dict()
     edit(d)
     with pytest.raises(ValueError, match="classifier reference"):
         ClassifierReference.from_dict(d)
+    if set(d) == {"mean", "std", "n_reference"}:   # direct construction runs the same checks
+        with pytest.raises(ValueError, match="classifier reference"):
+            ClassifierReference(**d)
 
 
 @pytest.mark.parametrize(

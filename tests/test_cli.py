@@ -1301,6 +1301,104 @@ def test_one_mutated_leaf_never_raises(workdir, fixture_reports, artifact, pick,
     assert "Traceback" not in err.getvalue()
 
 
+# the same-type sweep: every number, string or array node may be given an
+# extreme value of its own JSON type
+
+def _fixture_document(root, artifact):
+    """The fixture's ``artifact``, parsed; an NDJSON file as a list of documents."""
+    text = (root / _MUTATED[artifact]).read_text()
+    if _MUTATED[artifact].endswith(".ndjson"):
+        return [json.loads(line) for line in text.splitlines()]
+    return json.loads(text)
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _pick_node(doc, pick) -> tuple:
+    """The path of a number, string or array node: ``pick`` chooses among the
+    document's fields (node paths with list indices dropped) and then among
+    that field's nodes."""
+    fields: dict[tuple, list] = {}
+    for node in _nodes(doc):
+        if _json_type(_get(doc, node)) in ("number", "string", "array"):
+            fields.setdefault(tuple(k for k in node if not isinstance(k, int)), []).append(node)
+    field = sorted(fields, key=repr)[pick % len(fields)]
+    return fields[field][pick // len(fields) % len(fields[field])]
+
+
+def _read_mutated(artifact, root, cfg, doc) -> tuple[int, str]:
+    """Exit code and stderr of the command that reads ``doc`` in place of the
+    fixture's ``artifact``; its output, if any, goes to ``root / "mutated-out"``."""
+    bad = root / f"mutated-same-{artifact}"
+    ndjson = _MUTATED[artifact].endswith(".ndjson")
+    bad.write_text("".join(json.dumps(d) + "\n" for d in doc) if ndjson else json.dumps(doc))
+    (root / "mutated-out").unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(_reading_argv(artifact, root, cfg, bad, root / "mutated-out"))
+    return rc, err.getvalue()
+
+
+def _holds_suspicion(path) -> bool:
+    """True when the reports file at ``path`` holds a suspicious verdict."""
+    return path.exists() and any(json.loads(line)["verdict"]["kind"] == "suspicious"
+                                 for line in path.read_text().splitlines())
+
+
+#: same-type substitutes: the extreme and signed-zero JSON numbers, integers
+#: past int64, a long string, an empty and a long array
+_EXTREME_NUMBERS = [1e308, -1e308, 5e-324, -0.0, 0, 2**63, -2**63 - 1]
+_LONG = 10_000
+
+
+def _same_type_values(old) -> list:
+    kind = _json_type(old)
+    if kind == "array":
+        return [[], [old[0] if old else 0] * _LONG]
+    return {"number": _EXTREME_NUMBERS, "string": ["x" * _LONG]}[kind]
+
+
+@settings(max_examples=200, deadline=None)
+@given(artifact=st.sampled_from(list(_MUTATED)), pick=st.integers(0, 2**16),
+       which=st.integers(0, len(_EXTREME_NUMBERS) - 1))
+@example(artifact="weights", pick=("parameters", "w_input", "data", 319), which=0)
+@example(artifact="weights", pick=("parameters", "b_out", "data", 19), which=1)
+@example(artifact="weights", pick=("normalization", "mean", 19), which=1)
+@example(artifact="weights", pick=("normalization", "scale", 39), which=2)
+@example(artifact="weights", pick=("normalization", "scale"), which=1)
+@example(artifact="thresholds", pick=("tau_euclidean",), which=2)
+@example(artifact="thresholds", pick=("classifier_reference", "std", "plateau_mean"), which=0)
+@example(artifact="thresholds", pick=("classifier_reference", "mean", "peak_amplitude"), which=1)
+@example(artifact="thresholds", pick=("classifier_reference", "n_reference"), which=5)
+@example(artifact="thresholds", pick=("calibration", "model_sha256"), which=0)
+@example(artifact="reports", pick=(0, "op_index"), which=6)
+@example(artifact="reports", pick=(3, "verdict", "rationale"), which=0)
+@example(artifact="corpus", pick=(4, "samples"), which=0)
+@example(artifact="corpus", pick=(4, "timestamp"), which=0)
+@example(artifact="corpus", pick=(230, "samples", 7), which=0)
+def test_one_same_type_extreme_never_raises(workdir, fixture_reports, artifact, pick, which):
+    """A valid artifact with one number, string or array node given an extreme
+    value of its own JSON type exits 0, 2 or 3 with a short error, or 1 only
+    where ``run`` or ``report`` met a suspicious verdict in what it read or
+    wrote.  ``pick`` chooses the node as in the test above, and ``which``
+    the value."""
+    root, cfg = workdir
+    doc = _fixture_document(root, artifact)
+    path = pick if isinstance(pick, tuple) else _pick_node(doc, pick)
+    values = _same_type_values(_get(doc, path))
+    _set(doc, path, values[which % len(values)])
+    rc, err = _read_mutated(artifact, root, cfg, doc)
+    # the reports file that run wrote or report read
+    reports = {"thresholds": root / "mutated-out",
+               "reports": root / "mutated-same-reports"}.get(artifact)
+    assert rc in (0, 2, 3) or rc == 1 and reports is not None and _holds_suspicion(reports), err
+    assert "Traceback" not in err and len(err) < 1000, err[:2000]
+
+
 # a value of each JSON type, and an array and an object that hold one
 _TYPE_CHANGES = [None, True, "x", [], {}, 1.5, [1], {"a": 1}]
 

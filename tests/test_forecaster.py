@@ -802,6 +802,32 @@ def test_non_object_parameters_fail_cleanly(tmp_path, parameters):
         load_model(path)
 
 
+def test_weight_beyond_the_float32_range_fails_cleanly(tmp_path):
+    import json
+
+    path = tmp_path / "model.json"
+    save_model(small_model(4, 2, 2, dtype="float32"), path)
+    doc = json.loads(path.read_text())
+    doc["parameters"]["b_out"]["data"][3] = -1e308
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=r"parameters\.b_out holds a number beyond the float32"):
+        load_model(path)
+
+
+# a -1e308 mean normalizes a sample to about 1e308, which overflows only float32
+@pytest.mark.parametrize("dtype, norm", [
+    ("float32", {"norm_mean": np.full(6, -1e308)}),
+    ("float32", {"norm_scale": np.full(6, 5e-324)}),
+    ("float64", {"norm_scale": np.full(6, 5e-324)}),
+], ids=["float32-mean", "float32-scale", "float64-scale"])
+def test_window_whose_normalized_value_overflows_is_refused(dtype, norm):
+    model = dataclasses.replace(small_model(6, 3, 4, dtype=dtype), **norm)
+    session = ForecastSession(model)
+    with pytest.raises(ValueError, match=f"one whose normalized value overflows {dtype}"):
+        forward_samples(session, a_window())
+    assert session.latest == b""
+
+
 def test_loaded_model_rejects_wrong_window(tmp_path):
     model = zero_model(4, 2, window=3)
     path = tmp_path / "model.json"
@@ -864,6 +890,26 @@ def test_window_that_differs_in_one_sample_is_forecast_again(tmp_path, advances,
     got = forward_samples(session, other)
     assert len(advances) == 2 * model.window
     assert got.tobytes() == fresh_forecast(model, other).tobytes()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_window_after_a_kept_one_is_refused_and_keeps_the_session(
+        tmp_path, advances, value):
+    """Only an input that differs from the kept one is checked for finite
+    values; a refused one leaves the kept window and its forecast."""
+    model = load_model(saved_model(tmp_path))
+    session = ForecastSession(model)
+    kept = forward_samples(session, a_window())
+    bad = a_window()
+    bad[2, 3] = value
+    with pytest.raises(ValueError, match="non-finite value in forecaster input"):
+        forward_samples(session, bad)
+    assert len(advances) == model.window
+    assert forward_samples(session, a_window()).tobytes() == kept.tobytes()
+    shifted = np.vstack([a_window()[1:], a_window(5)[:1]])
+    got = forward_samples(session, shifted)
+    assert len(advances) == model.window + 1   # the kept window shifted by one curve
+    assert got.tobytes() == fresh_forecast(model, shifted).tobytes()
 
 
 @pytest.mark.parametrize("name", ARRAYS)
