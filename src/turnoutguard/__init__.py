@@ -37,7 +37,6 @@ from .forecaster import (
     TrainConfig,
     TrainReport,
     forward,
-    gradient_check,
     load_model,
     save_model,
     train,

@@ -127,6 +127,14 @@ class ClassifierReference:
                             ("corridor_top", plateau * (1.0 + CORRIDOR))):
             object.__setattr__(self, name, value)
 
+    def __hash__(self):
+        # the tables hold their values in FEATURE_NAMES order, so equal references hash equal
+        return hash((tuple(self.mean.values()), tuple(self.std.values()), self.n_reference))
+
+    def __reduce__(self):
+        # a mappingproxy neither pickles nor copies; rebuild through the checks
+        return type(self), (dict(self.mean), dict(self.std), self.n_reference)
+
     def to_dict(self) -> dict:
         return {"mean": dict(self.mean), "std": dict(self.std), "n_reference": self.n_reference}
 

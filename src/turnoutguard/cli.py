@@ -381,7 +381,7 @@ def cmd_run(args, cfg) -> int:
         report = pipe.step(lc)
         wanted = args.plot_all or report.verdict.kind is not VerdictKind.VALIDATED
         if plot_dir is not None and wanted and plotted < args.plot_limit:
-            _write_plot(plot_dir, report, pipe.last_prediction, lc)
+            _write_plot(plot_dir, report, pipe.session.curve, lc)
             plotted += 1
 
     out = args.out or "reports.ndjson"

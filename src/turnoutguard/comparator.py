@@ -228,11 +228,11 @@ def calibrate(
     _check_calibration(percentile, safety_factor)
 
     session = ForecastSession(model)
-    matrix, w = test_pairs.as_matrix(), test_pairs.window
+    curves, w = test_pairs.curves, test_pairs.window
     eucl = np.empty(len(test_pairs))
     warp = np.empty(len(test_pairs))
-    for k, target in enumerate(test_pairs.curves[w:]):
-        predicted = np.clip(forward_samples(session, matrix[k:k + w]), 0.0, None)
+    for k, target in enumerate(curves[w:]):
+        predicted = np.clip(forward_samples(session, curves[k:k + w]), 0.0, None)
         try:
             d = distance_pair(predicted, target)
         except ValueError as exc:

@@ -80,10 +80,10 @@ class AttackKind(str, Enum):
 class PowerCurve:
     """Power samples (watts) recorded during one switch operation.
 
-    The samples are read-only once wrapped, so what is derived from them can
-    be kept with the curve: ``features`` is filled by
-    ``classifier.extract_features`` on first use, and ``dataclasses.replace``
-    starts a new curve without it.
+    The curve keeps a read-only copy of the samples it is given, so they never
+    change and what is derived from them can be kept with the curve:
+    ``features`` is filled by ``classifier.extract_features`` on first use,
+    and ``dataclasses.replace`` starts a new curve without it.
     """
 
     samples: np.ndarray
@@ -92,7 +92,7 @@ class PowerCurve:
     features: CurveFeatures | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
+        self.samples = np.array(self.samples, dtype=np.float64)
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise ValueError("samples must be a non-empty 1-D vector")
         if not np.all(np.isfinite(self.samples)):

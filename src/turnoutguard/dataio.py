@@ -231,10 +231,9 @@ def write_ndjson(path, records):
 class CurveWindow:
     """FIFO buffer of the most recent curves, oldest first.
 
-    Holds exactly ``size`` curves of one length once constructed, and their
-    samples as the rows of one matrix; pushing a new curve discards the
-    oldest one.  ValueError for no curves, or for a curve whose length is
-    not the window's.
+    Holds exactly ``size`` curves of one length once constructed; pushing a
+    new curve discards the oldest one.  ValueError for no curves, or for a
+    curve whose length is not the window's.
     """
 
     def __init__(self, curves):
@@ -244,7 +243,6 @@ class CurveWindow:
         for curve in curves:
             self._check_length(curve, len(curves[0]))
         self._buf = deque(curves, maxlen=len(curves))
-        self._rows = np.stack([c.samples for c in curves])
 
     @staticmethod
     def _check_length(curve: PowerCurve, length: int):
@@ -265,14 +263,8 @@ class CurveWindow:
         return self._buf[-1]
 
     def push(self, curve: PowerCurve):
-        self._check_length(curve, self._rows.shape[1])
+        self._check_length(curve, len(self._buf[0]))
         self._buf.append(curve)
-        self._rows[:-1] = self._rows[1:]
-        self._rows[-1] = curve.samples
-
-    def as_matrix(self) -> np.ndarray:
-        """(size, curve_length) float64 copy of the window, oldest row first."""
-        return self._rows.copy()
 
     def __len__(self):
         return len(self._buf)

@@ -12,14 +12,15 @@ per-gate matrices, and only ``save_model`` and ``load_model`` know the
 order of the gates.
 
 A forecast reuses the work of the one before it: the caller's
-``ForecastSession`` keeps the states of every suffix of its latest window,
-so the window shifted by one curve costs one step of the recurrence instead
-of a whole run, and rounds to the bytes of that run.
+``ForecastSession`` keeps the states of every suffix of its latest window of
+curves, so the window shifted by one curve costs one step of the recurrence
+instead of a whole run, and rounds to the bytes of that run.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -561,23 +562,23 @@ def train(
 # ---------------------------------------------------------------------------
 
 class ForecastSession:
-    """One caller's latest input and forecast on a model, with the LSTM
-    states of every suffix sequence of that window.
+    """One caller's latest window of curves and its forecast on a model, with
+    the LSTM states of every suffix sequence of that window.
 
-    Sequence j started at row j of the window and has consumed rows
+    Sequence j started at curve j of the window and has consumed curves
     j ... w - 1, so sequence 0 has consumed the whole window and gives the
     forecast.  Sequence j lives in slot (start + j) % w of buffers allocated
     here, so a shift by one curve moves no state.  Every sequence steps with
     one gemv of its own hidden state, as the recurrence of one window does,
     and rounds exactly as that would.  ``advance`` is the only step: w of
-    them over a window's rows rebuild every suffix state from whatever the
-    slots held before, as each slot is zeroed just before its first row.
+    them over a window's curves rebuild every suffix state from whatever the
+    slots held before, as each slot is zeroed just before its first curve.
     """
 
     def __init__(self, model: ForecastModel):
         window, hidden, dtype = model.window, model.hidden, model.w_x.dtype
         self.model = model
-        self.latest, self.forecast = b"", None   # the latest input's bytes and forecast
+        self.latest, self.forecast = (), None   # the latest window's curves and forecast
         self.curve = None   # the curve ``forward`` built from that forecast
         self.kept = np.zeros((_KEPT, window, hidden), dtype=dtype)   # i, f, o, g, c, h per slot
         self.a = np.empty((window, 4 * hidden), dtype=dtype)
@@ -600,49 +601,51 @@ class ForecastSession:
         return kept[5, self.start:self.start + 1]
 
 
-def forward_samples(session: ForecastSession, window_matrix: np.ndarray) -> np.ndarray:
-    """Predict the next curve (raw watts) from a (window, length) matrix.
+def _same(curves: tuple, others: tuple) -> bool:
+    """Whether the two runs of curves are the same objects, in the same order."""
+    return len(curves) == len(others) and all(map(operator.is_, curves, others))
 
-    An input equal byte for byte to the session's latest one (a window
-    frozen by rejections) gets a copy of that forecast; the latest window
-    shifted by one curve costs one advance of the recurrence; any other
-    input rebuilds the suffix states in w advances.  Each path gives the
-    bytes a fresh session gives.
+
+def forward_samples(session: ForecastSession, curves) -> np.ndarray:
+    """Predict the next curve (raw watts) from a window of curves, oldest first.
+
+    A curve never changes, so the session keys its forecast on the curve
+    objects: the latest window's own curves (a window frozen by rejections)
+    get a copy of its forecast; the latest window shifted by one curve costs
+    one advance of the recurrence; any other window, even of equal curves in
+    new objects, rebuilds the suffix states in w advances.  Each path gives
+    the bytes a fresh session gives.
     """
     model = session.model
-    x = np.asarray(window_matrix, dtype=np.float64)
-    if x.ndim != 2 or x.shape != (model.window, model.length):
-        raise ValueError(
-            f"expected a window of {model.window} curves of {model.length} "
-            f"samples, got array of shape {x.shape}"
-        )
-    data = x.tobytes()
-    latest = session.latest
-    # bytes, not values: -0.0 equals 0.0 but may not forecast the same
-    if data != latest:
+    curves, latest = tuple(curves), session.latest
+    if not _same(curves, latest):
         params = model.params()
-        shifted = bool(latest) and data.startswith(memoryview(latest)[len(data) // model.window:])
-        # the latest window shifted by one curve projects only its new row,
-        # as the last of a two-row product: that row rounds as it does in
+        shifted = bool(latest) and _same(curves[:-1], latest[1:])
+        # the latest window shifted by one curve projects only its new curve,
+        # as the last row of a two-row product: that row rounds as it does in
         # the whole window's product, and a one-row product takes numpy's
-        # vector path, which may round otherwise.  Rows shared with the latest
-        # window were checked with it
+        # vector path, which may round otherwise.  Curves shared with the
+        # latest window were checked with it
+        new = curves[-2:] if shifted else curves
+        if len(curves) != model.window or any(len(c) != model.length for c in new):
+            raise ValueError(f"expected a window of {model.window} curves of {model.length} "
+                             f"samples, got {len(curves)} curves of "
+                             f"{sorted({len(c) for c in curves})} samples")
         with np.errstate(over="ignore", invalid="ignore"):
-            normed = model.normalize(x[-2:] if shifted else x).astype(model.w_x.dtype)
+            normed = model.normalize(np.stack([c.samples for c in new])).astype(model.w_x.dtype)
         if not np.all(np.isfinite(normed)):
-            raise ValueError("non-finite value in forecaster input, or one whose normalized "
-                             f"value overflows {model.w_x.dtype}")
+            raise ValueError(f"a normalized sample of the window overflows {model.w_x.dtype}")
         proj = normed @ params["w_x"]
         if shifted:
             proj = proj[-1:]
         proj += params["b"]
-        session.latest, session.curve = b"", None   # rebuilt unless this call completes
+        session.latest, session.curve = (), None   # rebuilt unless this call completes
         # a saturated gate overflows exp() harmlessly: 1 / (1 + inf) is 0
         with np.errstate(over="ignore"):
             for a_x in proj:
                 h = session.advance(a_x)
         y = h @ params["v_out"].T + params["b_out"]
-        session.latest, session.forecast = data, model.denormalize(y[0].astype(np.float64))
+        session.latest, session.forecast = curves, model.denormalize(y[0].astype(np.float64))
     return session.forecast.copy()
 
 
@@ -650,59 +653,16 @@ def forward(session: ForecastSession, window: CurveWindow) -> PowerCurve:
     """Predict the curve expected at the operation after the window.
 
     The readout is clipped at 0 W so the prediction is itself a valid
-    power curve.  A window that repeats the session's latest input for the
-    same next op (a window frozen by rejections) gets the curve built for
-    it before: the same object, with whatever was derived from it, such as
-    its features.
+    power curve.  The session's latest window (one frozen by rejections)
+    gets the curve built for it before: the same object, with whatever was
+    derived from it, such as its features.
     """
-    samples = forward_samples(session, window.as_matrix())
-    op, timestamp = window.last.op_index + 1, window.last.timestamp + OP_PERIOD_S
-    curve = session.curve
-    if curve is None or curve.op_index != op or curve.timestamp != timestamp:
-        curve = session.curve = PowerCurve(np.clip(samples, 0.0, None), op, timestamp)
-    return curve
-
-
-# ---------------------------------------------------------------------------
-# gradient verification
-# ---------------------------------------------------------------------------
-
-def gradient_check(
-    model: ForecastModel,
-    dataset: Dataset,
-    step: float = 1e-5,
-    tolerance: float | None = None,
-) -> float:
-    """Compare analytic BPTT gradients with central finite differences.
-
-    Runs in float64 over every parameter element, on the mean loss of every
-    pair of ``dataset`` in one chunk, and returns the maximum relative error
-    |g_a - g_n| / max(|g_a|, |g_n|, 1e-8).  Intended for small models and
-    datasets; cost grows with the parameter count times the forward cost.
-    When ``tolerance`` is given, a failure raises AssertionError.
-    """
-    params = {k: p.astype(np.float64).copy() for k, p in model.params().items()}
-    matrix = model.normalize(dataset.as_matrix())
-    chunk = _Chunk(matrix[:-1], dataset.window, matrix[dataset.window:])
-    _, analytic = _loss_and_grads(params, chunk, 1.0 / chunk.target.size)
-
-    worst = 0.0
-    for name, p in params.items():
-        flat = p.ravel()
-        g_a = analytic[name].ravel()
-        for idx in range(flat.size):
-            keep = flat[idx]
-            flat[idx] = keep + step
-            up = _dataset_loss(params, [chunk])
-            flat[idx] = keep - step
-            down = _dataset_loss(params, [chunk])
-            flat[idx] = keep
-            g_n = (up - down) / (2.0 * step)
-            rel = abs(g_a[idx] - g_n) / max(abs(g_a[idx]), abs(g_n), 1e-8)
-            worst = max(worst, rel)
-    if tolerance is not None and worst > tolerance:
-        raise AssertionError(f"gradient check failed: max relative error {worst:.3e}")
-    return worst
+    samples = forward_samples(session, window.curves)
+    if session.curve is None:
+        last = window.last
+        session.curve = PowerCurve(np.clip(samples, 0.0, None), last.op_index + 1,
+                                   last.timestamp + OP_PERIOD_S)
+    return session.curve
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +707,8 @@ def load_model(path) -> ForecastModel:
 
     dataio.FormatError naming the key of any value it would not write: a
     wrong JSON type, a non-finite number, a count below 1, a digest that is
-    not 64 lowercase hex digits or a block of another shape.
+    not 64 lowercase hex digits, a block of another shape or a normalization
+    scale other than 1.0 at or below ``_SCALE_RTOL * max(|mean|, 1)``.
     """
     return read_document(path, "weights file", MODEL_FORMAT_VERSION, _model)
 
@@ -787,7 +748,7 @@ def _model(doc: dict) -> ForecastModel:
         blocks[name] = data.reshape(shape).astype(dtype)
     w, u, b = (np.concatenate([blocks[f"{key}_{gate}"] for gate in GATES]) for key in "wub")
     norm = json_field(doc["normalization"], OBJECT, "normalization")
-    return ForecastModel(
+    model = ForecastModel(
         w_x=w.T,
         w_h=u.T,
         b=b,
@@ -798,3 +759,11 @@ def _model(doc: dict) -> ForecastModel:
         window=window,
         meta=meta,
     )
+    # train writes the spread where it is above this floor, and 1.0 elsewhere
+    floor = _SCALE_RTOL * np.maximum(np.abs(model.norm_mean), 1.0)
+    low = (model.norm_scale <= floor) & (model.norm_scale != 1.0)
+    if low.any():
+        k = int(np.argmax(low))
+        raise ValueError(f"normalization.scale holds {float(model.norm_scale[k])!r} at position "
+                         f"{k}, at or below {float(floor[k])!r}, which train never writes")
+    return model

@@ -51,7 +51,6 @@ class Pipeline:
         self.window: CurveWindow | None = None
         self.session: ForecastSession | None = None   # the forecast state of this stream
         self.reports: list[InvestigationReport] = []
-        self.last_prediction: PowerCurve | None = None   # the forecast of the latest step
         self._rejection_streak = 0
         self._last_op = None
 
@@ -70,7 +69,6 @@ class Pipeline:
         self.window = CurveWindow(curves[-self.model.window:])
         self.session = ForecastSession(self.model)
         self.reports = []
-        self.last_prediction = None
         self._rejection_streak = 0
         self._last_op = self.window.last.op_index
         return self
@@ -98,7 +96,7 @@ class Pipeline:
                 f"(last seen {self._last_op})"
             )
 
-        predicted = self.last_prediction = forecaster.forward(self.session, self.window)
+        predicted = forecaster.forward(self.session, self.window)
         try:
             outcome = comparator.validate(field_curve, predicted, self.thresholds)
         except ValueError as exc:

@@ -21,7 +21,7 @@ from turnoutguard.forecaster import AdamState, TrainConfig
 from turnoutguard.investigator import VerdictKind
 from turnoutguard.pipeline import Pipeline
 
-from gradient_cases import random_check_instance
+from gradient_cases import gradient_check, random_check_instance
 
 WINDOW = 50
 
@@ -55,7 +55,7 @@ def test_criterion_2_gradient_correctness():
     worst = 0.0
     for seed in range(20):
         model, dataset = random_check_instance(seed)
-        worst = max(worst, forecaster.gradient_check(model, dataset, step=1e-5))
+        worst = max(worst, gradient_check(model, dataset, step=1e-5))
     _report(
         "2 gradient-correctness",
         worst < 1e-4,

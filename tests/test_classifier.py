@@ -1,5 +1,7 @@
 """Feature extraction and the rule-based curve classifier."""
 
+import copy
+import pickle
 import struct
 import warnings
 from dataclasses import replace
@@ -229,6 +231,29 @@ def test_reference_keeps_a_copy_of_the_tables_it_is_given(reference):
     again = replace(reference, n_reference=reference.n_reference + 1)
     assert again.to_dict()["mean"] == reference.to_dict()["mean"]
     assert again.plateau_high == reference.plateau_high
+
+
+def test_equal_references_hash_equal(reference):
+    d = reference.to_dict()
+    reordered = ClassifierReference({k: d["mean"][k] for k in reversed(list(d["mean"]))},
+                                    d["std"], d["n_reference"])
+    assert reordered == reference and hash(reordered) == hash(reference)
+    assert len({reference, reordered, ClassifierReference(**d)}) == 1
+
+
+LIMITS = ("spike", "transient", "plateau_low", "plateau_high", "corridor_top")
+
+
+@pytest.mark.parametrize("rebuild", [lambda ref: pickle.loads(pickle.dumps(ref)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_a_copied_reference_equals_the_original_and_stays_read_only(reference, rebuild):
+    again = rebuild(reference)
+    assert again == reference
+    assert [getattr(again, k) for k in LIMITS] == [getattr(reference, k) for k in LIMITS]
+    with pytest.raises(TypeError):
+        again.mean["plateau_mean"] = 0.0
+    with pytest.raises(TypeError):
+        again.std["plateau_mean"] = 0.0
 
 
 def test_reference_from_dict_refuses_the_features_no_rule_reads(reference):

@@ -984,8 +984,9 @@ def test_file_that_is_not_utf8_is_an_io_error(workdir, fixture_reports, tmp_path
     (("parameters", "b_out", "data", 0), "…", "must be a JSON array of numbers, got '…'"),
     (("parameters", "w_input", "data", 1), True, "must be a JSON array of numbers, got True"),
     (("normalization", "mean", 0), "600.5", "must be a JSON array of numbers, got '600.5'"),
+    (("normalization", "scale", 7), 5e-324, "holds 5e-324 at position 7, at or below "),
 ], ids=["nan-b_out", "inf-w_forget", "neg-inf-scale", "nan-mean", "string-b_out",
-        "boolean-w_input", "string-mean"])
+        "boolean-w_input", "string-mean", "subnormal-scale"])
 def test_non_finite_weight_is_a_schema_error_naming_its_block(workdir, tmp_path, capsys,
                                                              path, value, message):
     root, cfg = workdir

@@ -258,7 +258,7 @@ def test_calibrate_single_pair_returns_its_distances(trained_bundle):
     th = calibrate(model, make_dataset(pairs.curves[:9], 8))
     from turnoutguard.forecaster import ForecastSession, forward_samples
 
-    window = pairs.as_matrix()[:8]
+    window = pairs.curves[:8]
     predicted = np.clip(forward_samples(ForecastSession(model), window), 0.0, None)
     assert th.tau_euclidean == pytest.approx(euclidean(predicted, pairs.curves[8]))
     assert th.tau_dtw == pytest.approx(dtw(predicted, pairs.curves[8]))
@@ -271,8 +271,7 @@ def test_default_thresholds_are_the_largest_residuals_bit_for_bit(trained_bundle
     from turnoutguard.forecaster import ForecastSession, forward_samples
 
     session = ForecastSession(model)
-    matrix = pairs.as_matrix()
-    predicted = [np.clip(forward_samples(session, matrix[k:k + 8]), 0.0, None)
+    predicted = [np.clip(forward_samples(session, pairs.curves[k:k + 8]), 0.0, None)
                  for k in range(len(pairs))]
     targets = pairs.curves[8:]
     th = calibrate(model, pairs)
@@ -285,9 +284,9 @@ def test_calibrated_thresholds_validate_their_own_test_set(trained_bundle):
     th = calibrate(model, pairs)
     from turnoutguard.forecaster import ForecastSession, forward_samples
 
-    matrix = pairs.as_matrix()
     for k, target in enumerate(pairs.curves[8:]):
-        predicted = np.clip(forward_samples(ForecastSession(model), matrix[k:k + 8]), 0.0, None)
+        predicted = np.clip(forward_samples(ForecastSession(model), pairs.curves[k:k + 8]), 0.0,
+                            None)
         assert validate(target, predicted, th).validated
 
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from turnoutguard.classifier import build_reference, classify
+from turnoutguard.classifier import build_reference, classify, extract_features
 from turnoutguard.curvegen import (
     DEFORMATION,
     AttackKind,
@@ -116,6 +116,20 @@ def test_curve_samples_are_read_only():
     with pytest.raises(ValueError, match="read-only"):
         curve.samples += 1.0
     assert np.all(curve.samples == 1.0)
+
+
+def test_curve_keeps_a_copy_of_the_samples_it_is_given():
+    """The caller's array stays writable, and writing into it changes
+    neither the curve nor the features kept with it."""
+    base = np.full(200, 600.0)
+    curve = PowerCurve(base[:], op_index=0, timestamp=0.0)
+    before = extract_features(curve)
+    assert base.flags.writeable
+    base[50:150] = 900.0
+    assert curve.samples[100] == 600.0
+    assert extract_features(curve) is before
+    assert before == extract_features(PowerCurve(np.full(200, 600.0), op_index=0, timestamp=0.0))
+    assert extract_features(PowerCurve(base, op_index=0, timestamp=0.0)).plateau_mean == 850.0
 
 
 def test_curves_are_finite_and_non_negative():

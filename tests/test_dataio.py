@@ -120,14 +120,6 @@ def test_window_push_is_fifo():
     assert [c.op_index for c in window] == [2, 3, 4, 5]
 
 
-def test_window_matrix_is_oldest_first():
-    cs = curves(3, length=2)
-    m = CurveWindow(cs).as_matrix()
-    assert m.shape == (3, 2)
-    assert np.array_equal(m[0], cs[0].samples)
-    assert np.array_equal(m[-1], cs[2].samples)
-
-
 def test_window_refuses_curves_of_another_length():
     cs = curves(3)
     short = PowerCurve(np.ones(3), op_index=7, timestamp=200.0)
@@ -138,27 +130,27 @@ def test_window_refuses_curves_of_another_length():
         window.push(short)
     # the refused push leaves the window as it was
     assert [c.op_index for c in window] == [0, 1, 2]
-    assert np.array_equal(window.as_matrix(), np.stack([c.samples for c in cs]))
+    assert all(a is b for a, b in zip(window.curves, cs, strict=True))
 
 
-def test_window_matrix_is_a_copy_that_later_pushes_do_not_change():
+def test_window_curves_are_a_snapshot_that_later_pushes_do_not_change():
+    """A forecast session keys on the curves it was given, so they must not move."""
     cs = curves(5)
     window = CurveWindow(cs[:3])
-    m = window.as_matrix()
+    before = window.curves
     window.push(cs[3])
-    assert np.array_equal(m, np.stack([c.samples for c in cs[:3]]))
-    m[:] = -1.0
-    assert np.array_equal(window.as_matrix(), np.stack([c.samples for c in cs[1:4]]))
+    assert all(a is b for a, b in zip(before, cs[:3], strict=True))
+    assert all(a is b for a, b in zip(window.curves, cs[1:4], strict=True))
 
 
 @pytest.mark.parametrize("size", [1, 2, 5])
-def test_window_rows_follow_its_curves_over_many_pushes(size):
+def test_window_curves_follow_the_pushes(size):
     cs = curves(3 * size + 4, length=6)
     window = CurveWindow(cs[:size])
     for k, curve in enumerate(cs[size:], start=1):
         window.push(curve)
         assert [c.op_index for c in window] == list(range(k, k + size))
-        assert window.as_matrix().tobytes() == np.stack([c.samples for c in window]).tobytes()
+        assert all(a is b for a, b in zip(window.curves, cs[k:k + size], strict=True))
 
 
 def test_pair_rejects_misaligned_target():

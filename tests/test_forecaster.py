@@ -33,13 +33,12 @@ from turnoutguard.forecaster import (
     clip_gradients,
     forward,
     forward_samples,
-    gradient_check,
     load_model,
     save_model,
     train,
 )
 
-from gradient_cases import random_check_instance
+from gradient_cases import gradient_check, random_check_instance
 from recurrence_counts import count_advances
 
 
@@ -51,9 +50,14 @@ def random_curves(n, length, seed=0, lo=1.0, hi=9.0):
     ]
 
 
-def fresh_forecast(model, window_matrix):
+def as_curves(matrix):
+    """The rows of ``matrix`` as a window of curves, oldest first."""
+    return tuple(PowerCurve(row, op_index=k, timestamp=float(k)) for k, row in enumerate(matrix))
+
+
+def fresh_forecast(model, curves):
     """The forecast of a fresh session on ``model``."""
-    return forward_samples(ForecastSession(model), window_matrix)
+    return forward_samples(ForecastSession(model), curves)
 
 
 def small_model(length, hidden, window, seed=0, dtype="float64"):
@@ -95,7 +99,7 @@ def test_zero_weights_predict_the_denormalized_output_bias():
     scale = np.full(length, 7.0)
     model = zero_model(length, hidden, window, bias=bias, mean=mean, scale=scale)
     curves = random_curves(window, length, seed=3, lo=50.0, hi=150.0)
-    got = fresh_forecast(model, CurveWindow(curves).as_matrix())
+    got = fresh_forecast(model, curves)
     assert np.allclose(got, bias * scale + mean, atol=1e-12)
 
 
@@ -139,7 +143,7 @@ def scalar_oracle(model, window_matrix):
 def test_forward_matches_the_scalar_recurrence_oracle():
     model = small_model(length=3, hidden=2, window=2, seed=11)
     window_matrix = np.array([[1.0, 2.0, 3.0], [2.5, 0.5, 4.0]])
-    got = fresh_forecast(model, window_matrix)
+    got = fresh_forecast(model, as_curves(window_matrix))
     want = scalar_oracle(model, window_matrix)
     assert np.allclose(got, want, atol=1e-12)
 
@@ -153,15 +157,15 @@ def test_forward_matches_oracle_on_random_models():
         model = small_model(length, hidden, window, seed=trial)
         matrix = rng.uniform(0.0, 5.0, size=(window, length))
         assert np.allclose(
-            fresh_forecast(model, matrix), scalar_oracle(model, matrix), atol=1e-10
+            fresh_forecast(model, as_curves(matrix)), scalar_oracle(model, matrix), atol=1e-10
         )
 
 
 def test_window_count_of_a_numpy_integer_forecasts_the_same():
     model = small_model(length=5, hidden=3, window=4, seed=6)
     numpy_window = dataclasses.replace(model, window=np.int64(4))
-    matrix = np.random.default_rng(7).uniform(0.0, 5.0, size=(4, 5))
-    assert fresh_forecast(numpy_window, matrix).tobytes() == fresh_forecast(model, matrix).tobytes()
+    window = as_curves(np.random.default_rng(7).uniform(0.0, 5.0, size=(4, 5)))
+    assert fresh_forecast(numpy_window, window).tobytes() == fresh_forecast(model, window).tobytes()
 
 
 def per_gate_forward_seq(params, x):
@@ -243,15 +247,17 @@ def test_gate_activations_stay_in_range():
 
 def test_forward_rejects_bad_windows():
     model = zero_model(4, 2, window=3)
-    curves = random_curves(2, 4)
-    with pytest.raises(ValueError, match="expected a window of 3 curves of 4 samples, got array "
-                                         r"of shape \(2, 4\)"):
-        forward(ForecastSession(model), CurveWindow(curves))
-    with pytest.raises(ValueError, match="shape"):
-        fresh_forecast(model, np.zeros((3, 5)))
-    bad = np.full((3, 4), np.nan)
-    with pytest.raises(ValueError, match="non-finite"):
-        fresh_forecast(model, bad)
+    curves = random_curves(4, 4)
+    with pytest.raises(ValueError, match="expected a window of 3 curves of 4 samples, got 2 "
+                                         r"curves of \[4\] samples"):
+        forward(ForecastSession(model), CurveWindow(curves[:2]))
+    with pytest.raises(ValueError, match=r"got 3 curves of \[5\] samples"):
+        fresh_forecast(model, as_curves(np.zeros((3, 5))))
+    # the latest window shifted by a curve of another length
+    session = ForecastSession(model)
+    forward_samples(session, curves[:3])
+    with pytest.raises(ValueError, match=r"got 3 curves of \[4, 5\] samples"):
+        forward_samples(session, (*curves[1:3], *random_curves(1, 5)))
 
 
 def test_forward_returns_successor_curve():
@@ -500,7 +506,7 @@ def test_constant_corpus_is_learned_to_spec_tolerance():
     assert report.epochs_run <= 200
     assert report.val_losses[-1] < 1e-4
     curves = pairs.as_matrix()
-    predicted = fresh_forecast(model, curves[:8])
+    predicted = fresh_forecast(model, pairs.curves[:8])
     error = model.normalize(predicted) - model.normalize(curves[8])
     assert np.mean(error * error) < 1e-4
     # the constant curve itself comes back
@@ -644,7 +650,7 @@ def test_model_records_the_digest_of_its_validation_curves(tmp_path):
 _BLAS_PROBE = """
 import hashlib
 import numpy as np
-from turnoutguard.curvegen import GeneratorConfig, generate_lifecycle
+from turnoutguard.curvegen import GeneratorConfig, PowerCurve, generate_lifecycle
 from turnoutguard.dataio import make_dataset
 from turnoutguard.forecaster import (ForecastModel, ForecastSession, TrainConfig, _init_params,
                                     forward_samples, train)
@@ -655,7 +661,8 @@ print(hashlib.sha256(b"".join(p.tobytes() for p in model.params().values())).hex
 params = _init_params(200, 64, np.random.default_rng(1), np.dtype("float32"))
 model = ForecastModel(**params, norm_mean=np.full(200, 500.0), norm_scale=np.full(200, 100.0),
                       window=50)
-window = np.random.default_rng(2).uniform(0.0, 1000.0, (50, 200))
+window = [PowerCurve(row, k, float(k))
+          for k, row in enumerate(np.random.default_rng(2).uniform(0.0, 1000.0, (50, 200)))]
 print(hashlib.sha256(forward_samples(ForecastSession(model), window).tobytes()).hexdigest())
 """
 
@@ -717,8 +724,8 @@ def test_save_load_round_trip_preserves_predictions(tmp_path):
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded = load_model(path)
-    matrix = pairs.as_matrix()[:pairs.window]
-    assert np.array_equal(fresh_forecast(model, matrix), fresh_forecast(loaded, matrix))
+    window = pairs.curves[:pairs.window]
+    assert np.array_equal(fresh_forecast(model, window), fresh_forecast(loaded, window))
     assert (loaded.window, loaded.hidden) == (model.window, 6)
     assert loaded.meta == model.meta
 
@@ -730,8 +737,8 @@ def test_save_load_round_trip_float32(tmp_path):
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded = load_model(path)
-    matrix = pairs.as_matrix()[:pairs.window]
-    assert np.array_equal(fresh_forecast(model, matrix), fresh_forecast(loaded, matrix))
+    window = pairs.curves[:pairs.window]
+    assert np.array_equal(fresh_forecast(model, window), fresh_forecast(loaded, window))
 
 
 def test_weights_given_column_major_forecast_the_bytes_of_row_major_ones():
@@ -748,8 +755,9 @@ def test_weights_given_column_major_forecast_the_bytes_of_row_major_ones():
     columns = dataclasses.replace(model, w_x=np.asfortranarray(model.w_x),
                                   w_h=np.asfortranarray(model.w_h))
     assert all(p.flags.c_contiguous for p in columns.params().values())
+    curves = [lc.curve for lc in corpus]
     for k in range(len(corpus) - 10):
-        window = raw[k:k + 10]
+        window = curves[k:k + 10]
         assert fresh_forecast(columns, window).tobytes() == fresh_forecast(model, window).tobytes()
 
 
@@ -814,6 +822,25 @@ def test_weight_beyond_the_float32_range_fails_cleanly(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("mean, scale, refused", [
+    (0.0, 5e-324, True), (0.0, 1e-9, True), (0.0, 1.5e-9, False),
+    (-1e12, 1e3, True), (-1e12, 1.0, False), (-1e12, 2e3, False),
+], ids=["subnormal", "at-the-floor", "above-the-floor", "below-a-large-mean",
+        "unit-fallback", "above-a-large-mean"])
+def test_a_normalization_scale_train_never_writes_fails_cleanly(tmp_path, mean, scale, refused):
+    """train keeps a unit scale where the spread is at or below
+    ``_SCALE_RTOL * max(|mean|, 1)``, and the spread elsewhere."""
+    path = tmp_path / "model.json"
+    save_model(dataclasses.replace(small_model(4, 2, 2), norm_mean=np.full(4, mean),
+                                   norm_scale=np.array([1.0, 1.0, scale, 1.0])), path)
+    if refused:
+        with pytest.raises(FormatError, match=rf"normalization\.scale holds {scale!r} at "
+                                              r"position 2, at or below .*, which train never"):
+            load_model(path)
+    else:
+        assert load_model(path).norm_scale[2] == scale
+
+
 # a -1e308 mean normalizes a sample to about 1e308, which overflows only float32
 @pytest.mark.parametrize("dtype, norm", [
     ("float32", {"norm_mean": np.full(6, -1e308)}),
@@ -823,9 +850,9 @@ def test_weight_beyond_the_float32_range_fails_cleanly(tmp_path):
 def test_window_whose_normalized_value_overflows_is_refused(dtype, norm):
     model = dataclasses.replace(small_model(6, 3, 4, dtype=dtype), **norm)
     session = ForecastSession(model)
-    with pytest.raises(ValueError, match=f"one whose normalized value overflows {dtype}"):
+    with pytest.raises(ValueError, match=f"normalized sample of the window overflows {dtype}"):
         forward_samples(session, a_window())
-    assert session.latest == b""
+    assert session.latest == ()
 
 
 def test_loaded_model_rejects_wrong_window(tmp_path):
@@ -859,54 +886,66 @@ def saved_model(tmp_path, dtype="float64"):
     return path
 
 
-def a_window(seed=4):
-    x = np.random.default_rng(seed).normal(size=(4, 6))
+def window_rows(seed=4):
+    x = np.abs(np.random.default_rng(seed).normal(size=(4, 6)))
     x[1, 2] = 0.0
     return x
+
+
+def a_window(seed=4):
+    return as_curves(window_rows(seed))
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_repeated_window_gets_the_forecast_of_a_fresh_session(tmp_path, advances, dtype):
     model = load_model(saved_model(tmp_path, dtype))
     session = ForecastSession(model)
-    first = forward_samples(session, a_window())
-    again = forward_samples(session, a_window())
+    window = a_window()
+    first = forward_samples(session, window)
+    again = forward_samples(session, list(window))   # the same curves in another sequence
     assert len(advances) == model.window
-    fresh = fresh_forecast(model, a_window())
+    fresh = fresh_forecast(model, window)
     assert again.tobytes() == first.tobytes() == fresh.tobytes()
 
 
 @pytest.mark.parametrize("edit", [
+    lambda x: None,
     lambda x: x.__setitem__((3, 5), np.nextafter(x[3, 5], np.inf)),
     lambda x: x.__setitem__((0, 0), x[0, 0] + 1.0),
     lambda x: x.__setitem__((1, 2), -0.0),
-], ids=["one-ulp", "first-sample", "zero-to-negative-zero"])
-def test_window_that_differs_in_one_sample_is_forecast_again(tmp_path, advances, edit):
+], ids=["equal-values", "one-ulp", "first-sample", "zero-to-negative-zero"])
+def test_window_of_new_curves_is_forecast_again(tmp_path, advances, edit):
+    """The session keys on curve objects, not on their values: new curves,
+    even of the kept window's values, rebuild every state."""
     model = load_model(saved_model(tmp_path))
     session = ForecastSession(model)
     forward_samples(session, a_window())
-    other = a_window()
-    edit(other)
+    rows = window_rows()
+    edit(rows)
+    other = as_curves(rows)
     got = forward_samples(session, other)
     assert len(advances) == 2 * model.window
     assert got.tobytes() == fresh_forecast(model, other).tobytes()
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
-def test_non_finite_window_after_a_kept_one_is_refused_and_keeps_the_session(
-        tmp_path, advances, value):
-    """Only an input that differs from the kept one is checked for finite
-    values; a refused one leaves the kept window and its forecast."""
+@pytest.mark.parametrize("shift", [True, False], ids=["shift", "rebuild"])
+def test_overflowing_window_after_a_kept_one_is_refused_and_keeps_the_session(
+        tmp_path, advances, shift):
+    """A window refused on a shift or a rebuild leaves the kept window and
+    its forecast."""
     model = load_model(saved_model(tmp_path))
     session = ForecastSession(model)
-    kept = forward_samples(session, a_window())
-    bad = a_window()
-    bad[2, 3] = value
-    with pytest.raises(ValueError, match="non-finite value in forecaster input"):
+    window = a_window()
+    kept = forward_samples(session, window)
+    rows = window_rows(5)[:1]
+    rows[0, 0] = 1.7e308   # over the float maximum once divided by the scale of 0.5
+    huge = as_curves(rows)[0]
+    bad = (*window[1:], huge) if shift else (huge, *window[1:])
+    with pytest.raises(ValueError, match="normalized sample of the window overflows float64"):
         forward_samples(session, bad)
+    assert forward_samples(session, window).tobytes() == kept.tobytes()
     assert len(advances) == model.window
-    assert forward_samples(session, a_window()).tobytes() == kept.tobytes()
-    shifted = np.vstack([a_window()[1:], a_window(5)[:1]])
+    shifted = (*window[1:], *a_window(5)[:1])
     got = forward_samples(session, shifted)
     assert len(advances) == model.window + 1   # the kept window shifted by one curve
     assert got.tobytes() == fresh_forecast(model, shifted).tobytes()
@@ -947,13 +986,14 @@ def test_model_parameters_share_one_supported_dtype(arrays):
 
 def test_returned_forecast_is_the_callers_to_change(tmp_path, advances):
     session = ForecastSession(load_model(saved_model(tmp_path)))
-    first = forward_samples(session, a_window())
+    window = a_window()
+    first = forward_samples(session, window)
     want = first.tobytes()
     first[:] = -1.0
-    second = forward_samples(session, a_window())
+    second = forward_samples(session, window)
     assert second.tobytes() == want
     second[0] = 5.0
-    assert forward_samples(session, a_window()).tobytes() == want
+    assert forward_samples(session, window).tobytes() == want
     assert len(advances) == session.model.window
 
 
@@ -1019,38 +1059,50 @@ def test_interrupted_forecast_leaves_a_session_that_forecasts_the_bytes_of_a_fre
         assert len(calls) > k and got == want, k
 
 
-def one_window_recurrence(model, x):
+def one_window_recurrence(model, curves):
     """The forecast of the recurrence that training runs, over one window."""
-    normed = model.normalize(x).astype(model.w_x.dtype)
+    normed = model.normalize(np.stack([c.samples for c in curves])).astype(model.w_x.dtype)
     y, _ = _forward_seq(model.params(), normed, model.window)
     return model.denormalize(y[0].astype(np.float64))
 
 
-def next_window(x, move, rng):
-    """``x`` after one of ``MOVES``; rows come from ``rng`` and hold exact zeros."""
-    def rows(n):
-        new = rng.normal(scale=3.0, size=(n, x.shape[1]))
-        new[rng.random(new.shape) < 0.2] = 0.0
-        return new
+def next_window(curves, move, rng):
+    """The window of ``curves`` after one of ``MOVES``.
 
-    x = x.copy()
+    New curves get samples from ``rng`` that hold exact zeros; an edit puts a
+    new curve in place of the one it edits.
+    """
+    def new(n):
+        rows = np.abs(rng.normal(scale=3.0, size=(n, len(curves[0]))))
+        rows[rng.random(rows.shape) < 0.2] = 0.0
+        return as_curves(rows)
+
+    def edited(at, edit):
+        samples = curves[at].samples.copy()
+        edit(samples)
+        return tuple(PowerCurve(samples, 0, 0.0) if c is curves[at] else c for c in curves)
+
     if move == "shift":
-        x = np.vstack([x, rows(1)])[1:]
-    elif move == "shift-by-two":
-        x = np.vstack([x, rows(2)])[2:]
-    elif move == "jump":
-        x = rows(len(x))
-    elif move in ("ulp-newest", "ulp-oldest"):
-        at = (-1 if move == "ulp-newest" else 0, rng.integers(x.shape[1]))
-        x[at] = np.nextafter(x[at], np.inf)
-    elif move == "negative-zero":
-        zeros = np.argwhere(x == 0.0)
-        if len(zeros):
-            x[tuple(zeros[rng.integers(len(zeros))])] = -0.0
-    return x
+        return (*curves[1:], *new(1))
+    if move == "shift-by-two":
+        return (*curves, *new(2))[2:]
+    if move == "jump":
+        return new(len(curves))
+    if move == "copy":
+        return tuple(PowerCurve(c.samples, c.op_index, c.timestamp) for c in curves)
+    if move in ("ulp-newest", "ulp-oldest"):
+        k = rng.integers(len(curves[0]))
+        return edited(-1 if move == "ulp-newest" else 0,
+                      lambda x: x.__setitem__(k, np.nextafter(x[k], np.inf)))
+    if move == "negative-zero":
+        zeros = np.argwhere(np.stack([c.samples for c in curves]) == 0.0)
+        at, k = zeros[rng.integers(len(zeros))] if len(zeros) else (0, 0)
+        return edited(at, lambda x: x.__setitem__(k, -0.0 if x[k] == 0.0 else x[k]))
+    return curves   # a repeat
 
 
-MOVES = ("shift", "repeat", "shift-by-two", "jump", "ulp-newest", "ulp-oldest", "negative-zero")
+MOVES = ("shift", "repeat", "shift-by-two", "jump", "copy", "ulp-newest", "ulp-oldest",
+         "negative-zero")
 
 
 @settings(max_examples=60, deadline=None)
@@ -1061,7 +1113,8 @@ def test_forecast_never_depends_on_the_calls_before_it(tmp_path_factory, dtype, 
                                                        hidden, window, gain, seed, moves):
     """One session driven through any sequence of windows forecasts, byte
     for byte, what a fresh session on a model freshly read from its weights
-    file forecasts."""
+    file forecasts; it advances not at all on the same curves, once on the
+    latest ones shifted by one, and w times on any other window."""
     rng = np.random.default_rng(seed)
     model = small_model(length, hidden, window, seed=seed % 1000, dtype=dtype)
     # at a gain of 60 some gates saturate and exp() overflows
@@ -1072,12 +1125,16 @@ def test_forecast_never_depends_on_the_calls_before_it(tmp_path_factory, dtype, 
     save_model(model, path)
     model = load_model(path)
     session = ForecastSession(model)
-    x = np.zeros((window, length))
-    for move in ("jump", *moves):
-        x = next_window(x, move, rng)
-        got = forward_samples(session, x).tobytes()
-        assert got == fresh_forecast(load_model(path), x).tobytes(), move
-        assert got == one_window_recurrence(model, x).tobytes(), move
+    curves = as_curves(np.zeros((window, length)))
+    with pytest.MonkeyPatch.context() as patch:
+        advances = count_advances(patch)
+        for move in ("jump", *moves):
+            curves = next_window(curves, move, rng)
+            got = forward_samples(session, curves).tobytes()
+            assert advances.count(session) == {"repeat": 0, "shift": 1}.get(move, window), move
+            advances.clear()
+            assert got == fresh_forecast(load_model(path), curves).tobytes(), move
+            assert got == one_window_recurrence(model, curves).tobytes(), move
 
 
 @pytest.fixture(scope="module", params=DTYPES)
@@ -1088,8 +1145,7 @@ def benchmark_model(request, tmp_path_factory):
                      TrainConfig(hidden=64, epochs=2, seed=5, dtype=request.param))
     path = tmp_path_factory.mktemp("benchmark") / "model.json"
     save_model(model, path)
-    curves = np.stack([lc.curve.samples for lc in corpus])
-    return path, curves
+    return path, [lc.curve for lc in corpus]
 
 
 @pytest.mark.parametrize("starts", [
@@ -1119,8 +1175,7 @@ def test_calibration_equals_one_that_starts_a_fresh_session_for_every_pair(
         benchmark_model, monkeypatch, tmp_path):
     path, curves = benchmark_model
     model = load_model(path)
-    pairs = make_dataset([PowerCurve(c, op_index=k, timestamp=float(k))
-                          for k, c in enumerate(curves[150:230])], 50)
+    pairs = make_dataset(curves[150:230], 50)
 
     def thresholds_file(name):
         out = tmp_path / name

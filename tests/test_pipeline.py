@@ -209,13 +209,14 @@ def test_wrong_length_curve_is_rejected(constant_world):
 def test_a_field_curve_whose_distances_overflow_is_refused(constant_world):
     """Its report could hold no finite distance, so the step refuses the op."""
     pipe = fresh_pipeline(constant_world)
-    before = pipe.window.as_matrix()
+    before = pipe.window.curves
     samples = field_curve(constant_world, 50).curve.samples.copy()
     samples[7] = 1e308
     huge = PowerCurve(samples, op_index=50, timestamp=2_000_000_050.0)
     with pytest.raises(ValueError, match="^field op 50: the distances overflow"):
         pipe.step(huge)
-    assert pipe.reports == [] and np.array_equal(pipe.window.as_matrix(), before)
+    assert pipe.reports == []
+    assert all(a is b for a, b in zip(pipe.window.curves, before, strict=True))
     assert pipe.step(field_curve(constant_world, 51)).verdict.kind is VerdictKind.VALIDATED
 
 
@@ -308,7 +309,7 @@ def test_a_frozen_window_is_forecast_as_one_curve(attacked_world, monkeypatch):
     history, stream = corpus[:100], corpus[100:]
 
     def fresh_forward(session, window):
-        samples = np.clip(forecaster.forward_samples(session, window.as_matrix()), 0.0, None)
+        samples = np.clip(forecaster.forward_samples(session, window.curves), 0.0, None)
         return PowerCurve(samples, window.last.op_index + 1,
                           window.last.timestamp + OP_PERIOD_S)
 
@@ -324,7 +325,7 @@ def test_a_frozen_window_is_forecast_as_one_curve(attacked_world, monkeypatch):
     predictions = []
     for lc in stream:
         pipe.step(lc)
-        predictions.append(pipe.last_prediction)
+        predictions.append(pipe.session.curve)
     assert [json.dumps(r.to_dict()) for r in pipe.reports] == \
         [json.dumps(r.to_dict()) for r in fresh]
 
@@ -374,7 +375,7 @@ def test_report_records_have_no_instance_dict(attacked_world):
     model, thresholds, reference, corpus = attacked_world
     pipe = Pipeline(model, thresholds, reference).bootstrap(corpus[:100])
     report = pipe.step(corpus[100])
-    outcome = validate(corpus[100].curve, pipe.last_prediction, thresholds)
+    outcome = validate(corpus[100].curve, pipe.session.curve, thresholds)
     for record in (report, report.distances, report.verdict, outcome):
         assert not hasattr(record, "__dict__"), type(record).__name__
 
