@@ -17,6 +17,8 @@ import csv
 import dataclasses
 import hashlib
 import sys
+from collections import deque
+from itertools import chain
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -299,31 +301,6 @@ def cmd_inject(args, cfg) -> int:
     return EXIT_OK
 
 
-def _summarize(reports) -> dict:
-    by_kind = {k.value: 0 for k in VerdictKind}
-    reasons: dict[str, int] = {}
-    suspicious_ops = []
-    for r in reports:
-        by_kind[r.verdict.kind.value] += 1
-        reasons[r.verdict.reason_code] = reasons.get(r.verdict.reason_code, 0) + 1
-        if r.verdict.kind is VerdictKind.SUSPICIOUS:
-            suspicious_ops.append(r.op_index)
-    summary = {
-        "operations": len(reports),
-        "validated": by_kind["validated"],
-        "suspicious": by_kind["suspicious"],
-        "no_suspicion": by_kind["no_suspicion"],
-        "escalated": by_kind["escalate_to_expert"],
-        "alerts": sum(1 for r in reports if r.alert),
-        "validation_rate": by_kind["validated"] / len(reports) if reports else None,
-        "reasons": dict(sorted(reasons.items())),
-        "suspicious_ops": suspicious_ops,
-    }
-    if reports and all(r.tampered is not None for r in reports):
-        summary.update(investigator.score_run(reports))
-    return summary
-
-
 def _print_summary(summary: dict):
     print(
         f"operations: {summary['operations']}  validated: {summary['validated']}"
@@ -349,11 +326,9 @@ def cmd_run(args, cfg) -> int:
     if "start" not in options:
         raise UsageError("--start (first field op index) is required for run")
     start = options.pop("start")
-    corpus = dataio.read_corpus(_require_file(args.corpus, "generate or inject a corpus first"))
+    corpus = dataio.iter_corpus(_require_file(args.corpus, "generate or inject a corpus first"))
     model = forecaster.load_model(_require_file(args.model, "train a model first"))
-    thresholds, ref_dict = comparator.load_thresholds(
-        _require_file(args.thresholds, "calibrate first")
-    )
+    thresholds, ref_dict = comparator.load_thresholds(_require_file(args.thresholds, "calibrate first"))
     reference = classifier.ClassifierReference.from_dict(ref_dict)
     expected = thresholds.calibration.get("model_sha256")
     if expected is None:
@@ -365,19 +340,21 @@ def cmd_run(args, cfg) -> int:
             f"{digest}, the thresholds file records {expected}"
         )
 
-    cut = next((k for k, lc in enumerate(corpus) if lc.curve.op_index >= start), None)
-    if cut is None:
+    # the corpus is read as it is stepped; only the history bootstrap uses is kept
+    history = deque(maxlen=model.window)
+    for first in corpus:
+        if first.curve.op_index >= start:
+            break
+        history.append(first)
+    else:
         raise UsageError(f"no operation with op_index >= {start} in the corpus")
-    history, stream = corpus[:cut], corpus[cut:]
-
-    config = PipelineConfig(**options)
-    pipe = Pipeline(model, thresholds, reference, config).bootstrap(history)
+    pipe = Pipeline(model, thresholds, reference, PipelineConfig(**options)).bootstrap(history)
 
     plot_dir = Path(args.plot_dir) if args.plot_dir else None
     if plot_dir:
         plot_dir.mkdir(parents=True, exist_ok=True)
     plotted = 0
-    for lc in stream:
+    for lc in chain([first], corpus):
         report = pipe.step(lc)
         wanted = args.plot_all or report.verdict.kind is not VerdictKind.VALIDATED
         if plot_dir is not None and wanted and plotted < args.plot_limit:
@@ -386,7 +363,7 @@ def cmd_run(args, cfg) -> int:
 
     out = args.out or "reports.ndjson"
     investigator.write_reports(out, pipe.reports)
-    summary = _summarize(pipe.reports)
+    summary = investigator.summarize(pipe.reports)
     _print_summary(summary)
     print(f"wrote {len(pipe.reports)} reports to {out}")
     if args.summary_out:
@@ -407,10 +384,8 @@ def _write_plot(plot_dir: Path, report, predicted, lc):
 
 
 def cmd_report(args, cfg) -> int:
-    reports = []
-    for path in args.reports:
-        reports.extend(investigator.read_reports(_require_file(path, "run the pipeline first")))
-    summary = _summarize(reports)
+    summary = investigator.summarize(r for path in args.reports for r in investigator.read_reports(
+        _require_file(path, "run the pipeline first")))
     _print_summary(summary)
     if args.out:
         dataio.write_json(args.out, summary)

@@ -231,9 +231,9 @@ def write_ndjson(path, records):
 class CurveWindow:
     """FIFO buffer of the most recent curves, oldest first.
 
-    Holds exactly ``size`` curves of one length once constructed; pushing a
-    new curve discards the oldest one.  ValueError for no curves, or for a
-    curve whose length is not the window's.
+    Holds as many curves, all of one length, as it was constructed with;
+    pushing a new curve discards the oldest one.  ValueError for no curves,
+    or for a curve whose length is not the window's.
     """
 
     def __init__(self, curves):
@@ -251,10 +251,6 @@ class CurveWindow:
                              f"the window's curves have {length}")
 
     @property
-    def size(self) -> int:
-        return self._buf.maxlen
-
-    @property
     def curves(self) -> list[PowerCurve]:
         return list(self._buf)
 
@@ -265,12 +261,6 @@ class CurveWindow:
     def push(self, curve: PowerCurve):
         self._check_length(curve, len(self._buf[0]))
         self._buf.append(curve)
-
-    def __len__(self):
-        return len(self._buf)
-
-    def __iter__(self):
-        return iter(self._buf)
 
 
 @dataclass(frozen=True)
@@ -368,19 +358,25 @@ def write_corpus(path, corpus: list[LabeledCurve]):
     write_ndjson(path, map(_record, corpus))
 
 
+def iter_corpus(path):
+    """Each record of an NDJSON corpus as it is read; FormatError names the
+    first line that fails, once the records before it are yielded."""
+    previous = None
+    for n, lc in read_ndjson(path, "corpus", _parse_record):
+        if previous and len(lc.curve) != len(previous.curve):
+            raise FormatError(f"line {n}: curve has {len(lc.curve)} samples, "
+                              f"corpus uses {len(previous.curve)}")
+        if previous and lc.curve.op_index <= previous.curve.op_index:
+            raise FormatError(f"line {n}: op_index must strictly increase")
+        if previous and lc.curve.timestamp <= previous.curve.timestamp:
+            raise FormatError(f"line {n}: timestamps must strictly increase")
+        previous = lc
+        yield lc
+
+
 def read_corpus(path) -> list[LabeledCurve]:
     """Parse an NDJSON corpus; FormatError names the offending line."""
-    corpus: list[LabeledCurve] = []
-    for n, lc in read_ndjson(path, "corpus", _parse_record):
-        if corpus and len(lc.curve) != len(corpus[0].curve):
-            raise FormatError(f"line {n}: curve has {len(lc.curve)} samples, "
-                              f"corpus uses {len(corpus[0].curve)}")
-        if corpus and lc.curve.op_index <= corpus[-1].curve.op_index:
-            raise FormatError(f"line {n}: op_index must strictly increase")
-        if corpus and lc.curve.timestamp <= corpus[-1].curve.timestamp:
-            raise FormatError(f"line {n}: timestamps must strictly increase")
-        corpus.append(lc)
-    return corpus
+    return list(iter_corpus(path))
 
 
 def _parse_record(rec) -> LabeledCurve:

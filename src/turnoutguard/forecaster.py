@@ -708,7 +708,7 @@ def load_model(path) -> ForecastModel:
     dataio.FormatError naming the key of any value it would not write: a
     wrong JSON type, a non-finite number, a count below 1, a digest that is
     not 64 lowercase hex digits, a block of another shape or a normalization
-    scale other than 1.0 at or below ``_SCALE_RTOL * max(|mean|, 1)``.
+    mean or scale that ``train`` never writes.
     """
     return read_document(path, "weights file", MODEL_FORMAT_VERSION, _model)
 
@@ -759,11 +759,16 @@ def _model(doc: dict) -> ForecastModel:
         window=window,
         meta=meta,
     )
+    k = int(np.argmax(model.norm_mean < 0.0))   # train means samples, never negative
+    if model.norm_mean[k] < 0.0:
+        raise ValueError(f"normalization.mean holds {float(model.norm_mean[k])!r} at position "
+                         f"{k}, a negative mean, which train never writes")
     # train writes the spread where it is above this floor, and 1.0 elsewhere
-    floor = _SCALE_RTOL * np.maximum(np.abs(model.norm_mean), 1.0)
+    floor = _SCALE_RTOL * np.maximum(model.norm_mean, 1.0)
     low = (model.norm_scale <= floor) & (model.norm_scale != 1.0)
     if low.any():
         k = int(np.argmax(low))
         raise ValueError(f"normalization.scale holds {float(model.norm_scale[k])!r} at position "
-                         f"{k}, at or below {float(floor[k])!r}, which train never writes")
+                         f"{k}, at or below {float(floor[k])!r}, set by normalization.mean "
+                         f"{float(model.norm_mean[k])!r} there, which train never writes")
     return model

@@ -14,6 +14,7 @@ streams are scriptable; see the README for the code table.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -205,26 +206,48 @@ def read_reports(path) -> list[InvestigationReport]:
     return [r for _, r in read_ndjson(path, "reports file", InvestigationReport.from_dict)]
 
 
-def score_run(reports: list[InvestigationReport]) -> dict:
-    """Detection / false-alarm / escalation rates against ground truth.
-
-    Requires every report to carry a tamper flag.  Rates with an empty
-    denominator come back as None.
-    """
-    if any(r.tampered is None for r in reports):
-        raise ValueError("reports lack ground-truth tamper flags")
-    tampered = [r for r in reports if r.tampered]
-    clean = [r for r in reports if not r.tampered]
-    suspicious = lambda r: r.verdict.kind is VerdictKind.SUSPICIOUS  # noqa: E731
-    escalated = sum(1 for r in reports if r.verdict.kind is VerdictKind.ESCALATE_TO_EXPERT)
-    return {
-        "operations": len(reports),
-        "tampered": len(tampered),
-        "detection_rate": (
-            sum(1 for r in tampered if suspicious(r)) / len(tampered) if tampered else None
-        ),
-        "false_alarm_rate": (
-            sum(1 for r in clean if suspicious(r)) / len(clean) if clean else None
-        ),
-        "escalation_rate": escalated / len(reports) if reports else None,
+def summarize(reports) -> dict:
+    """The summary of an iterable of reports, folded in one pass: counts by
+    verdict kind and reason, the suspicious ops and the validation rate, then,
+    if there are reports and each carries a tamper flag, ``score_run``'s."""
+    kinds, reasons, flagged, flagged_suspicious = Counter(), Counter(), Counter(), Counter()
+    suspicious_ops, alerts = [], 0
+    for r in reports:
+        kinds[r.verdict.kind] += 1
+        reasons[r.verdict.reason_code] += 1
+        flagged[r.tampered] += 1
+        alerts += bool(r.alert)
+        if r.verdict.kind is VerdictKind.SUSPICIOUS:
+            flagged_suspicious[r.tampered] += 1
+            suspicious_ops.append(r.op_index)
+    n = kinds.total()
+    summary = {
+        "operations": n,
+        "validated": kinds[VerdictKind.VALIDATED],
+        "suspicious": kinds[VerdictKind.SUSPICIOUS],
+        "no_suspicion": kinds[VerdictKind.NO_SUSPICION],
+        "escalated": kinds[VerdictKind.ESCALATE_TO_EXPERT],
+        "alerts": alerts,
+        "validation_rate": kinds[VerdictKind.VALIDATED] / n if n else None,
+        "reasons": dict(sorted(reasons.items())),
+        "suspicious_ops": suspicious_ops,
     }
+    if n and not flagged[None]:
+        summary |= {
+            "tampered": flagged[True],
+            "detection_rate": flagged_suspicious[True] / flagged[True] if flagged[True] else None,
+            "false_alarm_rate": flagged_suspicious[False] / flagged[False] if flagged[False] else None,
+            "escalation_rate": summary["escalated"] / n,
+        }
+    return summary
+
+
+def score_run(reports) -> dict:
+    """Detection / false-alarm / escalation rates against ground truth, None
+    where their denominator is 0; ValueError for a report without a tamper flag."""
+    summary = summarize(reports)
+    if summary["operations"] and "tampered" not in summary:
+        raise ValueError("reports lack ground-truth tamper flags")
+    rates = ("detection_rate", "false_alarm_rate", "escalation_rate")
+    return {"operations": summary["operations"], "tampered": summary.get("tampered", 0),
+            **{key: summary.get(key) for key in rates}}

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -16,12 +17,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from turnoutguard import dataio
-from turnoutguard.cli import (SECTIONS, UsageError, _generator_config, _load_config, _options,
-                              _summarize, main)
+from turnoutguard.cli import SECTIONS, UsageError, _generator_config, _load_config, _options, main
 from turnoutguard.comparator import load_thresholds
 from turnoutguard.curvegen import BaseShape, CurveKind, GeneratorConfig, Phase
 from turnoutguard.forecaster import TrainConfig, load_model, save_model, train
-from turnoutguard.investigator import read_reports
+from turnoutguard.investigator import read_reports, summarize
 
 WINDOW = 10
 
@@ -83,7 +83,7 @@ def test_clean_run_exits_zero(workdir, capsys):
     ])
     assert rc == 0
     summary = dataio.read_json(root / "summary_clean.json", "summary")
-    assert summary == _summarize(read_reports(root / "reports_clean.ndjson"))
+    assert summary == summarize(read_reports(root / "reports_clean.ndjson"))
     assert summary["operations"] == 40
     assert summary["suspicious"] == 0
     out = capsys.readouterr().out
@@ -110,7 +110,7 @@ def test_replay_attack_run_exits_one_and_lists_ops(workdir, capsys):
     ])
     assert rc == 1
     summary = dataio.read_json(root / "summary_attack.json", "summary")
-    assert summary == _summarize(read_reports(root / "reports_attack.ndjson"))
+    assert summary == summarize(read_reports(root / "reports_attack.ndjson"))
     assert summary["suspicious"] > 0
     assert 210 in summary["suspicious_ops"]
     assert summary["detection_rate"] > 0.5
@@ -132,8 +132,8 @@ def test_report_command_aggregates(workdir, capsys):
     ])
     assert rc == 1   # the attack reports carry suspicion
     agg = dataio.read_json(root / "aggregate.json", "summary")
-    assert agg == _summarize([*read_reports(root / "reports_clean.ndjson"),
-                              *read_reports(root / "reports_attack.ndjson")])
+    assert agg == summarize([*read_reports(root / "reports_clean.ndjson"),
+                             *read_reports(root / "reports_attack.ndjson")])
     assert agg["operations"] == 80
     rc = main(["report", str(root / "reports_clean.ndjson")])
     assert rc == 0
@@ -238,6 +238,60 @@ def test_malformed_corpus_is_an_io_error(workdir, tmp_path, capsys):
     ])
     assert rc == 3
     assert "line 1" in capsys.readouterr().err
+
+
+def test_a_corrupt_first_field_line_writes_neither_reports_nor_summary(workdir, tmp_path, capsys):
+    """run reads its corpus as it steps it; the line of op 200, the first at
+    --start, fails before any report or summary is written."""
+    root, cfg = workdir
+    lines = (root / "corpus.ndjson").read_text().splitlines(keepends=True)
+    assert json.loads(lines[200])["op_index"] == 200
+    bad = tmp_path / "corpus.ndjson"
+    bad.write_text("".join(lines[:200]) + "{broken\n" + "".join(lines[201:]))
+    out, summary = tmp_path / "reports.ndjson", tmp_path / "summary.json"
+    argv = _argv("run", root, cfg, out) + ["--corpus", str(bad), "--summary-out", str(summary)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("error: line 201: not a valid corpus: ")
+    assert list(tmp_path.iterdir()) == [bad]
+
+
+@pytest.fixture(scope="module")
+def streams(tmp_path_factory):
+    """A tiny model and two corpora of 300 and 1,200 field ops after --start 10."""
+    root = tmp_path_factory.mktemp("streams")
+    long, short = root / "long.ndjson", root / "short.ndjson"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["generate", "--length", "40", "--operations", "1210", "--seed", "3",
+                     "--out", str(long)]) == 0
+        short.write_text("".join(long.read_text().splitlines(keepends=True)[:310]))
+        assert main(["train", "--corpus", str(short), "--window", "10", "--hidden", "8",
+                     "--epochs", "2", "--out", str(root / "model.json")]) == 0
+        assert main(["calibrate", "--corpus", str(short), "--model", str(root / "model.json"),
+                     "--out", str(root / "thresholds.json")]) == 0
+    return root
+
+
+def _run_peak(root, corpus, tmp_path) -> int:
+    """The peak of the memory Python traces during one ``run`` of ``corpus``."""
+    argv = ["run", "--corpus", str(root / corpus), "--model", str(root / "model.json"),
+            "--thresholds", str(root / "thresholds.json"), "--start", "10",
+            "--out", str(tmp_path / "r.ndjson"), "--summary-out", str(tmp_path / "s.json")]
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) in (0, 1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_holds_its_window_not_its_corpus(streams, tmp_path):
+    """Each field op a run reads leaves its report and no curve.  About 240 B
+    an op stay; holding the corpus kept about 1,160 B an op (length 40)."""
+    _run_peak(streams, "short.ndjson", tmp_path)   # pays for lazy imports and caches once
+    short = _run_peak(streams, "short.ndjson", tmp_path)
+    long = _run_peak(streams, "long.ndjson", tmp_path)
+    assert (long - short) / 900 < 500
 
 
 def test_generate_is_deterministic(tmp_path):
@@ -893,6 +947,25 @@ def test_calibrate_refuses_a_weights_layout_training_never_writes(
     assert main(_reading_argv("weights", root, cfg, bad, tmp_path / "t.json")) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "t.json").exists()
+
+
+@pytest.mark.parametrize("scale", [1.0, 12.4], ids=["unit-scale", "spread-scale"])
+def test_calibrate_refuses_a_negative_normalization_mean(workdir, tmp_path, capsys, scale):
+    """train means samples, which are never negative.  Such a float32 model
+    used to load at the unit scale and fail at the first forecast, exit 2
+    naming no key; at another scale the scale floor blamed the scale."""
+    root, cfg = workdir
+    doc = json.loads((root / "model.json").read_text())
+    assert doc["hyper"]["dtype"] == "float32"
+    doc["normalization"]["mean"][19] = -1e308
+    doc["normalization"]["scale"][19] = scale
+    bad = tmp_path / "m.json"
+    bad.write_text(json.dumps(doc))
+    assert main(_reading_argv("weights", root, cfg, bad, tmp_path / "t.json")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed weights file: normalization.mean holds -1e+308 at "
+                          "position 19, a negative mean, which train never writes")
     assert not (tmp_path / "t.json").exists()
 
 

@@ -111,13 +111,12 @@ def test_split_rejects_degenerate_fraction():
 def test_window_push_is_fifo():
     cs = curves(6)
     window = CurveWindow(cs[:4])
-    assert window.size == 4
     window.push(cs[4])
-    assert len(window) == 4
+    assert len(window.curves) == 4
     assert window.last is cs[4]
     assert window.curves[0] is cs[1]
     window.push(cs[5])
-    assert [c.op_index for c in window] == [2, 3, 4, 5]
+    assert [c.op_index for c in window.curves] == [2, 3, 4, 5]
 
 
 def test_window_refuses_curves_of_another_length():
@@ -129,7 +128,7 @@ def test_window_refuses_curves_of_another_length():
     with pytest.raises(ValueError, match="curve op 7 has 3 samples, the window's curves have 4"):
         window.push(short)
     # the refused push leaves the window as it was
-    assert [c.op_index for c in window] == [0, 1, 2]
+    assert [c.op_index for c in window.curves] == [0, 1, 2]
     assert all(a is b for a, b in zip(window.curves, cs, strict=True))
 
 
@@ -149,7 +148,7 @@ def test_window_curves_follow_the_pushes(size):
     window = CurveWindow(cs[:size])
     for k, curve in enumerate(cs[size:], start=1):
         window.push(curve)
-        assert [c.op_index for c in window] == list(range(k, k + size))
+        assert [c.op_index for c in window.curves] == list(range(k, k + size))
         assert all(a is b for a, b in zip(window.curves, cs[k:k + size], strict=True))
 
 

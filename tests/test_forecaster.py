@@ -824,7 +824,7 @@ def test_weight_beyond_the_float32_range_fails_cleanly(tmp_path):
 
 @pytest.mark.parametrize("mean, scale, refused", [
     (0.0, 5e-324, True), (0.0, 1e-9, True), (0.0, 1.5e-9, False),
-    (-1e12, 1e3, True), (-1e12, 1.0, False), (-1e12, 2e3, False),
+    (1e12, 1e3, True), (1e12, 1.0, False), (1e12, 2e3, False),
 ], ids=["subnormal", "at-the-floor", "above-the-floor", "below-a-large-mean",
         "unit-fallback", "above-a-large-mean"])
 def test_a_normalization_scale_train_never_writes_fails_cleanly(tmp_path, mean, scale, refused):
@@ -835,7 +835,8 @@ def test_a_normalization_scale_train_never_writes_fails_cleanly(tmp_path, mean, 
                                    norm_scale=np.array([1.0, 1.0, scale, 1.0])), path)
     if refused:
         with pytest.raises(FormatError, match=rf"normalization\.scale holds {scale!r} at "
-                                              r"position 2, at or below .*, which train never"):
+                                              rf"position 2, at or below .*, set by normalization"
+                                              rf"\.mean {mean!r} there, which train never writes"):
             load_model(path)
     else:
         assert load_model(path).norm_scale[2] == scale
@@ -879,7 +880,7 @@ def advances(monkeypatch):
 def saved_model(tmp_path, dtype="float64"):
     """A random model with normalization, written to and read back from a file."""
     model = small_model(6, 3, 4, seed=2, dtype=dtype)
-    model = dataclasses.replace(model, norm_mean=np.linspace(-1.0, 2.0, 6),
+    model = dataclasses.replace(model, norm_mean=np.linspace(0.0, 3.0, 6),
                                 norm_scale=np.linspace(0.5, 3.0, 6))
     path = tmp_path / "model.json"
     save_model(model, path)
@@ -1119,7 +1120,7 @@ def test_forecast_never_depends_on_the_calls_before_it(tmp_path_factory, dtype, 
     model = small_model(length, hidden, window, seed=seed % 1000, dtype=dtype)
     # at a gain of 60 some gates saturate and exp() overflows
     model = dataclasses.replace(model, w_x=model.w_x * gain, w_h=model.w_h * gain,
-                                norm_mean=rng.normal(size=length),
+                                norm_mean=np.abs(rng.normal(size=length)),
                                 norm_scale=rng.uniform(0.5, 2.0, size=length))
     path = tmp_path_factory.mktemp("model") / "model.json"
     save_model(model, path)

@@ -20,6 +20,7 @@ from turnoutguard.investigator import (
     investigate,
     read_reports,
     score_run,
+    summarize,
     window_shows_progression,
     write_reports,
 )
@@ -57,9 +58,9 @@ def test_progression_detector(setup):
 def kinds(setup):
     """Generated curves of each kind, as the classifier reads them."""
     reference, early_window, progressing_window = setup
-    healthy = [c for c in early_window
+    healthy = [c for c in early_window.curves
                if classify(c, reference) is CurveKind.EARLY_LIFE_NORMAL]
-    progressive = [c for c in progressing_window
+    progressive = [c for c in progressing_window.curves
                    if classify(c, reference) is CurveKind.PROGRESSIVE_PRE_FAULT]
     assert len(healthy) >= 15 and len(progressive) >= 3
     return reference, healthy, progressive
@@ -336,6 +337,54 @@ def test_score_run_requires_ground_truth():
     r = report(0, VerdictKind.VALIDATED, "VALIDATED", None)
     with pytest.raises(ValueError, match="ground-truth"):
         score_run([r])
+
+
+def test_score_run_of_no_reports_has_no_rates():
+    assert score_run([]) == {"operations": 0, "tampered": 0, "detection_rate": None,
+                             "false_alarm_rate": None, "escalation_rate": None}
+
+
+def test_summary_of_an_empty_stream():
+    assert summarize(iter([])) == {
+        "operations": 0, "validated": 0, "suspicious": 0, "no_suspicion": 0, "escalated": 0,
+        "alerts": 0, "validation_rate": None, "reasons": {}, "suspicious_ops": [],
+    }
+
+
+def test_summary_folds_a_stream_once_and_scores_it_when_every_report_is_flagged():
+    flags = [False, True, False, True, True, False, True]
+    kinds = [(VerdictKind.VALIDATED, "VALIDATED"),
+             (VerdictKind.SUSPICIOUS, REASON_UNEXPECTED_HEALTHY),
+             (VerdictKind.SUSPICIOUS, REASON_UNHERALDED_PRE_FAULT),
+             (VerdictKind.NO_SUSPICION, REASON_MINOR_ANOMALY),
+             (VerdictKind.ESCALATE_TO_EXPERT, REASON_SUDDEN_FAILURE),
+             (VerdictKind.VALIDATED, "VALIDATED"),
+             (VerdictKind.SUSPICIOUS, REASON_UNEXPECTED_HEALTHY)]
+    reports = [report(k, *kind, flag) for k, (kind, flag) in enumerate(zip(kinds, flags))]
+    reports[6].alert = "5 consecutive non-validated operations"
+    summary = summarize(iter(reports))   # an iterator can be read only once
+    assert summary == {
+        "operations": 7, "validated": 2, "suspicious": 3, "no_suspicion": 1, "escalated": 1,
+        "alerts": 1, "validation_rate": 2 / 7,
+        "reasons": {REASON_UNEXPECTED_HEALTHY: 2, REASON_UNHERALDED_PRE_FAULT: 1,
+                    REASON_MINOR_ANOMALY: 1, REASON_SUDDEN_FAILURE: 1, "VALIDATED": 2},
+        "suspicious_ops": [1, 2, 6],
+        **score_run(reports),
+    }
+    assert list(summary)[-4:] == ["tampered", "detection_rate", "false_alarm_rate",
+                                  "escalation_rate"]
+
+
+@pytest.mark.parametrize("flags", [[None, None], [True, None], [None, False]],
+                         ids=["none-flagged", "last-unflagged", "first-unflagged"])
+def test_summary_without_every_tamper_flag_has_no_rates(flags):
+    reports = [report(k, VerdictKind.SUSPICIOUS, REASON_UNEXPECTED_HEALTHY, flag)
+               for k, flag in enumerate(flags)]
+    summary = summarize(reports)
+    assert (summary["operations"], summary["suspicious"], summary["suspicious_ops"]) == (2, 2, [0, 1])
+    assert not {"tampered", "detection_rate", "false_alarm_rate", "escalation_rate"} & set(summary)
+    with pytest.raises(ValueError, match="ground-truth"):
+        score_run(reports)
 
 
 def test_report_ndjson_round_trip(tmp_path):

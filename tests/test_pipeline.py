@@ -84,9 +84,9 @@ def test_bootstrap_takes_the_last_window(constant_world):
     _, corpus, model, reference, thresholds = constant_world
     pipe = Pipeline(model, thresholds, reference)
     pipe.bootstrap(corpus[:WINDOW])
-    assert [c.op_index for c in pipe.window] == [0, 1, 2, 3, 4]
+    assert [c.op_index for c in pipe.window.curves] == [0, 1, 2, 3, 4]
     pipe.bootstrap(corpus[: WINDOW + 5])
-    assert [c.op_index for c in pipe.window] == [5, 6, 7, 8, 9]
+    assert [c.op_index for c in pipe.window.curves] == [5, 6, 7, 8, 9]
 
 
 def test_bootstrap_twice_resets_state(constant_world):
@@ -95,8 +95,8 @@ def test_bootstrap_twice_resets_state(constant_world):
     pipe.step(lc)
     assert pipe.reports and pipe.window.last is lc.curve
     pipe.bootstrap([lc.curve for lc in constant_world[1][:40]])
-    assert pipe.reports == [] and all(c is not lc.curve for c in pipe.window)
-    assert [c.op_index for c in pipe.window] == [35, 36, 37, 38, 39]
+    assert pipe.reports == [] and all(c is not lc.curve for c in pipe.window.curves)
+    assert [c.op_index for c in pipe.window.curves] == [35, 36, 37, 38, 39]
 
 
 def test_bootstrap_requires_enough_curves(constant_world):
@@ -130,12 +130,12 @@ def test_rejected_curve_leaves_the_window_frozen(constant_world):
     report = pipe.step(lc)
     assert report.verdict.kind is not VerdictKind.VALIDATED
     assert pipe.window.curves == before
-    assert all(c is not lc.curve for c in pipe.window)
+    assert all(c is not lc.curve for c in pipe.window.curves)
 
 
 def test_window_purity_over_a_mixed_run(constant_world):
     pipe = fresh_pipeline(constant_world)
-    bootstrap_ids = {id(c) for c in pipe.window}
+    bootstrap_ids = {id(c) for c in pipe.window.curves}
     stream = [
         field_curve(constant_world, 50),
         field_curve(constant_world, 51, bump=300.0),
@@ -147,7 +147,7 @@ def test_window_purity_over_a_mixed_run(constant_world):
     validated = {r.op_index for r in pipe.reports if r.verdict.kind is VerdictKind.VALIDATED}
     sent = {lc.curve.op_index: lc.curve for lc in stream}
     assert validated
-    for curve in pipe.window:
+    for curve in pipe.window.curves:
         assert id(curve) in bootstrap_ids or (
             sent.get(curve.op_index) is curve and curve.op_index in validated)
 
