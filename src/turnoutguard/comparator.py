@@ -7,12 +7,16 @@ when both fall within thresholds calibrated on held-out test residuals.
 Distances are computed in raw watts, so the thresholds stay meaningful for
 field curves that never pass through the model's normalizer.
 
-The warping distance runs on one exact numpy kernel over the full cost
-matrix: an anti-diagonal wavefront that does the same arithmetic as the
-textbook row-by-row loop, so its results equal the loop's bit for bit.
-Each diagonal is three numpy calls on views that a plan builds once per
-pair of lengths and each thread keeps, and memory stays O(n + m) plus one
-block of cell costs, never the whole matrix.  Nothing is compiled.
+The warping distance runs on one numpy kernel over the full cost matrix:
+two anti-diagonal wavefronts in lockstep, the textbook dynamic program
+from the first cells and from the last, joined at the middle diagonal.
+Each half does the textbook loop's arithmetic bit for bit; the join adds
+a forward and a reverse cost, so the distance is within 2 (n + m) 2**-53
+of the loop's, relative, and symmetric bit for bit.  Each step is three
+numpy calls that cover one diagonal of each half, on views that a plan
+builds once per pair of lengths and each thread keeps, and memory stays
+O(n + m) plus one block of cell costs, never the whole matrix.  Nothing
+is compiled.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .dataio import (Dataset, json_integer, json_number, json_sha256, read_docum
 from .forecaster import ForecastModel, ForecastSession, forward_samples
 
 #: the warping kernel, recorded in run provenance
-DTW_BACKEND = "numpy-wavefront"
+DTW_BACKEND = "numpy-wavefront-joined"
 
 # anti-diagonals whose cell costs one block computes at once; bounds the
 # block's memory to this many rows of the shorter series
@@ -89,15 +93,20 @@ def dtw(a, b) -> float:
     """Warping distance: cheapest alignment path cost with |a_i - b_j| cells.
 
     Admissible moves are (i-1, j), (i, j-1) and (i-1, j-1).  Lengths may
-    differ, and the path may cross the whole cost matrix.  The result equals
-    the row-by-row dynamic program bit for bit.  Time O(len(a)*len(b)) in
-    three numpy calls per anti-diagonal plus two per block of
-    ``_DIAGONALS_PER_BLOCK`` diagonals, each on views planned once for the
-    pair of lengths.  Memory O(len(a) + len(b)) plus one block of
-    ``_DIAGONALS_PER_BLOCK`` rows the length of the shorter series: the
-    plan, with its buffers and views, takes about 0.4 MB for 200 x 200 and
-    3.5 MB for 2,000 x 2,000, where the whole cost matrix would take 32 MB.
-    Each thread keeps its own plan, so threads may warp at once.
+    differ, and the path may cross the whole cost matrix.  The result is
+    the least sum of the row-by-row dynamic program's cost to a cell on the
+    middle anti-diagonals and the same program's cost, on both series
+    reversed, from the next cell of a path to the end: so within
+    2 (len(a) + len(b)) 2**-53 of the row-by-row result, relative, and
+    dtw(a, b) == dtw(b, a) bit for bit.  Time O(len(a)*len(b)) in three
+    numpy calls per pair of anti-diagonals, one from each end, plus two per
+    block of ``_DIAGONALS_PER_BLOCK`` such steps and five for the join,
+    each on views planned once for the pair of lengths.  Memory
+    O(len(a) + len(b)) plus one block of ``_DIAGONALS_PER_BLOCK`` rows
+    twice the length of the shorter series: the plan, with its buffers and
+    views, takes about 0.4 MB for 200 x 200 and 3.6 MB for 2,000 x 2,000,
+    where the whole cost matrix would take 32 MB.  Each thread keeps its
+    own plan, so threads may warp at once.
     """
     xa, xb = _samples(a), _samples(b)
     if xa.size == 0 or xb.size == 0:
@@ -112,7 +121,13 @@ def dtw(a, b) -> float:
 class _Plan:
     """Buffers, and every view ``_dtw_cost`` computes on, for lengths n >= m.
 
-    Cell (i, j) of the accumulated cost D, row i of ``short`` and column j
+    Two problems share each buffer along a trailing axis of 2: column 0 is
+    the forward DP on (long, short), column 1 the same DP on the reversed
+    series, whose cell (i, j) is cell (m + 1 - i, n + 1 - j) of the first.
+    Both run over anti-diagonals k = 2, 3, ... at once, so a diagonal's
+    views are contiguous (count, 2) blocks and its three calls cover both.
+
+    Cell (i, j) of an accumulated cost D, row i of ``short`` and column j
     of ``long``, lies on anti-diagonal k = i + j and on line d = i - j, and
     d has the parity of k.  ``lines[k % 2]`` holds one slot per line of
     that parity, slot (d + n) // 2, so the cells of a diagonal are
@@ -124,42 +139,79 @@ class _Plan:
     its cells, rows max(1, k - n) to min(m, k - 1), so no slot off the
     matrix is read.
 
+    The forward sweep stops at the middle diagonal K = (n + m) // 2 + 1
+    and the reverse one at n + m + 1 - K, the mirror of K + 1, so the
+    forward sweep runs one diagonal more, on column 0 alone, when n + m
+    is even.  Each then still holds its last two diagonals, and ``join``
+    pairs them: every path crosses from diagonal K or K - 1 to K + 1 or
+    K + 2 by one move, (1, 0), (0, 1) or (1, 1) from a cell X on K, or
+    (1, 1) from X on K - 1, and the distance is the least forward cost at
+    X plus reverse cost at the move's end Y.  The reverse views run
+    backwards, since mirroring reverses a diagonal.  A Y one past the last
+    row or column is a border cell of the reverse sweep: inf, or its
+    D[0, 0] = 0 when X is cell (m, n), which only a 1 x 1 pair joins at.
+
     The cell costs of a block of diagonals come from one subtraction over
-    the rectangle of rows the block spans.  ``padded`` holds ``long``
-    reversed after m slots of inf, so with the block's diagonals in
-    descending k a sliding view of it reads long[k - i - 1] with positive
-    strides.  Rectangle cells off the matrix cost inf and are never read.
+    the rectangle of rows the block spans.  ``padded`` holds each problem's
+    long series reversed after m slots of inf, so with the block's
+    diagonals in descending k a sliding view of it reads long[k - i - 1]
+    with positive strides.  Rectangle cells off the matrix cost inf and
+    are never read.
     """
 
     def __init__(self, n: int, m: int, per_block: int):
         self.key = (n, m, per_block)
-        self.lines = np.empty((2, (n + m) // 2 + 1))
-        self.short = np.empty(m)
-        self.padded = np.full(n + 2 * m, np.inf)
-        costs = np.empty((per_block, m))
+        self.lines = np.empty((2, (n + m) // 2 + 1, 2))
+        self.short = np.empty((m, 2))
+        self.padded = np.full((n + 2 * m, 2), np.inf)
+        costs = np.empty((per_block, m, 2))
+        last_k, reverse_k = (n + m) // 2 + 1, (n + m + 1) // 2   # K and n + m + 1 - K
 
         def cells(buf, d, count):   # slots of lines d, d + 2, ... of one parity
             return buf[(d + n) // 2:(d + n) // 2 + count]
 
+        def rows(k):   # first row and cell count of diagonal k
+            lo = max(1, k - n)
+            return lo, min(m, k - 1) - lo + 1
+
         # per block: (the subtraction's operands, its out, the diagonals'
         # (out, up, left, cost, (out,)) in ascending k)
         self.blocks = []
-        for k0 in range(2, n + m + 1, per_block):
-            k1 = min(k0 + per_block - 1, n + m)
+        for k0 in range(2, last_k + 1, per_block):
+            k1 = min(k0 + per_block - 1, last_k)
             first, last = max(1, k0 - n), min(m, k1 - 1)
             block = costs[:k1 - k0 + 1, :last - first + 1]
             # row r is diagonal k1 - r: long[k - i - 1] = padded[m + n - k + i]
-            windows = sliding_window_view(self.padded, last - first + 1)
-            operands = (self.short[first - 1:last], windows[m + n - k1 + first:][:k1 - k0 + 1])
+            windows = sliding_window_view(self.padded, last - first + 1, axis=0)
+            operands = (self.short[first - 1:last],
+                        windows[m + n - k1 + first:][:k1 - k0 + 1].transpose(0, 2, 1))
             diagonals = []
             for k in range(k0, k1 + 1):
-                lo, hi = max(1, k - n), min(m, k - 1)
+                lo, count = rows(k)
                 own, other = self.lines[k % 2], self.lines[1 - k % 2]
-                d, count = 2 * lo - k, hi - lo + 1   # the line of the first cell
-                out = cells(own, d, count)
-                diagonals.append((out, cells(other, d - 1, count), cells(other, d + 1, count),
-                                  block[k1 - k, lo - first:hi + 1 - first], (out,)))
+                d = 2 * lo - k   # the line of the first cell
+                views = (cells(own, d, count), cells(other, d - 1, count),
+                         cells(other, d + 1, count), block[k1 - k, lo - first:lo - first + count])
+                if k > reverse_k:   # the forward sweep's one extra diagonal
+                    views = tuple(v[:, 0] for v in views)
+                diagonals.append((*views, (views[0],)))
             self.blocks.append((operands, (block,), diagonals))
+
+        # per crossing move: (forward costs at X, reverse costs at Y, out)
+        moves = ((last_k, 1, 0), (last_k, 0, 1), (last_k, 1, 1), (last_k - 1, 1, 1))
+        self.joined = np.empty(sum(rows(k)[1] for k, _, _ in moves))
+        self.join, start = [], 0
+        for k, di, dj in moves:
+            lo, count = rows(k)
+            d = 2 * lo - k
+            # Y = X + (di, dj) lies on line d + di - dj, mirrored to
+            # m - n - (d + di - dj); the last X's Y has the lowest
+            mirrored = m - n - (d + 2 * (count - 1) + di - dj)
+            self.join.append((cells(self.lines[k % 2], d, count)[:, 0],
+                              cells(self.lines[(n + m + 2 - k - di - dj) % 2], mirrored,
+                                    count)[::-1, 1],
+                              (self.joined[start:start + count],)))
+            start += count
 
 
 # per thread, the plan for the lengths it warped last
@@ -167,25 +219,28 @@ _plans = threading.local()
 
 
 def _dtw_cost(long: np.ndarray, short: np.ndarray) -> float:
-    """Accumulated cost D[n, m] by anti-diagonals k = i + j of the cost matrix.
+    """Least path cost, joined from two half sweeps that run in lockstep.
 
-    Each cell is |x - y| + min(three neighbours) as in the row loop; min is
-    exact and IEEE addition and |x - y| are symmetric, so the results are
-    identical.  The plan (see ``_Plan``) is kept for the next call on the
-    same lengths and block size; a call copies the two series into it and
-    resets the lines, and then each diagonal is two minimums and an
-    addition on prebuilt views.
+    Each cell of either sweep is |x - y| + min(three neighbours) as in the
+    textbook row loop, so each holds the loop's accumulated costs bit for
+    bit, and the result is the least of the planned sums forward cost +
+    reverse cost across the middle (see ``_Plan``).  The plan is kept for
+    the next call on the same lengths and block size; a call copies the
+    series into it and resets the lines, and then each diagonal is two
+    minimums and an addition on prebuilt views, and the join four
+    additions and a minimum.
     """
     n, m = long.size, short.size
     plan = getattr(_plans, "plan", None)
     if plan is None or plan.key != (n, m, _DIAGONALS_PER_BLOCK):
         plan = _plans.plan = _Plan(n, m, _DIAGONALS_PER_BLOCK)
-    lines = plan.lines
-    lines.fill(np.inf)
-    lines[0, n // 2] = 0.0   # D[0, 0], the path's start
-    plan.short[:] = short
-    plan.padded[m:m + n] = long[::-1]
-    # the loop makes about 3 (n + m) calls; local names save an attribute lookup each
+    plan.lines.fill(np.inf)
+    plan.lines[0, n // 2] = 0.0   # D[0, 0] of both sweeps, the paths' start
+    plan.short[:, 0] = short
+    plan.short[:, 1] = short[::-1]
+    plan.padded[m:m + n, 0] = long[::-1]
+    plan.padded[m:m + n, 1] = long
+    # the loop makes about 1.5 (n + m) calls; local names save an attribute lookup each
     minimum, add, subtract, absolute = np.minimum, np.add, np.subtract, np.absolute
     for operands, costs, diagonals in plan.blocks:
         subtract(*operands, out=costs)
@@ -194,7 +249,9 @@ def _dtw_cost(long: np.ndarray, short: np.ndarray) -> float:
             minimum(out, up, out=o)
             minimum(out, left, out=o)
             add(cost, out, out=o)
-    return float(lines[(n + m) % 2, m // 2])
+    for forward, reverse, o in plan.join:
+        add(forward, reverse, out=o)
+    return float(plan.joined.min())
 
 
 def distance_pair(a, b) -> DistancePair:

@@ -440,7 +440,8 @@ def train(
     clipped Adam step.  When no validation pairs are given the reported
     validation losses repeat the training losses.  ValueError naming the op
     and sample position of a training sample so large that the per-position
-    normalization statistics overflow, or of a validation sample whose
+    normalization statistics overflow or that its normalized value is not
+    finite in the training dtype, or of a validation sample whose
     normalized value, or its square, is not finite in the training dtype.
     """
     config = config or TrainConfig()
@@ -461,7 +462,16 @@ def train(
                          f"({float(raw[worst, k])!r} W) overflows the normalization statistics")
     tol = _SCALE_RTOL * np.maximum(np.abs(norm_mean), 1.0)
     norm_scale = np.where(std <= tol, 1.0, std)
-    matrix = ((raw - norm_mean) / norm_scale).astype(dtype)
+    # where a huge mean's spread is too small to scale by, the unit scale
+    # leaves a rounding residual that can overflow the cast; refused below
+    with np.errstate(over="ignore"):
+        matrix = ((raw - norm_mean) / norm_scale).astype(dtype)
+    too_large = ~np.isfinite(matrix)
+    if too_large.any():
+        row, k = (int(x) for x in np.argwhere(too_large)[0])
+        raise ValueError(f"sample {k} of training op {pairs.curves[row].op_index} "
+                         f"({float(raw[row, k])!r} W) is too large: its normalized value "
+                         f"overflows {dtype}")
     del raw   # every epoch reads the normalized copy only
 
     val_set = None

@@ -145,7 +145,8 @@ def investigate(
 @dataclass(slots=True)
 class InvestigationReport:
     op_index: int
-    distances: DistancePair
+    euclidean: float
+    dtw: float
     tau_euclidean: float
     tau_dtw: float
     predicted_kind: CurveKind
@@ -155,11 +156,17 @@ class InvestigationReport:
     tampered: bool | None = None   # ground truth, for scoring only
     alert: str | None = None       # pipeline-level alerts (rejection streaks)
 
+    @property
+    def distances(self) -> DistancePair:
+        # the two numbers are fields of their own, so a report retained for
+        # a whole stream holds no pair object
+        return DistancePair(self.euclidean, self.dtw)
+
     def to_dict(self) -> dict:
         return {
             "op_index": self.op_index,
-            "euclidean": self.distances.euclidean,
-            "dtw": self.distances.dtw,
+            "euclidean": self.euclidean,
+            "dtw": self.dtw,
             "tau_euclidean": self.tau_euclidean,
             "tau_dtw": self.tau_dtw,
             "predicted_kind": self.predicted_kind.value,
@@ -185,9 +192,7 @@ class InvestigationReport:
                           json_field(v["rationale"], STRING, "rationale"))
         return cls(
             op_index=json_field(d["op_index"], INTEGER, "op_index"),
-            distances=DistancePair(number["euclidean"], number["dtw"]),
-            tau_euclidean=number["tau_euclidean"],
-            tau_dtw=number["tau_dtw"],
+            **number,
             predicted_kind=json_enum(CurveKind, d["predicted_kind"], "predicted_kind"),
             field_kind=json_enum(CurveKind, d["field_kind"], "field_kind"),
             window_progressive=json_field(d["window_progressive"], BOOLEAN, "window_progressive"),

@@ -129,7 +129,8 @@ class Pipeline:
 
         report = InvestigationReport(
             op_index=field_curve.op_index,
-            distances=outcome.distances,
+            euclidean=outcome.distances.euclidean,
+            dtw=outcome.distances.dtw,
             tau_euclidean=self.thresholds.tau_euclidean,
             tau_dtw=self.thresholds.tau_dtw,
             predicted_kind=predicted_kind,

@@ -7,7 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dtw_oracle import dtw_cost as oracle_dtw_cost
+from dtw_oracle import dtw_cost as row_loop_dtw_cost
+from dtw_oracle import dtw_joined as oracle_dtw_cost
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -114,6 +115,32 @@ def test_dtw_equals_the_loop_oracle_exactly(a, b):
     assert dtw(b, a) == want
 
 
+@settings(max_examples=300, deadline=None)
+@given(a=series, b=series)
+@example(a=_values(200, 1), b=_values(200, 2))
+@example(a=_values(200, 3), b=_values(137, 4))
+@example(a=_values(200, 5), b=_values(200, 6))
+@example(a=_values(600, 7), b=_values(600, 8))
+@example(a=_values(300, 9), b=_values(250, 10))
+def test_dtw_lies_within_rounding_of_the_row_loop(a, b):
+    # the row loop sums a path's cell costs in one run, the joined sweeps
+    # in two; a path has fewer than n + m cells, and each |x - y| and each
+    # addition of non-negative costs errs by at most 2**-53 of its value
+    want = row_loop_dtw_cost(a, b)
+    bound = 2 * (len(a) + len(b)) * 2.0 ** -53 * want
+    assert abs(dtw(a, b) - want) <= bound
+    assert abs(dtw(b, a) - want) <= bound
+
+
+def test_a_curve_sized_pair_takes_half_its_diagonals_in_steps():
+    """The two sweeps run in lockstep to the middle: 200 x 200 cells lie on
+    399 anti-diagonals, and the plan steps through at most 201 of them."""
+    dtw(_values(200, 1), _values(200, 2))
+    plan = comparator._plans.plan
+    steps = sum(len(diagonals) for _, _, diagonals in plan.blocks)
+    assert steps <= math.ceil((200 + 200) / 2) + 1
+
+
 @pytest.mark.parametrize("block", [1, 2, 3])
 @settings(max_examples=100, deadline=None)
 @given(a=series, b=series)
@@ -179,7 +206,7 @@ def test_threads_warping_different_shapes_match_the_oracle():
 
 def test_a_long_pair_never_allocates_its_cost_matrix():
     """2,000 x 2,000 cells of float64 are 32 MB; the plan, its buffers and
-    the calls stay below a quarter of that (3.7 MB).  A new thread starts
+    the calls stay below a quarter of that (3.9 MB).  A new thread starts
     with no plan, so its first call builds one."""
     a, b = _values(2000, 30), _values(2000, 31)
     results = []

@@ -589,6 +589,24 @@ def test_a_training_sample_that_overflows_the_normalization_is_refused():
         train(make_dataset(curves, 4), TrainConfig(hidden=4, epochs=1))
 
 
+def test_a_training_sample_whose_normalized_value_overflows_the_dtype_is_refused():
+    """Sample 7 of every op is 1e100 W.  Their mean rounds, the spread is
+    below the floor, and the unit scale leaves a residual near 1e84, past
+    float32's maximum: train refuses it, naming the first training op,
+    without numpy's cast warning.  float64 holds the residual and trains."""
+    corpus = generate_lifecycle(GeneratorConfig(length=16, operations=30, seed=9))
+    curves = []
+    for lc in corpus:
+        samples = lc.curve.samples.copy()
+        samples[7] = 1e100
+        curves.append(PowerCurve(samples, op_index=lc.curve.op_index,
+                                 timestamp=lc.curve.timestamp))
+    with pytest.raises(ValueError, match=r"^sample 7 of training op 0 \(1e\+100 W\) is too "
+                                         r"large: its normalized value overflows float32$"):
+        train(make_dataset(curves, 4), TrainConfig(hidden=4, epochs=1, dtype="float32"))
+    train(make_dataset(curves, 4), TrainConfig(hidden=4, epochs=1, dtype="float64"))
+
+
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_a_validation_sample_that_overflows_the_loss_is_refused(dtype):
     """A 1e308 W validation sample normalizes past float32's maximum, and

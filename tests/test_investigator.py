@@ -292,7 +292,8 @@ def test_decision_table(setup, tmp_path, field_kind, predicted_kind, progressing
 def report(op, kind, reason, tampered):
     return InvestigationReport(
         op_index=op,
-        distances=SMALL,
+        euclidean=SMALL.euclidean,
+        dtw=SMALL.dtw,
         tau_euclidean=THRESHOLDS.tau_euclidean,
         tau_dtw=THRESHOLDS.tau_dtw,
         predicted_kind=CurveKind.EARLY_LIFE_NORMAL,

@@ -371,13 +371,18 @@ def test_pipelines_sharing_a_model_each_step_as_a_lone_one(attacked_world, monke
 
 
 def test_report_records_have_no_instance_dict(attacked_world):
-    """Reports, their distances and verdicts, and validation results are slotted."""
+    """Reports, their distances and verdicts, and validation results are
+    slotted.  A report keeps its two distances as float fields; ``distances``
+    is a read-only pair made from them."""
     model, thresholds, reference, corpus = attacked_world
     pipe = Pipeline(model, thresholds, reference).bootstrap(corpus[:100])
     report = pipe.step(corpus[100])
     outcome = validate(corpus[100].curve, pipe.session.curve, thresholds)
     for record in (report, report.distances, report.verdict, outcome):
         assert not hasattr(record, "__dict__"), type(record).__name__
+    assert report.distances == outcome.distances == DistancePair(report.euclidean, report.dtw)
+    with pytest.raises(AttributeError):
+        report.distances = outcome.distances
 
 
 def _retained(make):
@@ -397,8 +402,8 @@ def test_reports_retain_few_bytes_each(attacked_world):
     """Pipeline.reports keeps every report of the stream, so a report shares
     its verdict with every op that took the same branch.  The reference is
     the same reports, each holding a verdict and rationale of its own.  Over
-    10 passes of the attacked stream the reports retained 0.58-0.60 of it
-    (Python 3.11): about 250 bytes a report against 425."""
+    10 passes of the attacked stream the reports retained 0.53 of it
+    (Python 3.11): about 205 bytes a report against 385."""
     model, thresholds, reference, corpus = attacked_world
     history, stream = corpus[:100], corpus[100:]
     first = Pipeline(model, thresholds, reference).bootstrap(history).run(stream)
@@ -413,8 +418,8 @@ def test_reports_retain_few_bytes_each(attacked_world):
         return None if text is None else text.encode().decode()
 
     def own_verdict(r):
-        d, v = r.distances, r.verdict
-        return replace(r, distances=DistancePair(d.euclidean + 0.0, d.dtw + 0.0),
+        v = r.verdict
+        return replace(r, euclidean=r.euclidean + 0.0, dtw=r.dtw + 0.0,
                        verdict=Verdict(v.kind, v.reason_code, own(v.rationale)),
                        alert=own(r.alert))
 
