@@ -152,7 +152,8 @@ class _Plan:
     D[0, 0] = 0 when X is cell (m, n), which only a 1 x 1 pair joins at.
 
     The cell costs of a block of diagonals come from one subtraction over
-    the rectangle of rows the block spans.  ``padded`` holds each problem's
+    the rectangle of rows the block spans, a contiguous prefix of one flat
+    buffer that every block shares.  ``padded`` holds each problem's
     long series reversed after m slots of inf, so with the block's
     diagonals in descending k a sliding view of it reads long[k - i - 1]
     with positive strides.  Rectangle cells off the matrix cost inf and
@@ -164,7 +165,7 @@ class _Plan:
         self.lines = np.empty((2, (n + m) // 2 + 1, 2))
         self.short = np.empty((m, 2))
         self.padded = np.full((n + 2 * m, 2), np.inf)
-        costs = np.empty((per_block, m, 2))
+        costs = np.empty(per_block * m * 2)   # each block's contiguous prefix
         last_k, reverse_k = (n + m) // 2 + 1, (n + m + 1) // 2   # K and n + m + 1 - K
 
         def cells(buf, d, count):   # slots of lines d, d + 2, ... of one parity
@@ -180,7 +181,7 @@ class _Plan:
         for k0 in range(2, last_k + 1, per_block):
             k1 = min(k0 + per_block - 1, last_k)
             first, last = max(1, k0 - n), min(m, k1 - 1)
-            block = costs[:k1 - k0 + 1, :last - first + 1]
+            block = costs[:(k1 - k0 + 1) * (last - first + 1) * 2].reshape(k1 - k0 + 1, -1, 2)
             # row r is diagonal k1 - r: long[k - i - 1] = padded[m + n - k + i]
             windows = sliding_window_view(self.padded, last - first + 1, axis=0)
             operands = (self.short[first - 1:last],

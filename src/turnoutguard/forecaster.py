@@ -11,10 +11,10 @@ few large matmuls; the persisted weights file exposes the conventional
 per-gate matrices, and only ``save_model`` and ``load_model`` know the
 order of the gates.
 
-A forecast reuses the work of the one before it: the caller's
-``ForecastSession`` keeps the states of every suffix of its latest window of
-curves, so the window shifted by one curve costs one step of the recurrence
-instead of a whole run, and rounds to the bytes of that run.
+A forecast reuses the work of the one before it: a ``ForecastSession`` keeps
+the states of every suffix of its latest window, so a shift by one curve
+costs one step of the recurrence instead of a whole run and, as every curve
+is projected on its own, rounds to the bytes of that run on any BLAS kernel.
 """
 
 from __future__ import annotations
@@ -233,12 +233,17 @@ def _cell(a: np.ndarray, c: np.ndarray, kept: np.ndarray, tc: np.ndarray,
     return c_new, h_new
 
 
+def _project(params: dict, rows: np.ndarray) -> np.ndarray:
+    """Each row's ``row @ w_x + b`` by a one-row product: the same bytes in any batch."""
+    return np.matmul(rows[:, None], params["w_x"])[:, 0] + params["b"]
+
+
 def _forward_seq(params: dict, rows: np.ndarray, steps: int,
                  cache: np.ndarray | None = None):
     """Run the recurrence over every window of ``steps`` consecutive curves.
 
     Window k is rows k ... k + steps - 1 of ``rows`` (curves, length), so
-    each curve is projected by ``w_x`` once however many windows share it,
+    each curve is projected by ``_project`` once however many windows share it,
     and step t reads its pre-activations as a view of consecutive projected
     rows, not a gather.  Returns (readout, last_hidden).  With ``cache``, a
     (steps, 6, batch, hidden) view of a BPTT workspace, step t writes its
@@ -250,8 +255,7 @@ def _forward_seq(params: dict, rows: np.ndarray, steps: int,
     dtype = rows.dtype
     w_h = params["w_h"]
     hidden = w_h.shape[0]
-    proj = rows @ params["w_x"]
-    proj += params["b"]
+    proj = _project(params, rows)
     batch = len(rows) - steps + 1
     row, item = proj.strides
     a_x = as_strided(proj, (steps, batch, 4 * hidden), (row, row, item), writeable=False)
@@ -579,10 +583,10 @@ class ForecastSession:
     j ... w - 1, so sequence 0 has consumed the whole window and gives the
     forecast.  Sequence j lives in slot (start + j) % w of buffers allocated
     here, so a shift by one curve moves no state.  Every sequence steps with
-    one gemv of its own hidden state, as the recurrence of one window does,
-    and rounds exactly as that would.  ``advance`` is the only step: w of
-    them over a window's curves rebuild every suffix state from whatever the
-    slots held before, as each slot is zeroed just before its first curve.
+    one gemv of its own hidden state on its curve's ``_project`` row, as one
+    window's recurrence does, and rounds as it would.  ``advance`` is the
+    only step: w of them over a window's curves rebuild every suffix state
+    whatever the slots held, as each slot is zeroed just before its first curve.
     """
 
     def __init__(self, model: ForecastModel):
@@ -623,20 +627,17 @@ def forward_samples(session: ForecastSession, curves) -> np.ndarray:
     objects: the latest window's own curves (a window frozen by rejections)
     get a copy of its forecast; the latest window shifted by one curve costs
     one advance of the recurrence; any other window, even of equal curves in
-    new objects, rebuilds the suffix states in w advances.  Each path gives
-    the bytes a fresh session gives.
+    new objects, rebuilds the suffix states in w advances.  A rebuild projects
+    every curve and a shift only the new one, each on its own, so each path
+    gives the bytes a fresh session gives.
     """
     model = session.model
     curves, latest = tuple(curves), session.latest
     if not _same(curves, latest):
-        params = model.params()
+        # the latest window shifted by one curve projects only its new curve;
+        # the curves it shares with the latest window were checked with it
         shifted = bool(latest) and _same(curves[:-1], latest[1:])
-        # the latest window shifted by one curve projects only its new curve,
-        # as the last row of a two-row product: that row rounds as it does in
-        # the whole window's product, and a one-row product takes numpy's
-        # vector path, which may round otherwise.  Curves shared with the
-        # latest window were checked with it
-        new = curves[-2:] if shifted else curves
+        new = curves[-1:] if shifted else curves
         if len(curves) != model.window or any(len(c) != model.length for c in new):
             raise ValueError(f"expected a window of {model.window} curves of {model.length} "
                              f"samples, got {len(curves)} curves of "
@@ -645,16 +646,13 @@ def forward_samples(session: ForecastSession, curves) -> np.ndarray:
             normed = model.normalize(np.stack([c.samples for c in new])).astype(model.w_x.dtype)
         if not np.all(np.isfinite(normed)):
             raise ValueError(f"a normalized sample of the window overflows {model.w_x.dtype}")
-        proj = normed @ params["w_x"]
-        if shifted:
-            proj = proj[-1:]
-        proj += params["b"]
+        proj = _project(model.params(), normed)
         session.latest, session.curve = (), None   # rebuilt unless this call completes
         # a saturated gate overflows exp() harmlessly: 1 / (1 + inf) is 0
         with np.errstate(over="ignore"):
             for a_x in proj:
                 h = session.advance(a_x)
-        y = h @ params["v_out"].T + params["b_out"]
+        y = h @ model.v_out.T + model.b_out
         session.latest, session.forecast = curves, model.denormalize(y[0].astype(np.float64))
     return session.forecast.copy()
 

@@ -141,6 +141,19 @@ def test_a_curve_sized_pair_takes_half_its_diagonals_in_steps():
     assert steps <= math.ceil((200 + 200) / 2) + 1
 
 
+@pytest.mark.parametrize("block", [1, 2, 3, 64])
+@pytest.mark.parametrize("n, m", [(200, 200), (200, 137), (60, 1)])
+def test_every_block_of_cell_costs_is_contiguous_in_one_shared_buffer(n, m, block):
+    """A block's subtraction and absolute value run on contiguous memory:
+    each block is the prefix of one flat buffer of ``block * m * 2`` floats."""
+    blocks = [costs for _, (costs,), _ in comparator._Plan(n, m, block).blocks]
+    buffer = blocks[0].base
+    assert buffer.shape == (block * m * 2,) and buffer.dtype == np.float64
+    for costs in blocks:
+        assert costs.flags.c_contiguous and costs.base is buffer
+        assert costs.__array_interface__["data"][0] == buffer.__array_interface__["data"][0]
+
+
 @pytest.mark.parametrize("block", [1, 2, 3])
 @settings(max_examples=100, deadline=None)
 @given(a=series, b=series)

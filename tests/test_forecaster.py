@@ -1,5 +1,6 @@
 """Forecaster contracts: recurrence math, training, gradients, persistence."""
 
+import ctypes
 import dataclasses
 import math
 import os
@@ -169,11 +170,15 @@ def test_window_count_of_a_numpy_integer_forecasts_the_same():
 
 
 def per_gate_forward_seq(params, x):
-    """Reference recurrence with one sigmoid call per gate."""
+    """Reference recurrence with one sigmoid call per gate.
+
+    Each window row is projected by a one-row product of its own, as every
+    path of the forecaster projects a curve, so the reference rounds alike
+    on every BLAS kernel.
+    """
     hidden = params["w_h"].shape[0]
-    batch, steps, length = x.shape
-    a_x = (x.reshape(batch * steps, length) @ params["w_x"] + params["b"]).reshape(
-        batch, steps, 4 * hidden)
+    batch, steps, _ = x.shape
+    a_x = np.stack([[row @ params["w_x"] + params["b"] for row in window] for window in x])
 
     def sigmoid(v):
         with np.errstate(over="ignore"):
@@ -704,6 +709,71 @@ def test_bit_exactness_holds_per_blas_thread_count_and_forecasts_across_counts()
     single, multi, multi_again = _probe(1), _probe(threads), _probe(threads)
     assert multi == multi_again
     assert single[1] == multi[1]
+
+
+_KERNEL_PROBE = """
+import ctypes
+import sys
+import numpy as np
+from turnoutguard import comparator
+from turnoutguard.curvegen import GeneratorConfig, generate_lifecycle
+from turnoutguard.dataio import make_dataset
+from turnoutguard.forecaster import ForecastModel, ForecastSession, _init_params, forward_samples
+
+corename = getattr(ctypes.CDLL(sys.argv[1]), sys.argv[2])
+corename.argtypes, corename.restype = [], ctypes.c_char_p
+print(corename().decode())
+curves = [lc.curve for lc in generate_lifecycle(GeneratorConfig(length=200, operations=120,
+                                                                seed=42))]
+for dtype in ("float32", "float64"):
+    params = _init_params(200, 64, np.random.default_rng(1), np.dtype(dtype))
+    model = ForecastModel(**params, norm_mean=np.full(200, 500.0),
+                          norm_scale=np.full(200, 100.0), window=50)
+    fresh = lambda _, window: forward_samples(ForecastSession(model), window)
+    session = ForecastSession(model)
+    # consecutive, repeated and jumping windows
+    for start in [*range(20), 19, 19, 45, 46, 3]:
+        window = curves[start:start + 50]
+        if forward_samples(session, window).tobytes() != fresh(None, window).tobytes():
+            print(f"{dtype}:window-{start}")
+    pairs = make_dataset(curves[60:], 50)
+    once = comparator.calibrate(model, pairs)
+    comparator.forward_samples, kept = fresh, comparator.forward_samples
+    if comparator.calibrate(model, pairs) != once:
+        print(f"{dtype}:calibration")
+    comparator.forward_samples = kept
+"""
+
+# each kernel, the CPU features it needs, and the core name OpenBLAS reports for it
+KERNELS = {"Haswell": (("AVX2", "FMA3"), "Haswell"), "Prescott": (("SSE3",), "Katmai"),
+           "Sandybridge": (("AVX",), "Sandybridge"), "SkylakeX": (("AVX512F",), "SkylakeX")}
+
+
+def test_forecasts_are_path_independent_on_every_openblas_kernel_the_cpu_runs():
+    """Under each OpenBLAS kernel, at one thread, one session over
+    consecutive, repeated and jumping windows, and a calibration, forecast
+    the bytes of fresh sessions.  The kernel is checked by the core name
+    OpenBLAS reports, since an unknown one silently falls back."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:   # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(
+        "libscipy_openblas64_*.so"))
+    symbol = "scipy_openblas_get_corename64_"
+    if not libs or not hasattr(ctypes.CDLL(str(libs[0])), symbol):
+        pytest.skip(f"no {symbol} in numpy.libs/libscipy_openblas64_*.so (found {libs})")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(forecaster.__file__).parents[1]))
+    runs = [kernel for kernel, (features, _) in KERNELS.items()
+            if all(__cpu_features__.get(f) for f in features)]
+    if not runs:
+        pytest.skip(f"the CPU runs none of the kernels {list(KERNELS)}")
+    for kernel in runs:
+        done = subprocess.run([sys.executable, "-c", _KERNEL_PROBE, str(libs[0]), symbol],
+                              env=dict(env, OPENBLAS_CORETYPE=kernel), capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert done.stdout.split() == [KERNELS[kernel][1]], kernel
 
 
 def test_divergence_aborts_with_diagnostic(monkeypatch):
